@@ -9,6 +9,7 @@ config is persisted next to outputs for provenance.
 from __future__ import annotations
 
 import csv
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -34,28 +35,8 @@ DEFAULTS = {
     "max_keep": 3,
     "queries_per_class": 10,
     "retrieval_includes_queries": False,
-    # training
-    "code_length": 16,
-    "alpha": 1.0,
-    "beta": 1.0,
-    "learning_rate": 0.03,
-    "momentum": 0.0,
-    "epochs": 60,
-    "batch_columns": 64,
-    "eta_mode": "intent_ratio",
-    "eta_max": 2.0,
-    "head_threshold": 100,
-    "hidden_dim": 64,
-    "clip_norm": 1.0,
-    "bank_momentum": 0.9,
-    "warmup_epochs": 60,
-    "attention_init_scale": 3.0,
-    "normalize_weights": True,
-    # ablations
-    "no_memory": False,
-    "learned_eta": False,
-    # bookkeeping
-    "seed": 0,
+    # training and ablations: TrainConfig's fields and defaults
+    **{f.name: f.default for f in fields(TrainConfig)},
 }
 
 
@@ -123,28 +104,12 @@ def parse_groups(text):
 def longtail_spec(cfg) -> LongTailSpec:
     return LongTailSpec(
         groups=parse_groups(cfg["groups"]),
-        d_x=cfg["d_x"], d_y=cfg["d_y"],
-        extra_per_class=cfg["extra_per_class"],
-        mixed_fraction=cfg["mixed_fraction"],
-        latent_dim=cfg["latent_dim"],
-        noise_std=cfg["noise_std"],
-    )
+        **{f.name: cfg[f.name] for f in fields(LongTailSpec)
+           if f.name != "groups"})
 
 
 def train_config(cfg) -> TrainConfig:
-    eta_mode = "learned" if cfg["learned_eta"] else cfg["eta_mode"]
-    return TrainConfig(
-        code_length=cfg["code_length"], alpha=cfg["alpha"], beta=cfg["beta"],
-        learning_rate=cfg["learning_rate"], momentum=cfg["momentum"],
-        epochs=cfg["epochs"], batch_columns=cfg["batch_columns"],
-        seed=cfg["seed"], eta_mode=eta_mode, eta_max=cfg["eta_max"],
-        head_threshold=cfg["head_threshold"], hidden_dim=cfg["hidden_dim"],
-        no_memory=cfg["no_memory"], clip_norm=cfg["clip_norm"],
-        bank_momentum=cfg["bank_momentum"],
-        warmup_epochs=cfg["warmup_epochs"],
-        attention_init_scale=cfg["attention_init_scale"],
-        normalize_weights=cfg["normalize_weights"],
-    )
+    return TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig)})
 
 
 def prepare_splits(dataset: MultiModalDataset, cfg):
@@ -192,9 +157,10 @@ def split_indices(model: HashModel, name: str) -> np.ndarray:
     if name == "retrieval":
         return model.retrieval_indices
     if name == "all":
-        n = (model.train_indices.size + model.query_indices.size
-             + model.retrieval_indices.size)
-        return np.arange(n)
+        # retrieval may include the queries, so the splits can overlap
+        return np.unique(np.concatenate([
+            model.train_indices, model.query_indices,
+            model.retrieval_indices]))
     raise ConfigError(f"unknown split {name!r}")
 
 

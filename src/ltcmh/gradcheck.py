@@ -61,7 +61,8 @@ def check_net_backward(seed=0, eps=1e-6, corrupt=False):
 def check_objective_grad(instances=50, seed=0, eps=1e-6, corrupt=False,
                          max_n=8, max_c=8):
     """Analytic dJ/dVx and dJ/dVy vs central differences of the joint
-    objective with V treated as free variables."""
+    objective with V treated as free variables, on all columns and on a
+    random column subset (the column batches `train` asks for)."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(instances):
@@ -77,9 +78,7 @@ def check_objective_grad(instances=50, seed=0, eps=1e-6, corrupt=False,
         def total(vx, vy):
             return hash_learn.objective(vx, vy, A, B, alpha, beta).total
 
-        for which, V, analytic in (
-                ("x", Vx, hash_learn.grad_Vx(Vx, Vy, A, B, alpha, beta)),
-                ("y", Vy, hash_learn.grad_Vy(Vx, Vy, A, B, alpha, beta))):
+        for V, grad in ((Vx, hash_learn.grad_Vx), (Vy, hash_learn.grad_Vy)):
             numeric = np.zeros_like(V)
             flat = V.ravel()
             nflat = numeric.ravel()
@@ -91,9 +90,13 @@ def check_objective_grad(instances=50, seed=0, eps=1e-6, corrupt=False,
                 lo = total(Vx, Vy)
                 flat[i] = orig
                 nflat[i] = (hi - lo) / (2 * eps)
-            if corrupt:
-                analytic = analytic + 0.05
-            worst = max(worst, rel_err(analytic, numeric))
+            cols = rng.permutation(n)[:int(rng.integers(1, n + 1))]
+            for analytic, expect in (
+                    (grad(Vx, Vy, A, B, alpha, beta), numeric),
+                    (grad(Vx, Vy, A, B, alpha, beta, cols), numeric[:, cols])):
+                if corrupt:
+                    analytic = analytic + 0.05
+                worst = max(worst, rel_err(analytic, expect))
     return worst
 
 

@@ -14,6 +14,7 @@ as sign(Vx + Vy), alternating with the continuous steps.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import BinaryIO, Optional
@@ -24,8 +25,8 @@ from . import meta_embed
 from .dataset import (HeadTailPartition, MultiModalDataset, split_head_tail)
 from .errors import ConfigError, FormatError, ShapeError, TrainingError
 from .meta_embed import MetaEmbedder, PrototypeBank, compute_prototypes
-from .tensor import (FeedForwardNet, LayerSpec, read_net, sgd_step, sigmoid,
-                     softplus, write_net, MODEL_MAGIC)
+from .tensor import (FeedForwardNet, LayerSpec, read_exact, read_net,
+                     sgd_step, sigmoid, softplus, write_net, MODEL_MAGIC)
 
 MODEL_FORMAT_VERSION = 2
 
@@ -147,20 +148,23 @@ def objective(Vx, Vy, A, B, alpha, beta) -> LossBreakdown:
     )
 
 
-def grad_Vx(Vx, Vy, A, B, alpha, beta) -> np.ndarray:
-    """dJ/dVx, column i = 1/2 sum_j (sigma(Phi_ij) - a_ij) Vy_j
-    + 2 alpha (Vx_i - B_i) + 2 beta Vx 1."""
-    phi = pairwise_phi(Vx, Vy)
-    g = 0.5 * (Vy @ (sigmoid(phi) - A).T)
-    g += 2.0 * alpha * (Vx - B)
+def grad_Vx(Vx, Vy, A, B, alpha, beta, cols=slice(None)) -> np.ndarray:
+    """dJ/dVx at columns `cols` (all by default); column i is
+    1/2 sum_j (sigma(Phi_ij) - a_ij) Vy_j + 2 alpha (Vx_i - B_i)
+    + 2 beta Vx 1."""
+    phi = pairwise_phi(Vx[:, cols], Vy)
+    g = 0.5 * (Vy @ (sigmoid(phi) - A[cols, :]).T)
+    g += 2.0 * alpha * (Vx[:, cols] - B[:, cols])
     g += 2.0 * beta * Vx.sum(axis=1, keepdims=True)
     return g
 
 
-def grad_Vy(Vx, Vy, A, B, alpha, beta) -> np.ndarray:
-    phi = pairwise_phi(Vx, Vy)
-    g = 0.5 * (Vx @ (sigmoid(phi) - A))
-    g += 2.0 * alpha * (Vy - B)
+def grad_Vy(Vx, Vy, A, B, alpha, beta, cols=slice(None)) -> np.ndarray:
+    """dJ/dVy at columns `cols` (all by default); grad_Vx with the roles of
+    the modalities swapped."""
+    phi = pairwise_phi(Vx, Vy[:, cols])
+    g = 0.5 * (Vx @ (sigmoid(phi) - A[:, cols]))
+    g += 2.0 * alpha * (Vy[:, cols] - B[:, cols])
     g += 2.0 * beta * Vy.sum(axis=1, keepdims=True)
     return g
 
@@ -326,21 +330,14 @@ def train(dataset: MultiModalDataset, train_indices: np.ndarray,
         Vy, _ = meta_embed.embed_batch(ey, Y, bank_y)
 
         order = rng.permutation(n)
-        for side, embedder, bank, feats, V, vel in (
-                ("x", ex, bank_x, X, Vx, vel_x),
-                ("y", ey, bank_y, Y, Vy, vel_y)):
+        for side, embedder, bank, feats, V, grad, vel in (
+                ("x", ex, bank_x, X, Vx, grad_Vx, vel_x),
+                ("y", ey, bank_y, Y, Vy, grad_Vy, vel_y)):
             for start in range(0, n, config.batch_columns):
                 cols = order[start:start + config.batch_columns]
                 v_batch, cache = meta_embed.embed_batch(embedder, feats[cols], bank)
                 V[:, cols] = v_batch
-                if side == "x":
-                    phi = pairwise_phi(V[:, cols], Vy)
-                    g = 0.5 * (Vy @ (sigmoid(phi) - A[cols, :]).T)
-                else:
-                    phi = pairwise_phi(Vx, V[:, cols])
-                    g = 0.5 * (Vx @ (sigmoid(phi) - A[:, cols]))
-                g += 2.0 * config.alpha * (V[:, cols] - B[:, cols])
-                g += 2.0 * config.beta * V.sum(axis=1, keepdims=True)
+                g = grad(Vx, Vy, A, B, config.alpha, config.beta, cols)
                 g /= n
                 if not np.all(np.isfinite(g)):
                     raise TrainingError(
@@ -400,22 +397,10 @@ def _write_array(f: BinaryIO, arr: np.ndarray, dtype: str):
 
 
 def _read_array(f: BinaryIO, dtype: str) -> np.ndarray:
-    buf = f.read(4)
-    if len(buf) != 4:
-        raise FormatError(f"truncated array header at offset {f.tell()}")
-    (ndim,) = struct.unpack("<I", buf)
-    shape = []
-    for _ in range(ndim):
-        dim = f.read(8)
-        if len(dim) != 8:
-            raise FormatError(f"truncated array shape at offset {f.tell()}")
-        (d,) = struct.unpack("<Q", dim)
-        shape.append(d)
-    count = int(np.prod(shape)) if shape else 1
-    itemsize = np.dtype(dtype).itemsize
-    buf = f.read(count * itemsize)
-    if len(buf) != count * itemsize:
-        raise FormatError(f"truncated array data at offset {f.tell()}")
+    (ndim,) = struct.unpack("<I", read_exact(f, 4, "array header"))
+    shape = struct.unpack(f"<{ndim}Q", read_exact(f, 8 * ndim, "array shape"))
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    buf = read_exact(f, nbytes, "array data")
     return np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
 
 
@@ -431,16 +416,13 @@ def _write_embedder(f: BinaryIO, e: MetaEmbedder):
 
 
 def _read_embedder(f: BinaryIO) -> MetaEmbedder:
-    buf = f.read(11)
-    if len(buf) != 11:
-        raise FormatError(f"truncated embedder header at offset {f.tell()}")
-    mode, use_memory, normalize, eta_max = struct.unpack("<BBBd", buf)
+    mode, use_memory, normalize, eta_max = struct.unpack(
+        "<BBBd", read_exact(f, 11, "embedder header"))
+    if mode >= len(meta_embed.ETA_MODES):
+        raise FormatError(f"bad eta-mode tag {mode} at offset {f.tell() - 11}")
     basic = read_net(f)
     weight = read_net(f)
-    flag = f.read(1)
-    if len(flag) != 1:
-        raise FormatError(f"truncated embedder at offset {f.tell()}")
-    (has_eta,) = struct.unpack("<B", flag)
+    (has_eta,) = struct.unpack("<B", read_exact(f, 1, "eta-net flag"))
     eta_net = read_net(f) if has_eta else None
     return MetaEmbedder(basic_net=basic, weight_net=weight,
                         eta_mode=meta_embed.ETA_MODES[mode],
@@ -478,13 +460,13 @@ def save_model(path, model: HashModel):
 
 def load_model(path) -> HashModel:
     with open(path, "rb") as f:
-        magic = f.read(4)
+        magic = read_exact(f, 4, "magic")
         if magic != MODEL_MAGIC:
             raise FormatError(f"bad magic {magic!r} at offset 0")
-        (version,) = struct.unpack("<I", f.read(4))
+        (version,) = struct.unpack("<I", read_exact(f, 4, "version"))
         if version != MODEL_FORMAT_VERSION:
             raise FormatError(f"unsupported model version {version} at offset 4")
-        alpha, beta = struct.unpack("<dd", f.read(16))
+        alpha, beta = struct.unpack("<dd", read_exact(f, 16, "alpha, beta"))
         ex = _read_embedder(f)
         ey = _read_embedder(f)
         bank_x = _read_bank(f)

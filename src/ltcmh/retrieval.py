@@ -90,7 +90,6 @@ def average_precision(relevance: np.ndarray) -> float:
 class RetrievalResult:
     direction: str
     code_bits: int
-    rankings: np.ndarray       # n_query x n_db
     ap: np.ndarray             # per-query AP
     map_all: float
     map_head: float
@@ -140,7 +139,6 @@ def evaluate(query_codes: BinaryCodeMatrix, query_labels: np.ndarray,
     return RetrievalResult(
         direction=direction,
         code_bits=query_codes.c,
-        rankings=rankings,
         ap=ap,
         map_all=float(ap.mean()),
         map_head=float(ap[head_mask].mean()) if head_mask.any() else 0.0,

@@ -245,19 +245,30 @@ def write_net(f: BinaryIO, net: FeedForwardNet):
         f.write(b.astype("<f8").tobytes())
 
 
-def read_net(f: BinaryIO) -> FeedForwardNet:
-    def take(n, what):
-        buf = f.read(n)
-        if len(buf) != n:
-            raise FormatError(f"truncated while reading {what} at offset {f.tell()}")
-        return buf
+def read_exact(f: BinaryIO, n: int, what: str) -> bytes:
+    """Read exactly n bytes of `what`, or raise FormatError.
 
-    (n_layers,) = struct.unpack("<I", take(4, "layer count"))
+    n is checked against the bytes left in the stream before reading, so a
+    corrupt size field cannot ask for an allocation larger than the file.
+    """
+    pos = f.tell()
+    left = f.seek(0, 2) - pos
+    f.seek(pos)
+    if n > left:
+        raise FormatError(f"truncated while reading {what} at offset {pos}: "
+                          f"{n} bytes needed, {left} left")
+    return f.read(n)
+
+
+def read_net(f: BinaryIO) -> FeedForwardNet:
+    (n_layers,) = struct.unpack("<I", read_exact(f, 4, "layer count"))
     specs = []
     for _ in range(n_layers):
-        din, dout, act = struct.unpack("<IIB", take(9, "layer spec"))
+        din, dout, act = struct.unpack("<IIB", read_exact(f, 9, "layer spec"))
         if act >= len(ACTIVATIONS):
             raise FormatError(f"bad activation tag {act} at offset {f.tell()}")
+        if din < 1 or dout < 1:
+            raise FormatError(f"bad layer dims {din}x{dout} at offset {f.tell()}")
         specs.append(LayerSpec(din, dout, ACTIVATIONS[act]))
     net = object.__new__(FeedForwardNet)
     net.specs = specs
@@ -265,9 +276,10 @@ def read_net(f: BinaryIO) -> FeedForwardNet:
     net.biases = []
     for s in specs:
         nw = s.output_dim * s.input_dim
-        w = np.frombuffer(take(8 * nw, "weights"), dtype="<f8").reshape(
-            s.output_dim, s.input_dim).copy()
-        b = np.frombuffer(take(8 * s.output_dim, "biases"), dtype="<f8").copy()
+        w = np.frombuffer(read_exact(f, 8 * nw, "weights"),
+                          dtype="<f8").reshape(s.output_dim, s.input_dim).copy()
+        b = np.frombuffer(read_exact(f, 8 * s.output_dim, "biases"),
+                          dtype="<f8").copy()
         net.weights.append(w)
         net.biases.append(b)
     return net
@@ -283,10 +295,10 @@ def save_net(path, net: FeedForwardNet):
 
 def load_net(path) -> FeedForwardNet:
     with open(path, "rb") as f:
-        magic = f.read(4)
+        magic = read_exact(f, 4, "magic")
         if magic != MODEL_MAGIC:
             raise FormatError(f"bad magic {magic!r} at offset 0")
-        (version,) = struct.unpack("<I", f.read(4))
+        (version,) = struct.unpack("<I", read_exact(f, 4, "version"))
         if version != NET_FORMAT_VERSION:
             raise FormatError(f"unsupported net format version {version} at offset 4")
         return read_net(f)

@@ -94,7 +94,7 @@ def test_train_zero_epochs(pipeline, tmp_path):
         "epoch,nll,quantization,balance,total"]
 
 
-@pytest.mark.parametrize("learned", ["eta_mode=learned", "learned_eta=true"])
+@pytest.mark.parametrize("learned", ["eta_mode=learned"])
 def test_train_learned_eta_without_memory_epochs_usage_error(pipeline,
                                                              tmp_path,
                                                              learned):
@@ -102,6 +102,16 @@ def test_train_learned_eta_without_memory_epochs_usage_error(pipeline,
                  str(pipeline / "data" / "dataset.lcmd"),
                  "--out", str(tmp_path / "out"),
                  *_sets(["warmup_epochs=4", learned])]) == 1
+
+
+def test_train_learned_eta_key_removed_usage_error(pipeline, tmp_path,
+                                                   capsys):
+    # eta_mode=learned is the one spelling; the old alias is an unknown key
+    assert main(["train", "--dataset",
+                 str(pipeline / "data" / "dataset.lcmd"),
+                 "--out", str(tmp_path / "out"),
+                 *_sets(["learned_eta=true"])]) == 1
+    assert "unknown config key 'learned_eta'" in capsys.readouterr().err
 
 
 def test_train_missing_dataset_io_error(tmp_path):
@@ -123,6 +133,11 @@ def test_effective_config_roundtrip(pipeline, tmp_path):
             == (pipeline / "run" / "loss.csv").read_bytes())
     assert ((out / "model.lcmh").read_bytes()
             == (pipeline / "run" / "model.lcmh").read_bytes())
+
+
+def test_train_config_defaults_are_train_config_defaults():
+    assert (experiment.train_config(experiment.load_config())
+            == hash_learn.TrainConfig())
 
 
 # --- encode -----------------------------------------------------------------------
@@ -161,6 +176,29 @@ def test_encode_corrupt_model_io_error(pipeline, tmp_path):
                  str(pipeline / "data" / "dataset.lcmd"),
                  "--modality", "image", "--out",
                  str(tmp_path / "c.lcmb")]) == 2
+
+
+def test_encode_truncated_model_io_error(pipeline, tmp_path):
+    # the cut falls inside alpha/beta, right after magic and version
+    bad = tmp_path / "cut.lcmh"
+    bad.write_bytes((pipeline / "run" / "model.lcmh").read_bytes()[:12])
+    assert main(["encode", "--model", str(bad), "--dataset",
+                 str(pipeline / "data" / "dataset.lcmd"),
+                 "--modality", "image", "--out",
+                 str(tmp_path / "c.lcmb")]) == 2
+
+
+def test_encode_all_with_queries_in_retrieval(pipeline, tmp_path):
+    # the query split is then part of retrieval, so the splits overlap
+    data_path = str(pipeline / "data" / "dataset.lcmd")
+    run = tmp_path / "run"
+    assert main(["train", "--dataset", data_path, "--out", str(run),
+                 *_sets(["retrieval_includes_queries=true"])]) == 0
+    out = tmp_path / "all.lcmb"
+    assert main(["encode", "--model", str(run / "model.lcmh"), "--dataset",
+                 data_path, "--modality", "image", "--split", "all",
+                 "--out", str(out)]) == 0
+    assert retrieval.load_codes(out).n == load_dataset(data_path).n
 
 
 # --- eval -------------------------------------------------------------------------

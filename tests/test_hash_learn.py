@@ -146,6 +146,21 @@ def test_grad_vy_symmetry(rng):
     assert np.allclose(gy, gx_t)
 
 
+def test_grad_cols_equal_full_gradient_columns(rng):
+    # the column batches train asks for are columns of the full gradient
+    Vx, Vy = rng.normal(size=(5, 9)), rng.normal(size=(5, 9))
+    A = rng.integers(0, 2, size=(9, 9)).astype(float)
+    B = update_B(Vx, Vy)
+    full_x = grad_Vx(Vx, Vy, A, B, 0.7, 0.3)
+    full_y = grad_Vy(Vx, Vy, A, B, 0.7, 0.3)
+    for size in (1, 4, 9):
+        cols = rng.permutation(9)[:size]
+        assert np.allclose(grad_Vx(Vx, Vy, A, B, 0.7, 0.3, cols),
+                           full_x[:, cols], rtol=1e-12, atol=1e-12)
+        assert np.allclose(grad_Vy(Vx, Vy, A, B, 0.7, 0.3, cols),
+                           full_y[:, cols], rtol=1e-12, atol=1e-12)
+
+
 # --- B update ---------------------------------------------------------------------
 
 def test_update_B_tie_rule():
@@ -376,9 +391,40 @@ def test_model_bad_version(tmp_path):
 
 
 def test_model_truncated(tmp_path):
-    model = _trained_model()
+    model = _trained_model(eta_mode="learned", warmup_epochs=2)
     path = tmp_path / "m.lcmh"
     save_model(path, model)
-    (tmp_path / "t.lcmh").write_bytes(path.read_bytes()[:-16])
-    with pytest.raises(FormatError):
-        load_model(tmp_path / "t.lcmh")
+    raw = path.read_bytes()
+    cut = tmp_path / "t.lcmh"
+    for end in range(len(raw)):
+        cut.write_bytes(raw[:end])
+        with pytest.raises(FormatError):
+            load_model(cut)
+
+
+def _corrupt_model(tmp_path, offset, value: bytes):
+    path = tmp_path / "m.lcmh"
+    save_model(path, _trained_model())
+    raw = bytearray(path.read_bytes())
+    raw[offset:offset + len(value)] = value
+    path.write_bytes(bytes(raw))
+    return path
+
+
+def test_model_bad_eta_mode_tag(tmp_path):
+    # magic, version and alpha/beta take 24 bytes; the image embedder's
+    # header starts with its eta-mode tag
+    path = _corrupt_model(tmp_path, 24, bytes([7]))
+    with pytest.raises(FormatError, match="eta-mode tag 7"):
+        load_model(path)
+
+
+def test_model_bad_layer_dim(tmp_path):
+    # 24 bytes of file header, 11 of embedder header and 4 of layer count
+    # put the first layer's input dim at byte 39
+    path = _corrupt_model(tmp_path, 39, (2**31).to_bytes(4, "little"))
+    with pytest.raises(FormatError, match="weights"):
+        load_model(path)
+    path = _corrupt_model(tmp_path, 39, (0).to_bytes(4, "little"))
+    with pytest.raises(FormatError, match="layer dims 0x"):
+        load_model(path)

@@ -295,9 +295,12 @@ def test_load_net_truncated_raises(tmp_path, rng):
     net = FeedForwardNet([LayerSpec(3, 3)], rng)
     path = tmp_path / "net.lcmh"
     save_net(path, net)
-    (tmp_path / "trunc.lcmh").write_bytes(path.read_bytes()[:-8])
-    with pytest.raises(FormatError):
-        load_net(tmp_path / "trunc.lcmh")
+    raw = path.read_bytes()
+    cut = tmp_path / "trunc.lcmh"
+    for end in range(len(raw)):
+        cut.write_bytes(raw[:end])
+        with pytest.raises(FormatError):
+            load_net(cut)
 
 
 def test_read_net_bad_activation_tag_raises(rng):
