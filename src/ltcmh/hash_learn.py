@@ -14,10 +14,11 @@ as sign(Vx + Vy), alternating with the continuous steps.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import BinaryIO, Optional
+from typing import BinaryIO
 
 import numpy as np
 
@@ -117,7 +118,9 @@ def pairwise_phi(Vx: np.ndarray, Vy: np.ndarray) -> np.ndarray:
     Vy = np.asarray(Vy, dtype=np.float64)
     if Vx.shape[0] != Vy.shape[0]:
         raise ShapeError(f"code lengths differ: {Vx.shape} vs {Vy.shape}")
-    return 0.5 * (Vx.T @ Vy)
+    phi = Vx.T @ Vy
+    phi *= 0.5
+    return phi
 
 
 def nll_loss(phi: np.ndarray, A: np.ndarray) -> float:
@@ -126,7 +129,9 @@ def nll_loss(phi: np.ndarray, A: np.ndarray) -> float:
     A = np.asarray(A, dtype=np.float64)
     if phi.shape != A.shape:
         raise ShapeError(f"phi shape {phi.shape} != affinity shape {A.shape}")
-    return float(-(A * phi - softplus(phi)).sum())
+    t = A * phi
+    t -= softplus(phi)
+    return float(-t.sum())
 
 
 def quantization_loss(B: np.ndarray, Vx: np.ndarray, Vy: np.ndarray) -> float:
@@ -153,7 +158,9 @@ def grad_Vx(Vx, Vy, A, B, alpha, beta, cols=slice(None)) -> np.ndarray:
     1/2 sum_j (sigma(Phi_ij) - a_ij) Vy_j + 2 alpha (Vx_i - B_i)
     + 2 beta Vx 1."""
     phi = pairwise_phi(Vx[:, cols], Vy)
-    g = 0.5 * (Vy @ (sigmoid(phi) - A[cols, :]).T)
+    s = sigmoid(phi)
+    s -= A[cols, :]
+    g = 0.5 * (Vy @ s.T)
     g += 2.0 * alpha * (Vx[:, cols] - B[:, cols])
     g += 2.0 * beta * Vx.sum(axis=1, keepdims=True)
     return g
@@ -163,7 +170,9 @@ def grad_Vy(Vx, Vy, A, B, alpha, beta, cols=slice(None)) -> np.ndarray:
     """dJ/dVy at columns `cols` (all by default); grad_Vx with the roles of
     the modalities swapped."""
     phi = pairwise_phi(Vx, Vy[:, cols])
-    g = 0.5 * (Vx @ (sigmoid(phi) - A[:, cols]))
+    s = sigmoid(phi)
+    s -= A[:, cols]
+    g = 0.5 * (Vx @ s)
     g += 2.0 * alpha * (Vy[:, cols] - B[:, cols])
     g += 2.0 * beta * Vy.sum(axis=1, keepdims=True)
     return g
@@ -255,7 +264,7 @@ def _switch_on_memory(embedder: MetaEmbedder, bank: PrototypeBank,
 
 
 def train(dataset: MultiModalDataset, train_indices: np.ndarray,
-          config: TrainConfig, affinity: Optional[np.ndarray] = None):
+          config: TrainConfig):
     """Alternating optimization over the training split.
 
     The first min(warmup_epochs, epochs) epochs train the direct features
@@ -290,10 +299,8 @@ def train(dataset: MultiModalDataset, train_indices: np.ndarray,
     Y = dataset.Y[train_indices]
     labels = dataset.labels[train_indices]
     n = train_indices.size
-    if affinity is None:
-        from .dataset import build_affinity
-        affinity = build_affinity(labels, labels)
-    A = affinity.astype(np.float64)
+    from .dataset import build_affinity
+    A = build_affinity(labels, labels).astype(np.float64)
 
     rng = np.random.default_rng(config.seed)
     counts = labels.sum(axis=0).astype(np.int64)
@@ -346,9 +353,12 @@ def train(dataset: MultiModalDataset, train_indices: np.ndarray,
                 grads = meta_embed.embed_backward(embedder, cache, g)
                 _apply_grads(embedder, grads, config, vel)
 
+        # the NLL and balance terms do not depend on B: only the
+        # quantization term is recomputed after the B step
         pre = objective(Vx, Vy, A, B, config.alpha, config.beta)
         B = update_B(Vx, Vy)
-        post = objective(Vx, Vy, A, B, config.alpha, config.beta)
+        post = dataclasses.replace(
+            pre, quantization=quantization_loss(B, Vx, Vy))
         if not np.isfinite(post.total):
             raise TrainingError(f"non-finite loss at epoch {epoch}: {post}")
         history.append({
@@ -424,10 +434,13 @@ def _read_embedder(f: BinaryIO) -> MetaEmbedder:
     weight = read_net(f)
     (has_eta,) = struct.unpack("<B", read_exact(f, 1, "eta-net flag"))
     eta_net = read_net(f) if has_eta else None
-    return MetaEmbedder(basic_net=basic, weight_net=weight,
-                        eta_mode=meta_embed.ETA_MODES[mode],
-                        eta_net=eta_net, use_memory=bool(use_memory),
-                        eta_max=eta_max, normalize_weights=bool(normalize))
+    try:
+        return MetaEmbedder(basic_net=basic, weight_net=weight,
+                            eta_mode=meta_embed.ETA_MODES[mode],
+                            eta_net=eta_net, use_memory=bool(use_memory),
+                            eta_max=eta_max, normalize_weights=bool(normalize))
+    except (ConfigError, ShapeError) as e:
+        raise FormatError(f"inconsistent embedder before offset {f.tell()}: {e}")
 
 
 def _write_bank(f: BinaryIO, bank: PrototypeBank):
@@ -475,7 +488,41 @@ def load_model(path) -> HashModel:
         train_idx = _read_array(f, "<i8")
         query_idx = _read_array(f, "<i8")
         retrieval_idx = _read_array(f, "<i8")
-    return HashModel(embedder_x=ex, embedder_y=ey, bank_x=bank_x,
-                     bank_y=bank_y, B=B, alpha=alpha, beta=beta,
-                     train_indices=train_idx, query_indices=query_idx,
-                     retrieval_indices=retrieval_idx)
+    model = HashModel(embedder_x=ex, embedder_y=ey, bank_x=bank_x,
+                      bank_y=bank_y, B=B, alpha=alpha, beta=beta,
+                      train_indices=train_idx, query_indices=query_idx,
+                      retrieval_indices=retrieval_idx)
+    _check_model(model)
+    return model
+
+
+def _check_model(model: HashModel):
+    """Cross-structure checks of a loaded model. Each part can be read on
+    its own, so without these a bank of the wrong width would broadcast
+    silently at encode time and a bank of the wrong height would fail
+    there with a bare ValueError."""
+    c = model.embedder_x.code_length
+    checks = [(model.embedder_y.code_length == c,
+               f"text code length {model.embedder_y.code_length} != "
+               f"image code length {c}")]
+    for side, e, bank in (("image", model.embedder_x, model.bank_x),
+                          ("text", model.embedder_y, model.bank_y)):
+        L = e.weight_net.output_dim
+        checks += [
+            (bank.centroids.shape == (L, c),
+             f"{side} centroids are {bank.centroids.shape}, expected "
+             f"({L}, {c}) for {L} weight-net outputs and code length {c}"),
+            (bank.counts.shape == bank.is_head.shape == (L,),
+             f"{side} class counts {bank.counts.shape} and head flags "
+             f"{bank.is_head.shape} do not have length {L}"),
+            (e.eta_net is None
+             or (e.eta_net.input_dim, e.eta_net.output_dim) == (c, 1),
+             f"{side} eta net does not map {c} inputs to 1 output"),
+        ]
+    idx = model.train_indices
+    checks.append((idx.ndim == 1 and model.B.shape == (c, idx.size),
+                   f"B is {model.B.shape}, expected ({c}, {idx.size}) for "
+                   f"code length {c} and {idx.shape} training indices"))
+    for ok, message in checks:
+        if not ok:
+            raise FormatError(f"inconsistent model: {message}")

@@ -24,20 +24,32 @@ ACTIVATIONS = ("identity", "relu", "sigmoid", "tanh")
 
 
 def sigmoid(x):
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function: 1 / (1 + e^-x) for x >= 0 and
+    e^x / (1 + e^x) otherwise, both computed as num / (1 + e) with
+    e = e^-|x|. Since e <= 1, num = max(e, x >= 0) picks 1 or e without
+    boolean-mask gathers; NaN propagates through the maximum."""
     x = np.asarray(x, dtype=np.float64)
+    e = np.empty_like(x)
+    np.abs(x, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
     out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    np.maximum(e, x >= 0, out=out)
+    e += 1.0
+    out /= e
     return out
 
 
 def softplus(x):
-    """log(1 + e^x) computed as max(x, 0) + log1p(e^-|x|)."""
+    """log(1 + e^x) computed as max(x, 0) + log1p(e^-|x|), in one buffer."""
     x = np.asarray(x, dtype=np.float64)
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    out = np.empty_like(x)
+    np.abs(x, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    np.add(np.maximum(x, 0.0), out, out=out)
+    return out
 
 
 def _activate(name, z):

@@ -188,6 +188,21 @@ def test_encode_truncated_model_io_error(pipeline, tmp_path):
                  str(tmp_path / "c.lcmb")]) == 2
 
 
+def test_encode_inconsistent_model_io_error(pipeline, tmp_path, capsys):
+    # the bank loses its last class row: the weight net still scores L
+    model = hash_learn.load_model(pipeline / "run" / "model.lcmh")
+    bank = model.bank_x
+    bank.centroids, bank.counts, bank.is_head = (
+        bank.centroids[:-1], bank.counts[:-1], bank.is_head[:-1])
+    bad = tmp_path / "short_bank.lcmh"
+    hash_learn.save_model(bad, model)
+    assert main(["encode", "--model", str(bad), "--dataset",
+                 str(pipeline / "data" / "dataset.lcmd"),
+                 "--modality", "image", "--out",
+                 str(tmp_path / "c.lcmb")]) == 2
+    assert "inconsistent model" in capsys.readouterr().err
+
+
 def test_encode_all_with_queries_in_retrieval(pipeline, tmp_path):
     # the query split is then part of retrieval, so the splits overlap
     data_path = str(pipeline / "data" / "dataset.lcmd")

@@ -3,14 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
-from ltcmh import gradcheck
+from ltcmh import gradcheck, hash_learn
 from ltcmh.dataset import LongTailSpec, build_affinity, synthesize_long_tailed
 from ltcmh.errors import ConfigError, FormatError, ShapeError, TrainingError
 from ltcmh.hash_learn import (HashModel, LossBreakdown, TrainConfig,
                               balance_loss, encode_features, grad_Vx, grad_Vy,
                               load_model, nll_loss, objective, pairwise_phi,
                               quantization_loss, save_model, train, update_B)
-from ltcmh.meta_embed import compute_prototypes
+from ltcmh.meta_embed import PrototypeBank, compute_prototypes
+from ltcmh.tensor import FeedForwardNet, LayerSpec, softplus
 
 
 def _separable_dataset():
@@ -70,6 +71,13 @@ def test_nll_matches_naive_formula(rng):
     A = rng.integers(0, 2, size=(5, 5)).astype(float)
     naive = -(A * phi - np.log1p(np.exp(phi))).sum()
     assert nll_loss(phi, A) == pytest.approx(naive)
+
+
+def test_nll_bit_equal_to_reference_formula(rng):
+    phi = rng.normal(size=(40, 30)) * 8
+    phi[0, :4] = [0.0, -0.0, 745.0, -745.0]
+    A = rng.integers(0, 2, size=(40, 30)).astype(float)
+    assert nll_loss(phi, A) == float(-(A * phi - softplus(phi)).sum())
 
 
 def test_nll_stable_at_extreme_phi():
@@ -251,6 +259,16 @@ def test_train_monotone_b_step_in_history():
         assert rec["post_b_total"] <= rec["pre_b_total"] + 1e-9
 
 
+def test_train_evaluates_objective_once_per_epoch(monkeypatch):
+    calls = []
+    real = hash_learn.objective
+    monkeypatch.setattr(hash_learn, "objective",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    data = _separable_dataset()
+    train(data, np.arange(data.n), _fast_config(epochs=6))
+    assert len(calls) == 6
+
+
 def test_train_deterministic():
     data = _separable_dataset()
     cfg = _fast_config(epochs=5)
@@ -427,4 +445,55 @@ def test_model_bad_layer_dim(tmp_path):
         load_model(path)
     path = _corrupt_model(tmp_path, 39, (0).to_bytes(4, "little"))
     with pytest.raises(FormatError, match="layer dims 0x"):
+        load_model(path)
+
+
+def _shrink_bank(bank, rows=slice(None), cols=slice(None)):
+    return PrototypeBank(centroids=bank.centroids[rows, cols],
+                         counts=bank.counts[rows], is_head=bank.is_head[rows])
+
+
+def _narrow_text_embedder(model):
+    # a consistent text embedder of code length 4 beside an 8-bit image one
+    e = model.embedder_y
+    rng = np.random.default_rng(1)
+    e.basic_net = FeedForwardNet([LayerSpec(e.basic_net.input_dim, 16, "relu"),
+                                  LayerSpec(16, 4)], rng)
+    e.weight_net = FeedForwardNet(
+        [LayerSpec(4, e.weight_net.output_dim)], rng)
+
+
+def _learned_eta_wrong_input(model):
+    model.embedder_x.eta_net = FeedForwardNet([LayerSpec(3, 1, "sigmoid")],
+                                              np.random.default_rng(1))
+
+
+def _weight_net_wrong_input(model):
+    # the weight net no longer reads the basic net's c outputs
+    model.embedder_x.weight_net = FeedForwardNet(
+        [LayerSpec(3, model.bank_x.num_classes)], np.random.default_rng(1))
+
+
+INCONSISTENT = {
+    "centroids_one_column": lambda m: setattr(
+        m, "bank_x", _shrink_bank(m.bank_x, cols=slice(0, 1))),
+    "bank_one_row_short": lambda m: setattr(
+        m, "bank_y", _shrink_bank(m.bank_y, rows=slice(0, -1))),
+    "counts_one_short": lambda m: setattr(m.bank_x, "counts",
+                                          m.bank_x.counts[:-1]),
+    "B_five_columns_short": lambda m: setattr(m, "B", m.B[:, :-5]),
+    "B_one_row_short": lambda m: setattr(m, "B", m.B[:-1]),
+    "text_code_length_differs": _narrow_text_embedder,
+    "eta_net_input_not_code_length": _learned_eta_wrong_input,
+    "weight_net_input_not_code_length": _weight_net_wrong_input,
+}
+
+
+@pytest.mark.parametrize("mutate", INCONSISTENT.values(), ids=INCONSISTENT)
+def test_model_inconsistent_parts_rejected(tmp_path, mutate):
+    model = _trained_model()
+    mutate(model)
+    path = tmp_path / "m.lcmh"
+    save_model(path, model)
+    with pytest.raises(FormatError, match="inconsistent"):
         load_model(path)

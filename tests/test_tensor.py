@@ -29,6 +29,46 @@ def test_softplus_matches_naive_at_moderate_inputs(rng):
     assert np.allclose(softplus(x), np.log1p(np.exp(x)), atol=1e-12)
 
 
+def _sigmoid_two_branch(x):
+    """The two-branch masked formula sigmoid must reproduce bit for bit."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _softplus_reference(x):
+    x = np.asarray(x, dtype=np.float64)
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+_SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0, 1e4, -1e4,
+            5e-324, -5e-324, 1.0, -1.0, 36.0, -36.0, 710.0, -710.0]
+
+
+@pytest.mark.parametrize("fn, reference", [(sigmoid, _sigmoid_two_branch),
+                                           (softplus, _softplus_reference)])
+def test_sigmoid_softplus_bit_identical_to_reference(rng, fn, reference):
+    x = np.concatenate([rng.normal(size=4995) * 30, _SPECIAL])  # 7 x 716
+    rng.shuffle(x)
+    for arr in (x, x.reshape(-1, 7), x.reshape(7, -1).T):
+        got, want = fn(arr), reference(arr)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        # array_equal treats +0.0 and -0.0 as equal; the sign bit must match
+        # (a NaN stays NaN, but its sign bit carries no value)
+        real = ~np.isnan(want)
+        assert np.array_equal(np.signbit(got[real]), np.signbit(want[real]))
+    for v in _SPECIAL:
+        got, want = fn(v), reference(v)
+        assert np.shape(got) == () and np.array_equal(got, want, equal_nan=True)
+        got = fn(np.float64(v))
+        assert np.array_equal(got, want, equal_nan=True)
+
+
 @pytest.mark.parametrize("x", [-1e4, -100.0, 0.0, 100.0, 1e4])
 def test_sigmoid_softplus_stable_at_extremes(x):
     assert np.isfinite(sigmoid(x))
