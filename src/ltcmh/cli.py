@@ -76,9 +76,30 @@ def cmd_train(args):
     return EXIT_OK
 
 
+def _check_inputs(model, data, codes=()):
+    """Raise FormatError unless the dataset, and each precomputed
+    (path, codes, split indices) triple, fits the model."""
+    have = (data.X.shape[1], data.Y.shape[1], data.num_classes)
+    want = (model.embedder_x.basic_net.input_dim,
+            model.embedder_y.basic_net.input_dim, model.bank_x.num_classes)
+    if have != want:
+        raise FormatError(f"dataset has (d_x, d_y, L) = {have}, "
+                          f"the model expects {want}")
+    idx = experiment.split_indices(model, "all")
+    if idx.size and not (idx[0] >= 0 and idx[-1] < data.n):
+        raise FormatError(f"model split indices span {idx[0]}..{idx[-1]}, "
+                          f"the dataset has {data.n} rows")
+    for path, c, split in codes:
+        if (c.n, c.c) != (split.size, model.code_length):
+            raise FormatError(f"{path} holds {c.n} codes of {c.c} bits, the "
+                              f"split needs {split.size} of "
+                              f"{model.code_length}")
+
+
 def cmd_encode(args):
     model = hash_learn.load_model(args.model)
     data = ds.load_dataset(args.dataset)
+    _check_inputs(model, data)
     codes = experiment.encode_split(model, data, args.modality, args.split)
     retrieval.save_codes(args.out, codes)
     print(f"wrote {args.out}: {codes.n} codes of {codes.c} bits "
@@ -94,7 +115,10 @@ def cmd_eval(args):
     if args.query_codes and args.db_codes:
         q_codes = retrieval.load_codes(args.query_codes)
         db_codes = retrieval.load_codes(args.db_codes)
+        _check_inputs(model, data, [(args.query_codes, q_codes, q_idx),
+                                    (args.db_codes, db_codes, db_idx)])
     else:
+        _check_inputs(model, data)
         q_mod, db_mod = (("image", "text") if args.direction == "i2t"
                          else ("text", "image"))
         q_codes = experiment.encode_split(model, data, q_mod, args.query_split)

@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, FormatError, ShapeError
+from .tensor import read_array, read_exact, read_header, write_header
 
 DATASET_MAGIC = b"LCMD"
 DATASET_FORMAT_VERSION = 1
@@ -73,6 +74,8 @@ class LongTailSpec:
             raise ConfigError("group counts must be >= 1")
         if counts != sorted(counts, reverse=True):
             raise ConfigError("groups must be sorted by descending samples_per_class")
+        if not 0.0 <= self.mixed_fraction <= 1.0:
+            raise ConfigError("mixed_fraction must be in [0, 1]")
 
     @property
     def num_classes(self):
@@ -233,70 +236,29 @@ def split_query_retrieval(dataset: MultiModalDataset,
 
 # --- file I/O ----------------------------------------------------------------
 
-def _pack_labels(labels: np.ndarray) -> bytes:
-    return np.packbits(labels.astype(np.uint8), axis=1, bitorder="little").tobytes()
-
-
-def _unpack_labels(buf: bytes, n: int, L: int) -> np.ndarray:
-    row_bytes = (L + 7) // 8
-    packed = np.frombuffer(buf, dtype=np.uint8).reshape(n, row_bytes)
-    return np.unpackbits(packed, axis=1, bitorder="little")[:, :L]
-
-
 def save_dataset(dataset: MultiModalDataset, path):
     with open(path, "wb") as f:
-        f.write(DATASET_MAGIC)
-        f.write(struct.pack("<I", DATASET_FORMAT_VERSION))
+        write_header(f, DATASET_MAGIC, DATASET_FORMAT_VERSION)
         n, d_x = dataset.X.shape
         d_y = dataset.Y.shape[1]
         L = dataset.labels.shape[1]
         f.write(struct.pack("<QQQQ", n, d_x, d_y, L))
         f.write(dataset.X.astype("<f8").tobytes())
         f.write(dataset.Y.astype("<f8").tobytes())
-        f.write(_pack_labels(dataset.labels))
+        f.write(np.packbits(dataset.labels.astype(np.uint8), axis=1,
+                            bitorder="little").tobytes())
 
 
 def load_dataset(path) -> MultiModalDataset:
     with open(path, "rb") as f:
-        data = f.read()
-
-    def take(offset, n, what):
-        if offset + n > len(data):
-            raise FormatError(f"truncated while reading {what} at offset {offset}")
-        return data[offset:offset + n], offset + n
-
-    magic, off = take(0, 4, "magic")
-    if magic != DATASET_MAGIC:
-        raise FormatError(f"bad magic {magic!r} at offset 0")
-    buf, off = take(off, 4, "version")
-    (version,) = struct.unpack("<I", buf)
-    if version != DATASET_FORMAT_VERSION:
-        raise FormatError(f"unsupported dataset version {version} at offset 4")
-    buf, off = take(off, 32, "header")
-    n, d_x, d_y, L = struct.unpack("<QQQQ", buf)
-    buf, off = take(off, 8 * n * d_x, "X")
-    X = np.frombuffer(buf, dtype="<f8").reshape(n, d_x).copy()
-    buf, off = take(off, 8 * n * d_y, "Y")
-    Y = np.frombuffer(buf, dtype="<f8").reshape(n, d_y).copy()
-    buf, off = take(off, n * ((L + 7) // 8), "labels")
-    labels = _unpack_labels(buf, n, L)
-    return MultiModalDataset(X=X, Y=Y, labels=labels)
-
-
-def load_csv(image_path, text_path, label_path, num_classes=None) -> MultiModalDataset:
-    """Import external data: one CSV of floats per modality plus a label file
-    with semicolon-separated class indices per line."""
-    X = np.loadtxt(image_path, delimiter=",", ndmin=2)
-    Y = np.loadtxt(text_path, delimiter=",", ndmin=2)
-    rows = []
-    with open(label_path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            rows.append([int(tok) for tok in line.split(";") if tok])
-    L = num_classes if num_classes is not None else max(max(r) for r in rows) + 1
-    labels = np.zeros((len(rows), L), dtype=np.uint8)
-    for i, r in enumerate(rows):
-        labels[i, r] = 1
-    return MultiModalDataset(X=X, Y=Y, labels=labels)
+        read_header(f, DATASET_MAGIC, DATASET_FORMAT_VERSION, "dataset")
+        n, d_x, d_y, L = struct.unpack("<QQQQ", read_exact(f, 32, "header"))
+        X = read_array(f, "<f8", (n, d_x), "X")
+        Y = read_array(f, "<f8", (n, d_y), "Y")
+        labels_at = f.tell()
+        packed = read_array(f, np.uint8, (n, (L + 7) // 8), "labels")
+    labels = np.unpackbits(packed, axis=1, bitorder="little")[:, :L]
+    try:
+        return MultiModalDataset(X=X, Y=Y, labels=labels)
+    except ValueError as e:
+        raise FormatError(f"bad labels at offset {labels_at}: {e}") from None

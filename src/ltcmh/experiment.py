@@ -48,10 +48,12 @@ def _parse_value(key, raw, default):
         if raw.lower() in ("false", "0", "no"):
             return False
         raise ConfigError(f"expected boolean for {key!r}, got {raw!r}")
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
+    if isinstance(default, (int, float)):
+        try:
+            return type(default)(raw)
+        except ValueError:
+            raise ConfigError(f"expected {type(default).__name__} for "
+                              f"{key!r}, got {raw!r}") from None
     return raw
 
 

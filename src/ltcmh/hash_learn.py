@@ -15,7 +15,6 @@ as sign(Vx + Vy), alternating with the continuous steps.
 from __future__ import annotations
 
 import dataclasses
-import math
 import struct
 from dataclasses import dataclass, field
 from typing import BinaryIO
@@ -26,8 +25,9 @@ from . import meta_embed
 from .dataset import (HeadTailPartition, MultiModalDataset, split_head_tail)
 from .errors import ConfigError, FormatError, ShapeError, TrainingError
 from .meta_embed import MetaEmbedder, PrototypeBank, compute_prototypes
-from .tensor import (FeedForwardNet, LayerSpec, read_exact, read_net,
-                     sgd_step, sigmoid, softplus, write_net, MODEL_MAGIC)
+from .tensor import (FeedForwardNet, LayerSpec, read_array, read_exact,
+                     read_header, read_net, sgd_step, sigmoid, softplus,
+                     write_header, write_net, MODEL_MAGIC)
 
 MODEL_FORMAT_VERSION = 2
 
@@ -64,8 +64,9 @@ class TrainConfig:
             raise ConfigError("learning_rate must be positive")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
-        if self.code_length < 1 or self.batch_columns < 1:
-            raise ConfigError("code_length and batch_columns must be >= 1")
+        if min(self.code_length, self.hidden_dim, self.batch_columns) < 1:
+            raise ConfigError(
+                "code_length, hidden_dim and batch_columns must be >= 1")
         if self.clip_norm < 0:
             raise ConfigError("clip_norm must be >= 0 (0 disables clipping)")
         if not 0.0 <= self.bank_momentum < 1.0:
@@ -409,9 +410,7 @@ def _write_array(f: BinaryIO, arr: np.ndarray, dtype: str):
 def _read_array(f: BinaryIO, dtype: str) -> np.ndarray:
     (ndim,) = struct.unpack("<I", read_exact(f, 4, "array header"))
     shape = struct.unpack(f"<{ndim}Q", read_exact(f, 8 * ndim, "array shape"))
-    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-    buf = read_exact(f, nbytes, "array data")
-    return np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
+    return read_array(f, dtype, shape, "array data")
 
 
 def _write_embedder(f: BinaryIO, e: MetaEmbedder):
@@ -458,8 +457,7 @@ def _read_bank(f: BinaryIO) -> PrototypeBank:
 
 def save_model(path, model: HashModel):
     with open(path, "wb") as f:
-        f.write(MODEL_MAGIC)
-        f.write(struct.pack("<I", MODEL_FORMAT_VERSION))
+        write_header(f, MODEL_MAGIC, MODEL_FORMAT_VERSION)
         f.write(struct.pack("<dd", model.alpha, model.beta))
         _write_embedder(f, model.embedder_x)
         _write_embedder(f, model.embedder_y)
@@ -473,12 +471,7 @@ def save_model(path, model: HashModel):
 
 def load_model(path) -> HashModel:
     with open(path, "rb") as f:
-        magic = read_exact(f, 4, "magic")
-        if magic != MODEL_MAGIC:
-            raise FormatError(f"bad magic {magic!r} at offset 0")
-        (version,) = struct.unpack("<I", read_exact(f, 4, "version"))
-        if version != MODEL_FORMAT_VERSION:
-            raise FormatError(f"unsupported model version {version} at offset 4")
+        read_header(f, MODEL_MAGIC, MODEL_FORMAT_VERSION, "model")
         alpha, beta = struct.unpack("<dd", read_exact(f, 16, "alpha, beta"))
         ex = _read_embedder(f)
         ey = _read_embedder(f)

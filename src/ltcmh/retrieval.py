@@ -16,6 +16,7 @@ import numpy as np
 
 from .dataset import HeadTailPartition, build_affinity
 from .errors import EvaluationError, FormatError, ShapeError
+from .tensor import read_array, read_exact, read_header, write_header
 
 CODES_MAGIC = b"LCMB"
 CODES_FORMAT_VERSION = 1
@@ -163,26 +164,21 @@ def write_result_csv(path, results):
 
 def save_codes(path, codes: BinaryCodeMatrix):
     with open(path, "wb") as f:
-        f.write(CODES_MAGIC)
-        f.write(struct.pack("<I", CODES_FORMAT_VERSION))
+        write_header(f, CODES_MAGIC, CODES_FORMAT_VERSION)
         f.write(struct.pack("<QQ", codes.n, codes.c))
         f.write(codes.words.astype("<u8").tobytes())
 
 
 def load_codes(path) -> BinaryCodeMatrix:
     with open(path, "rb") as f:
-        data = f.read()
-    if data[:4] != CODES_MAGIC:
-        raise FormatError(f"bad magic {data[:4]!r} at offset 0")
-    if len(data) < 24:
-        raise FormatError(f"truncated header at offset {len(data)}")
-    (version,) = struct.unpack("<I", data[4:8])
-    if version != CODES_FORMAT_VERSION:
-        raise FormatError(f"unsupported codes version {version} at offset 4")
-    n, c = struct.unpack("<QQ", data[8:24])
-    n_words = (c + 63) // 64
-    need = 24 + 8 * n * n_words
-    if len(data) < need:
-        raise FormatError(f"truncated code rows at offset {len(data)}")
-    words = np.frombuffer(data[24:need], dtype="<u8").reshape(n, n_words).copy()
+        read_header(f, CODES_MAGIC, CODES_FORMAT_VERSION, "codes")
+        n, c = struct.unpack("<QQ", read_exact(f, 16, "header"))
+        words = read_array(f, "<u8", (n, (c + 63) // 64), "code rows")
+    if c % 64:
+        pad_set = np.flatnonzero(words[:, -1] >> (c % 64))
+        if pad_set.size:
+            row = int(pad_set[0])
+            offset = 24 + 8 * ((row + 1) * words.shape[1] - 1)
+            raise FormatError(f"nonzero pad bits in code row {row} "
+                              f"at offset {offset}")
     return BinaryCodeMatrix(c=int(c), words=words)

@@ -9,6 +9,7 @@ central-difference oracle for checking them.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import BinaryIO, Callable, Sequence
@@ -272,6 +273,34 @@ def read_exact(f: BinaryIO, n: int, what: str) -> bytes:
     return f.read(n)
 
 
+def read_array(f: BinaryIO, dtype, shape, what: str) -> np.ndarray:
+    """Read a C-order array of `shape` through read_exact, or raise
+    FormatError."""
+    dtype = np.dtype(dtype)
+    pos = f.tell()
+    buf = read_exact(f, math.prod(shape) * dtype.itemsize, what)
+    try:
+        return np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
+    except ValueError:  # an empty array whose other dims overflow
+        raise FormatError(f"bad {what} shape {shape} at offset {pos}") from None
+
+
+def write_header(f: BinaryIO, magic: bytes, version: int):
+    """The header every ltcmh file starts with: magic, then u32 version."""
+    f.write(magic)
+    f.write(struct.pack("<I", version))
+
+
+def read_header(f: BinaryIO, magic: bytes, version: int, what: str):
+    """Check the header written by write_header, or raise FormatError."""
+    got = read_exact(f, 4, "magic")
+    if got != magic:
+        raise FormatError(f"bad magic {got!r} at offset 0")
+    (got,) = struct.unpack("<I", read_exact(f, 4, "version"))
+    if got != version:
+        raise FormatError(f"unsupported {what} version {got} at offset 4")
+
+
 def read_net(f: BinaryIO) -> FeedForwardNet:
     (n_layers,) = struct.unpack("<I", read_exact(f, 4, "layer count"))
     specs = []
@@ -287,30 +316,20 @@ def read_net(f: BinaryIO) -> FeedForwardNet:
     net.weights = []
     net.biases = []
     for s in specs:
-        nw = s.output_dim * s.input_dim
-        w = np.frombuffer(read_exact(f, 8 * nw, "weights"),
-                          dtype="<f8").reshape(s.output_dim, s.input_dim).copy()
-        b = np.frombuffer(read_exact(f, 8 * s.output_dim, "biases"),
-                          dtype="<f8").copy()
-        net.weights.append(w)
-        net.biases.append(b)
+        net.weights.append(read_array(f, "<f8", (s.output_dim, s.input_dim),
+                                      "weights"))
+        net.biases.append(read_array(f, "<f8", (s.output_dim,), "biases"))
     return net
 
 
 def save_net(path, net: FeedForwardNet):
     """Standalone net file: magic LCMH, version, then the net section."""
     with open(path, "wb") as f:
-        f.write(MODEL_MAGIC)
-        f.write(struct.pack("<I", NET_FORMAT_VERSION))
+        write_header(f, MODEL_MAGIC, NET_FORMAT_VERSION)
         write_net(f, net)
 
 
 def load_net(path) -> FeedForwardNet:
     with open(path, "rb") as f:
-        magic = read_exact(f, 4, "magic")
-        if magic != MODEL_MAGIC:
-            raise FormatError(f"bad magic {magic!r} at offset 0")
-        (version,) = struct.unpack("<I", read_exact(f, 4, "version"))
-        if version != NET_FORMAT_VERSION:
-            raise FormatError(f"unsupported net format version {version} at offset 4")
+        read_header(f, MODEL_MAGIC, NET_FORMAT_VERSION, "net format")
         return read_net(f)

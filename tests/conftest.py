@@ -18,6 +18,18 @@ def tiny_spec(**kw):
     return LongTailSpec(**defaults)
 
 
+def cuts_and_flips(raw: bytes):
+    """Every proper prefix of raw, then raw with bit 0 or bit 7 of one byte
+    flipped: the damaged files a loader sweep feeds in."""
+    cases = [raw[:end] for end in range(len(raw))]
+    for i in range(len(raw)):
+        for bit in (0, 7):
+            flipped = bytearray(raw)
+            flipped[i] ^= 1 << bit
+            cases.append(bytes(flipped))
+    return cases
+
+
 @pytest.fixture
 def tiny_dataset():
     return synthesize_long_tailed(tiny_spec(), seed=0)

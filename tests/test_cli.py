@@ -3,7 +3,7 @@ import pytest
 
 from ltcmh import experiment, hash_learn, retrieval
 from ltcmh.cli import main
-from ltcmh.dataset import load_dataset
+from ltcmh.dataset import MultiModalDataset, load_dataset, save_dataset
 
 FAST = [
     "groups=2x12,2x5", "d_x=8", "d_y=6", "extra_per_class=4",
@@ -70,6 +70,21 @@ def test_synth_invalid_spec_usage_error(tmp_path):
 def test_unknown_config_key_usage_error(tmp_path):
     assert main(["synth", "--out", str(tmp_path / "bad"), "--set",
                  "not_a_key=1"]) == 1
+
+
+@pytest.mark.parametrize("command, setting, message", [
+    ("synth", "epochs=abc", "'epochs'"),
+    ("synth", "alpha=x", "'alpha'"),
+    ("synth", "mixed_fraction=2", "mixed_fraction"),
+    ("train", "hidden_dim=0", "hidden_dim"),
+])
+def test_bad_config_value_usage_error(pipeline, tmp_path, capsys, command,
+                                      setting, message):
+    args = [command, "--out", str(tmp_path / "out"), *_sets([setting])]
+    if command == "train":
+        args += ["--dataset", str(pipeline / "data" / "dataset.lcmd")]
+    assert main(args) == 1
+    assert message in capsys.readouterr().err
 
 
 # --- train ------------------------------------------------------------------------
@@ -216,6 +231,22 @@ def test_encode_all_with_queries_in_retrieval(pipeline, tmp_path):
     assert retrieval.load_codes(out).n == load_dataset(data_path).n
 
 
+@pytest.mark.parametrize("rows, x_cols, message", [
+    (slice(None), slice(1, None), "(d_x, d_y, L)"),
+    (slice(5), slice(None), "the dataset has 5 rows"),
+])
+def test_encode_dataset_not_fitting_model_io_error(pipeline, tmp_path, capsys,
+                                                   rows, x_cols, message):
+    data = load_dataset(pipeline / "data" / "dataset.lcmd")
+    shrunk = tmp_path / "shrunk.lcmd"
+    save_dataset(MultiModalDataset(X=data.X[rows, x_cols], Y=data.Y[rows],
+                                   labels=data.labels[rows]), shrunk)
+    assert main(["encode", "--model", str(pipeline / "run" / "model.lcmh"),
+                 "--dataset", str(shrunk), "--modality", "image",
+                 "--out", str(tmp_path / "c.lcmb")]) == 2
+    assert message in capsys.readouterr().err
+
+
 # --- eval -------------------------------------------------------------------------
 
 def test_eval_writes_table_csv(pipeline, tmp_path):
@@ -249,6 +280,28 @@ def test_eval_precomputed_codes_match(pipeline, tmp_path):
                  "--direction", "t2i", "--query-codes", str(q),
                  "--db-codes", str(db), "--out", str(pre)]) == 0
     assert direct.read_bytes() == pre.read_bytes()
+
+
+@pytest.mark.parametrize("c, extra_rows", [(4, 0), (8, 1)])
+def test_eval_codes_not_fitting_split_io_error(pipeline, tmp_path, capsys,
+                                               c, extra_rows):
+    # the model has code length 8; good database codes, bad query codes
+    model_path = str(pipeline / "run" / "model.lcmh")
+    data_path = str(pipeline / "data" / "dataset.lcmd")
+    db = tmp_path / "db.lcmb"
+    assert main(["encode", "--model", model_path, "--dataset", data_path,
+                 "--modality", "image", "--split", "retrieval",
+                 "--out", str(db)]) == 0
+    n_query = hash_learn.load_model(model_path).query_indices.size
+    q = tmp_path / "q.lcmb"
+    retrieval.save_codes(q, retrieval.binarize(
+        np.ones((c, n_query + extra_rows))))
+    assert main(["eval", "--model", model_path, "--dataset", data_path,
+                 "--direction", "t2i", "--query-codes", str(q),
+                 "--db-codes", str(db),
+                 "--out", str(tmp_path / "r.csv")]) == 2
+    assert f"holds {n_query + extra_rows} codes of {c} bits" in (
+        capsys.readouterr().err)
 
 
 def test_eval_bad_direction_usage_error(pipeline, tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ltcmh.dataset import (LongTailSpec, MultiModalDataset, build_affinity,
-                           load_csv, load_dataset, primary_labels,
+                           load_dataset, primary_labels,
                            save_dataset, split_head_tail,
                            split_query_retrieval, synthesize_long_tailed,
                            trim_labels)
@@ -74,6 +74,12 @@ def test_spec_rejects_unsorted_groups():
 def test_spec_rejects_nonpositive_counts():
     with pytest.raises(ConfigError):
         LongTailSpec(groups=[(2, 0)])
+
+
+@pytest.mark.parametrize("fraction", [-0.1, 2.0, float("nan")])
+def test_spec_rejects_mixed_fraction_outside_unit_interval(fraction):
+    with pytest.raises(ConfigError, match="mixed_fraction"):
+        LongTailSpec(groups=[(2, 5)], mixed_fraction=fraction)
 
 
 # --- trim_labels -----------------------------------------------------------------
@@ -288,14 +294,39 @@ def test_dataset_hand_built_bytes():
     assert np.array_equal(data.labels, [[1, 0, 1], [0, 1, 0]])
 
 
-def test_load_csv(tmp_path):
-    (tmp_path / "x.csv").write_text("1.0,2.0\n3.0,4.0\n")
-    (tmp_path / "y.csv").write_text("5.0\n6.0\n")
-    (tmp_path / "labels.txt").write_text("0;2\n1\n")
-    data = load_csv(tmp_path / "x.csv", tmp_path / "y.csv",
-                    tmp_path / "labels.txt")
-    assert data.n == 2
-    assert np.array_equal(data.labels, [[1, 0, 1], [0, 1, 0]])
+@pytest.mark.parametrize("header, match", [
+    ((2, 1, 1, 0), "bad labels"),           # L = 0 leaves every row unlabeled
+    ((0, 2**63, 1, 1), "bad X shape"),      # no rows, but a dim numpy rejects
+])
+def test_dataset_bad_header_rejected(tmp_path, header, match):
+    n, d_x, d_y, _ = header
+    path = tmp_path / "bad.lcmd"
+    path.write_bytes(b"LCMD" + struct.pack("<I", 1) + struct.pack("<QQQQ", *header)
+                     + bytes(8 * n * (d_x + d_y)))
+    with pytest.raises(FormatError, match=match):
+        load_dataset(path)
+
+
+def test_dataset_every_cut_and_bit_flip(tmp_path):
+    from conftest import cuts_and_flips
+    # L = 1: a flip of label bit 0 unlabels a row, a flip of L's bit 0
+    # makes L = 0; both must end in FormatError, not a bare ValueError
+    rng = np.random.default_rng(0)
+    data = MultiModalDataset(X=rng.normal(size=(3, 2)),
+                             Y=rng.normal(size=(3, 1)),
+                             labels=np.ones((3, 1), np.uint8))
+    path = tmp_path / "d.lcmd"
+    save_dataset(data, path)
+    raw = path.read_bytes()
+    bad = tmp_path / "bad.lcmd"
+    rejected = 0
+    for case in cuts_and_flips(raw):
+        bad.write_bytes(case)
+        try:
+            load_dataset(bad)
+        except FormatError:
+            rejected += 1
+    assert rejected >= len(raw)      # at least every cut
 
 
 # --- invariants -------------------------------------------------------------------

@@ -212,6 +212,7 @@ def test_update_B_shape_mismatch():
     dict(learning_rate=0.0), dict(epochs=-1), dict(code_length=0),
     dict(batch_columns=0), dict(clip_norm=-1.0), dict(bank_momentum=1.0),
     dict(warmup_epochs=-1), dict(attention_init_scale=-0.5),
+    dict(hidden_dim=0),
 ])
 def test_train_config_rejects(kw):
     with pytest.raises(ConfigError):

@@ -286,6 +286,27 @@ def test_codes_bad_magic(tmp_path):
         load_codes(path)
 
 
+def test_codes_every_cut_and_bit_flip(tmp_path, rng):
+    from conftest import cuts_and_flips
+    # c = 10 leaves 54 pad bits per row: a flip there must not load, since
+    # hamming would count it as distance
+    path = tmp_path / "c.lcmb"
+    save_codes(path, _random_codes(rng, 3, 10))
+    raw = path.read_bytes()
+    bad = tmp_path / "bad.lcmb"
+    loaded = 0
+    for case in cuts_and_flips(raw):
+        bad.write_bytes(case)
+        try:
+            codes = load_codes(bad)
+        except FormatError:
+            continue
+        loaded += 1
+        # repacking the logical bits zeroes the pad bits
+        assert np.array_equal(binarize(codes.unpack().T).words, codes.words)
+    assert 0 < loaded < 2 * len(raw)
+
+
 def test_codes_truncated(tmp_path, rng):
     codes = _random_codes(rng, 4, 64)
     path = tmp_path / "c.lcmb"
