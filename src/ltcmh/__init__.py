@@ -16,13 +16,12 @@ from .hash_learn import (HashModel, LossBreakdown, TrainConfig, balance_loss,
                          grad_Vx, grad_Vy, load_model, nll_loss, objective,
                          pairwise_phi, quantization_loss, save_model, train,
                          update_B)
-from .meta_embed import (MetaEmbedder, MetaFeature, PrototypeBank,
-                         compute_prototypes, embed_backward, embed_batch,
-                         eta, memory_feature, meta_feature)
+from .meta_embed import (MetaEmbedder, PrototypeBank, compute_prototypes,
+                         embed_backward, embed_batch, eta_ratio)
 from .retrieval import (BinaryCodeMatrix, RetrievalResult, average_precision,
-                        binarize, evaluate, hamming, hamming_matrix,
-                        load_codes, rank_by_hamming, save_codes)
+                        binarize, evaluate, hamming_matrix, load_codes,
+                        save_codes)
 from .tensor import (FeedForwardNet, ForwardCache, LayerSpec, finite_diff_grad,
-                     load_net, save_net, sgd_step, sigmoid, softplus)
+                     sgd_step, sigmoid, softplus)
 
 __version__ = "0.1.0"

@@ -15,8 +15,6 @@ import csv
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import dataset as ds
 from . import experiment, gradcheck, hash_learn, retrieval
 from .errors import ConfigError, EvaluationError, FormatError, TrainingError
@@ -108,24 +106,26 @@ def cmd_encode(args):
 
 
 def cmd_eval(args):
+    if (args.query_codes is None) != (args.db_codes is None):
+        missing = "--db-codes" if args.db_codes is None else "--query-codes"
+        raise ConfigError(f"eval takes both code files or neither: "
+                          f"{missing} is missing")
     model = hash_learn.load_model(args.model)
     data = ds.load_dataset(args.dataset)
-    q_idx = experiment.split_indices(model, args.query_split)
-    db_idx = experiment.split_indices(model, args.db_split)
-    if args.query_codes and args.db_codes:
+    if args.query_codes is None:
+        _check_inputs(model, data)
+        result = experiment.evaluate_direction(
+            model, data, args.direction, args.query_split, args.db_split)
+    else:
+        q_idx = experiment.split_indices(model, args.query_split)
+        db_idx = experiment.split_indices(model, args.db_split)
         q_codes = retrieval.load_codes(args.query_codes)
         db_codes = retrieval.load_codes(args.db_codes)
         _check_inputs(model, data, [(args.query_codes, q_codes, q_idx),
                                     (args.db_codes, db_codes, db_idx)])
-    else:
-        _check_inputs(model, data)
-        q_mod, db_mod = (("image", "text") if args.direction == "i2t"
-                         else ("text", "image"))
-        q_codes = experiment.encode_split(model, data, q_mod, args.query_split)
-        db_codes = experiment.encode_split(model, data, db_mod, args.db_split)
-    result = retrieval.evaluate(q_codes, data.labels[q_idx], db_codes,
-                                data.labels[db_idx], model.partition,
-                                args.direction)
+        result = retrieval.evaluate(q_codes, data.labels[q_idx], db_codes,
+                                    data.labels[db_idx], model.partition,
+                                    args.direction)
     retrieval.write_result_csv(args.out, [result])
     for direction, group, bits, m, nq in result.rows():
         print(f"{direction} {group:>4} {bits}bit map={m:.4f} queries={nq}")

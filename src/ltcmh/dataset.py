@@ -11,13 +11,14 @@ shared by construction.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, FormatError, ShapeError
-from .tensor import read_array, read_exact, read_header, write_header
+from .tensor import (read_array, read_end, read_exact, read_header,
+                     write_header)
 
 DATASET_MAGIC = b"LCMD"
 DATASET_FORMAT_VERSION = 1
@@ -28,7 +29,6 @@ class MultiModalDataset:
     X: np.ndarray        # n x d_x
     Y: np.ndarray        # n x d_y
     labels: np.ndarray   # n x L, values in {0, 1}
-    class_names: Optional[list] = None
 
     def __post_init__(self):
         n = self.X.shape[0]
@@ -93,14 +93,6 @@ class LongTailSpec:
 class HeadTailPartition:
     is_head: np.ndarray   # bool, length L
     counts: np.ndarray    # training sample count per class
-
-    @property
-    def head_classes(self):
-        return np.flatnonzero(self.is_head)
-
-    @property
-    def tail_classes(self):
-        return np.flatnonzero(~self.is_head)
 
 
 def synthesize_long_tailed(spec: LongTailSpec, seed: int) -> MultiModalDataset:
@@ -257,6 +249,7 @@ def load_dataset(path) -> MultiModalDataset:
         Y = read_array(f, "<f8", (n, d_y), "Y")
         labels_at = f.tell()
         packed = read_array(f, np.uint8, (n, (L + 7) // 8), "labels")
+        read_end(f)
     labels = np.unpackbits(packed, axis=1, bitorder="little")[:, :L]
     try:
         return MultiModalDataset(X=X, Y=Y, labels=labels)

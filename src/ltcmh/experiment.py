@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import hash_learn, meta_embed, retrieval
+from . import hash_learn, retrieval
 from .dataset import (LongTailSpec, MultiModalDataset, split_query_retrieval,
                       trim_labels)
 from .errors import ConfigError
@@ -118,8 +118,7 @@ def prepare_splits(dataset: MultiModalDataset, cfg):
     """Trim labels globally, then carve train/query/retrieval index sets."""
     labels = trim_labels(dataset.labels, cfg["min_keep"], cfg["max_keep"],
                          seed=cfg["seed"])
-    trimmed = MultiModalDataset(X=dataset.X, Y=dataset.Y, labels=labels,
-                                class_names=dataset.class_names)
+    trimmed = MultiModalDataset(X=dataset.X, Y=dataset.Y, labels=labels)
     spec = longtail_spec(cfg)
     if spec.num_classes != dataset.num_classes:
         raise ConfigError(

@@ -8,7 +8,7 @@ from . import hash_learn, meta_embed
 from .dataset import HeadTailPartition
 from .meta_embed import MetaEmbedder, compute_prototypes
 from .tensor import (FeedForwardNet, LayerSpec, _activate, _activate_grad,
-                     finite_diff_grad)
+                     central_diff, finite_diff_grad)
 
 
 def rel_err(analytic, numeric):
@@ -75,21 +75,11 @@ def check_objective_grad(instances=50, seed=0, eps=1e-6, corrupt=False,
         alpha = float(rng.uniform(0.1, 2.0))
         beta = float(rng.uniform(0.1, 2.0))
 
-        def total(vx, vy):
-            return hash_learn.objective(vx, vy, A, B, alpha, beta).total
+        def total():
+            return hash_learn.objective(Vx, Vy, A, B, alpha, beta).total
 
         for V, grad in ((Vx, hash_learn.grad_Vx), (Vy, hash_learn.grad_Vy)):
-            numeric = np.zeros_like(V)
-            flat = V.ravel()
-            nflat = numeric.ravel()
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + eps
-                hi = total(Vx, Vy)
-                flat[i] = orig - eps
-                lo = total(Vx, Vy)
-                flat[i] = orig
-                nflat[i] = (hi - lo) / (2 * eps)
+            numeric = central_diff(total, V, eps)
             cols = rng.permutation(n)[:int(rng.integers(1, n + 1))]
             for analytic, expect in (
                     (grad(Vx, Vy, A, B, alpha, beta), numeric),
@@ -108,6 +98,7 @@ def _tiny_embed_setup(seed, eta_mode, normalize=True):
     eta_net = (FeedForwardNet([LayerSpec(c, 1, "sigmoid")], rng)
                if eta_mode == "learned" else None)
     embedder = MetaEmbedder(basic_net=basic, weight_net=weight,
+                            eta_max=hash_learn.TrainConfig().eta_max,
                             eta_mode=eta_mode, eta_net=eta_net,
                             normalize_weights=normalize)
     batch = rng.normal(size=(n, d))

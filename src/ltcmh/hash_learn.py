@@ -22,13 +22,15 @@ from typing import BinaryIO
 import numpy as np
 
 from . import meta_embed
-from .dataset import (HeadTailPartition, MultiModalDataset, split_head_tail)
+from .dataset import (HeadTailPartition, MultiModalDataset, build_affinity,
+                      split_head_tail)
 from .errors import ConfigError, FormatError, ShapeError, TrainingError
 from .meta_embed import MetaEmbedder, PrototypeBank, compute_prototypes
-from .tensor import (FeedForwardNet, LayerSpec, read_array, read_exact,
-                     read_header, read_net, sgd_step, sigmoid, softplus,
-                     write_header, write_net, MODEL_MAGIC)
+from .tensor import (FeedForwardNet, LayerSpec, read_array, read_end,
+                     read_exact, read_header, read_net, sgd_step, sigmoid,
+                     softplus, write_header, write_net)
 
+MODEL_MAGIC = b"LCMH"
 MODEL_FORMAT_VERSION = 2
 
 
@@ -211,15 +213,6 @@ def _refresh_bank(embedder: MetaEmbedder, features: np.ndarray,
     return compute_prototypes(direct, labels, partition)
 
 
-def _embedder_nets(e: MetaEmbedder):
-    nets = [e.basic_net]
-    if e.use_memory:
-        nets.append(e.weight_net)
-        if e.eta_mode == "learned":
-            nets.append(e.eta_net)
-    return nets
-
-
 def _clip_grads(grads, max_norm: float):
     """Scale a per-net gradient list so its global L2 norm is <= max_norm."""
     if max_norm <= 0:
@@ -300,7 +293,6 @@ def train(dataset: MultiModalDataset, train_indices: np.ndarray,
     Y = dataset.Y[train_indices]
     labels = dataset.labels[train_indices]
     n = train_indices.size
-    from .dataset import build_affinity
     A = build_affinity(labels, labels).astype(np.float64)
 
     rng = np.random.default_rng(config.seed)
@@ -407,8 +399,12 @@ def _write_array(f: BinaryIO, arr: np.ndarray, dtype: str):
     f.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
 
 
-def _read_array(f: BinaryIO, dtype: str) -> np.ndarray:
-    (ndim,) = struct.unpack("<I", read_exact(f, 4, "array header"))
+def _read_array(f: BinaryIO, dtype: str, ndim: int) -> np.ndarray:
+    """Read an array written by _write_array, which must have ndim dims."""
+    (got,) = struct.unpack("<I", read_exact(f, 4, "array header"))
+    if got != ndim:
+        raise FormatError(f"array of {got} dims at offset {f.tell() - 4}, "
+                          f"expected {ndim}")
     shape = struct.unpack(f"<{ndim}Q", read_exact(f, 8 * ndim, "array shape"))
     return read_array(f, dtype, shape, "array data")
 
@@ -429,11 +425,11 @@ def _read_embedder(f: BinaryIO) -> MetaEmbedder:
         "<BBBd", read_exact(f, 11, "embedder header"))
     if mode >= len(meta_embed.ETA_MODES):
         raise FormatError(f"bad eta-mode tag {mode} at offset {f.tell() - 11}")
-    basic = read_net(f)
-    weight = read_net(f)
-    (has_eta,) = struct.unpack("<B", read_exact(f, 1, "eta-net flag"))
-    eta_net = read_net(f) if has_eta else None
     try:
+        basic = read_net(f)
+        weight = read_net(f)
+        (has_eta,) = struct.unpack("<B", read_exact(f, 1, "eta-net flag"))
+        eta_net = read_net(f) if has_eta else None
         return MetaEmbedder(basic_net=basic, weight_net=weight,
                             eta_mode=meta_embed.ETA_MODES[mode],
                             eta_net=eta_net, use_memory=bool(use_memory),
@@ -449,9 +445,9 @@ def _write_bank(f: BinaryIO, bank: PrototypeBank):
 
 
 def _read_bank(f: BinaryIO) -> PrototypeBank:
-    centroids = _read_array(f, "<f8")
-    counts = _read_array(f, "<i8")
-    is_head = _read_array(f, "<u1").astype(bool)
+    centroids = _read_array(f, "<f8", 2)
+    counts = _read_array(f, "<i8", 1)
+    is_head = _read_array(f, "<u1", 1).astype(bool)
     return PrototypeBank(centroids=centroids, counts=counts, is_head=is_head)
 
 
@@ -477,10 +473,11 @@ def load_model(path) -> HashModel:
         ey = _read_embedder(f)
         bank_x = _read_bank(f)
         bank_y = _read_bank(f)
-        B = _read_array(f, "<f8")
-        train_idx = _read_array(f, "<i8")
-        query_idx = _read_array(f, "<i8")
-        retrieval_idx = _read_array(f, "<i8")
+        B = _read_array(f, "<f8", 2)
+        train_idx = _read_array(f, "<i8", 1)
+        query_idx = _read_array(f, "<i8", 1)
+        retrieval_idx = _read_array(f, "<i8", 1)
+        read_end(f)
     model = HashModel(embedder_x=ex, embedder_y=ey, bank_x=bank_x,
                       bank_y=bank_y, B=B, alpha=alpha, beta=beta,
                       train_indices=train_idx, query_indices=query_idx,
@@ -490,18 +487,26 @@ def load_model(path) -> HashModel:
 
 
 def _check_model(model: HashModel):
-    """Cross-structure checks of a loaded model. Each part can be read on
-    its own, so without these a bank of the wrong width would broadcast
-    silently at encode time and a bank of the wrong height would fail
-    there with a bare ValueError."""
+    """Cross-structure and finiteness checks of a loaded model. Each part
+    can be read on its own, so without these a bank of the wrong width
+    would broadcast silently at encode time, a bank of the wrong height
+    would fail there with a bare ValueError, and a NaN weight would reach
+    every code."""
     c = model.embedder_x.code_length
     checks = [(model.embedder_y.code_length == c,
                f"text code length {model.embedder_y.code_length} != "
-               f"image code length {c}")]
+               f"image code length {c}"),
+              (np.isfinite([model.alpha, model.beta]).all(),
+               f"alpha {model.alpha} or beta {model.beta} is not finite")]
     for side, e, bank in (("image", model.embedder_x, model.bank_x),
                           ("text", model.embedder_y, model.bank_y)):
         L = e.weight_net.output_dim
+        params = [p for net in (e.basic_net, e.weight_net, e.eta_net)
+                  if net is not None for p in net.weights + net.biases]
         checks += [
+            (all(np.isfinite(p).all() for p in params + [bank.centroids])
+             and np.isfinite(e.eta_max),
+             f"{side} weights, biases, centroids or eta_max are not finite"),
             (bank.centroids.shape == (L, c),
              f"{side} centroids are {bank.centroids.shape}, expected "
              f"({L}, {c}) for {L} weight-net outputs and code length {c}"),
@@ -513,7 +518,7 @@ def _check_model(model: HashModel):
              f"{side} eta net does not map {c} inputs to 1 output"),
         ]
     idx = model.train_indices
-    checks.append((idx.ndim == 1 and model.B.shape == (c, idx.size),
+    checks.append((model.B.shape == (c, idx.size),
                    f"B is {model.B.shape}, expected ({c}, {idx.size}) for "
                    f"code length {c} and {idx.shape} training indices"))
     for ok, message in checks:

@@ -45,10 +45,10 @@ class PrototypeBank:
 class MetaEmbedder:
     basic_net: FeedForwardNet
     weight_net: FeedForwardNet
+    eta_max: float
     eta_mode: str = "intent_ratio"
     eta_net: Optional[FeedForwardNet] = None
     use_memory: bool = True
-    eta_max: float = 10.0
     normalize_weights: bool = True
 
     def __post_init__(self):
@@ -65,15 +65,6 @@ class MetaEmbedder:
     @property
     def code_length(self):
         return self.basic_net.output_dim
-
-
-@dataclass
-class MetaFeature:
-    v_direct: np.ndarray
-    v_memory: np.ndarray
-    v_meta: np.ndarray
-    eta: float
-    weights: np.ndarray
 
 
 @dataclass
@@ -116,16 +107,13 @@ def compute_prototypes(direct_features: np.ndarray, labels: np.ndarray,
                          is_head=np.asarray(partition.is_head, dtype=bool))
 
 
-def _masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Row softmax restricted to mask=True columns; masked entries get 0."""
-    z = np.where(mask, logits, -np.inf)
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _eta_ratio(v_direct: np.ndarray, bank: PrototypeBank, mode: str,
-               eta_max: float) -> np.ndarray:
+def eta_ratio(v_direct: np.ndarray, bank: PrototypeBank, mode: str,
+              eta_max: float) -> np.ndarray:
+    """Ratio-mode eta for each row of a samples x c matrix of direct
+    features, from its squared distances to the nearest non-empty head and
+    tail centroids, clipped to [0, eta_max]."""
+    if mode not in ("intent_ratio", "as_printed"):
+        raise ConfigError(f"{mode!r} is not a ratio eta mode")
     head = bank.nonempty & bank.is_head
     tail = bank.nonempty & ~bank.is_head
     if not head.any() or not tail.any():
@@ -145,46 +133,14 @@ def _eta_ratio(v_direct: np.ndarray, bank: PrototypeBank, mode: str,
 
 def _attention_weights(logits: np.ndarray, mask: np.ndarray,
                        normalize: bool) -> np.ndarray:
-    if normalize:
-        return _masked_softmax(logits, mask)
-    return np.where(mask, logits, 0.0)
-
-
-def memory_feature(v_direct: np.ndarray, bank: PrototypeBank,
-                   weight_net: FeedForwardNet, normalize: bool = True):
-    """Prototype combination for one sample; weights are the softmax of the
-    weight net's logits by default, or the raw logits when normalize=False."""
-    if not bank.nonempty.any():
-        raise ConfigError("all prototype classes are empty")
-    v = np.atleast_2d(np.asarray(v_direct, dtype=np.float64))
-    logits, _ = weight_net.forward(v)
-    w = _attention_weights(logits, bank.nonempty[None, :], normalize)[0]
-    return w @ bank.centroids, w
-
-
-def eta(v_direct: np.ndarray, bank: PrototypeBank, mode: str,
-        eta_net: Optional[FeedForwardNet] = None, eta_max: float = 10.0) -> float:
-    """Memory weight for one sample."""
-    v = np.atleast_2d(np.asarray(v_direct, dtype=np.float64))
-    if mode == "learned":
-        if eta_net is None:
-            raise ConfigError("learned eta mode needs an eta_net")
-        out, _ = eta_net.forward(v)
-        return float(out[0, 0])
-    if mode not in ETA_MODES:
-        raise ConfigError(f"unknown eta mode {mode!r}")
-    return float(_eta_ratio(v, bank, mode, eta_max)[0])
-
-
-def meta_feature(v_direct: np.ndarray, bank: PrototypeBank,
-                 weight_net: FeedForwardNet, mode: str,
-                 eta_net: Optional[FeedForwardNet] = None,
-                 eta_max: float = 10.0) -> MetaFeature:
-    v_direct = np.asarray(v_direct, dtype=np.float64)
-    v_memory, w = memory_feature(v_direct, bank, weight_net)
-    e = eta(v_direct, bank, mode, eta_net=eta_net, eta_max=eta_max)
-    return MetaFeature(v_direct=v_direct, v_memory=v_memory,
-                       v_meta=v_direct + e * v_memory, eta=e, weights=w)
+    """Row softmax of the logits restricted to mask=True columns, or the
+    raw logits when normalize is False; masked entries get 0."""
+    if not normalize:
+        return np.where(mask, logits, 0.0)
+    z = np.where(mask, logits, -np.inf)
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def embed_batch(embedder: MetaEmbedder, batch: np.ndarray, bank: PrototypeBank):
@@ -207,7 +163,7 @@ def embed_batch(embedder: MetaEmbedder, batch: np.ndarray, bank: PrototypeBank):
         eta_out, e_cache = embedder.eta_net.forward(v_direct)
         etas = eta_out[:, 0]
     else:
-        etas = _eta_ratio(v_direct, bank, embedder.eta_mode, embedder.eta_max)
+        etas = eta_ratio(v_direct, bank, embedder.eta_mode, embedder.eta_max)
         e_cache = None
     v_meta = v_direct + etas[:, None] * v_memory
     cache = EmbedCache(basic_cache=b_cache, v_direct=v_direct,

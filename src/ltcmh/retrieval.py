@@ -10,13 +10,13 @@ from __future__ import annotations
 import csv
 import struct
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .dataset import HeadTailPartition, build_affinity
 from .errors import EvaluationError, FormatError, ShapeError
-from .tensor import read_array, read_exact, read_header, write_header
+from .tensor import (read_array, read_end, read_exact, read_header,
+                     write_header)
 
 CODES_MAGIC = b"LCMB"
 CODES_FORMAT_VERSION = 1
@@ -42,7 +42,7 @@ def binarize(V: np.ndarray) -> BinaryCodeMatrix:
     """Pack sign codes of a (c x samples) feature matrix; entry >= 0 -> bit 1."""
     V = np.asarray(V, dtype=np.float64)
     if not np.all(np.isfinite(V)):
-        raise ValueError("features must be finite")
+        raise EvaluationError("features must be finite")
     c, n = V.shape
     bits = (V.T >= 0.0).astype(np.uint8)          # n x c
     n_words = (c + 63) // 64
@@ -53,27 +53,12 @@ def binarize(V: np.ndarray) -> BinaryCodeMatrix:
     return BinaryCodeMatrix(c=c, words=np.ascontiguousarray(words))
 
 
-def hamming(a: np.ndarray, b: np.ndarray) -> int:
-    """Differing-bit count between two packed code rows."""
-    a = np.asarray(a, dtype=np.uint64)
-    b = np.asarray(b, dtype=np.uint64)
-    if a.shape != b.shape:
-        raise ShapeError(f"code widths differ: {a.shape} vs {b.shape}")
-    return int(np.bitwise_count(a ^ b).sum())
-
-
 def hamming_matrix(queries: BinaryCodeMatrix, db: BinaryCodeMatrix) -> np.ndarray:
     """All-pairs Hamming distances (n_query x n_db)."""
     if queries.c != db.c:
         raise ShapeError(f"code lengths differ: {queries.c} vs {db.c}")
     xored = queries.words[:, None, :] ^ db.words[None, :, :]
     return np.bitwise_count(xored).sum(axis=2).astype(np.int64)
-
-
-def rank_by_hamming(query_row: np.ndarray, db: BinaryCodeMatrix) -> np.ndarray:
-    """Database indices by ascending distance, ties by ascending index."""
-    dists = np.bitwise_count(query_row[None, :] ^ db.words).sum(axis=1)
-    return np.argsort(dists, kind="stable")
 
 
 def average_precision(relevance: np.ndarray) -> float:
@@ -174,6 +159,7 @@ def load_codes(path) -> BinaryCodeMatrix:
         read_header(f, CODES_MAGIC, CODES_FORMAT_VERSION, "codes")
         n, c = struct.unpack("<QQ", read_exact(f, 16, "header"))
         words = read_array(f, "<u8", (n, (c + 63) // 64), "code rows")
+        read_end(f)
     if c % 64:
         pad_set = np.flatnonzero(words[:, -1] >> (c % 64))
         if pad_set.size:

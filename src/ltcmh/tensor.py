@@ -18,9 +18,6 @@ import numpy as np
 
 from .errors import FormatError, ShapeError, TrainingError
 
-MODEL_MAGIC = b"LCMH"
-NET_FORMAT_VERSION = 1
-
 ACTIVATIONS = ("identity", "relu", "sigmoid", "tanh")
 
 
@@ -100,17 +97,25 @@ class ForwardCache:
     post_acts: list = field(default_factory=list)
 
 
+def _check_chain(specs: Sequence[LayerSpec]):
+    """Raise ShapeError unless specs is a non-empty chain of layers whose
+    dims meet."""
+    if not specs:
+        raise ShapeError("a net needs at least one layer")
+    for a, b in zip(specs, specs[1:]):
+        if a.output_dim != b.input_dim:
+            raise ShapeError(
+                f"layer chain broken: output_dim {a.output_dim} "
+                f"!= next input_dim {b.input_dim}"
+            )
+
+
 class FeedForwardNet:
     """A stack of dense layers with per-layer activations."""
 
     def __init__(self, specs: Sequence[LayerSpec], rng: np.random.Generator):
         specs = list(specs)
-        for a, b in zip(specs, specs[1:]):
-            if a.output_dim != b.input_dim:
-                raise ShapeError(
-                    f"layer chain broken: output_dim {a.output_dim} "
-                    f"!= next input_dim {b.input_dim}"
-                )
+        _check_chain(specs)
         self.specs = specs
         self.weights = []
         self.biases = []
@@ -175,21 +180,6 @@ class FeedForwardNet:
             g = gz @ self.weights[k]
         return param_grads, g
 
-    def parameters(self):
-        """Flat list of parameter arrays in declaration order (W, b per layer)."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
-
-    def copy(self):
-        clone = object.__new__(FeedForwardNet)
-        clone.specs = list(self.specs)
-        clone.weights = [w.copy() for w in self.weights]
-        clone.biases = [b.copy() for b in self.biases]
-        return clone
-
 
 def sgd_step(net: FeedForwardNet, param_grads, learning_rate, momentum=0.0,
              velocity=None):
@@ -216,6 +206,24 @@ def sgd_step(net: FeedForwardNet, param_grads, learning_rate, momentum=0.0,
     return velocity
 
 
+def central_diff(loss_fn: Callable[[], float], arr: np.ndarray,
+                 eps: float) -> np.ndarray:
+    """Central-difference gradient of loss_fn() over every entry of the
+    contiguous array arr, which is perturbed in place and restored."""
+    g = np.zeros_like(arr)
+    flat = arr.ravel()
+    gflat = g.ravel()
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        hi = loss_fn()
+        flat[i] = orig - eps
+        lo = loss_fn()
+        flat[i] = orig
+        gflat[i] = (hi - lo) / (2.0 * eps)
+    return g
+
+
 def finite_diff_grad(loss_fn: Callable[[FeedForwardNet], float],
                      net: FeedForwardNet, eps: float):
     """Central-difference gradient of loss_fn over every net parameter.
@@ -225,24 +233,9 @@ def finite_diff_grad(loss_fn: Callable[[FeedForwardNet], float],
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    grads = []
-    for k in range(len(net.specs)):
-        pair = []
-        for arr in (net.weights[k], net.biases[k]):
-            g = np.zeros_like(arr)
-            flat = arr.ravel()
-            gflat = g.ravel()
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + eps
-                hi = loss_fn(net)
-                flat[i] = orig - eps
-                lo = loss_fn(net)
-                flat[i] = orig
-                gflat[i] = (hi - lo) / (2.0 * eps)
-            pair.append(g)
-        grads.append((pair[0], pair[1]))
-    return grads
+    return [tuple(central_diff(lambda: loss_fn(net), arr, eps)
+                  for arr in (w, b))
+            for w, b in zip(net.weights, net.biases)]
 
 
 # --- persistence ------------------------------------------------------------
@@ -271,6 +264,12 @@ def read_exact(f: BinaryIO, n: int, what: str) -> bytes:
         raise FormatError(f"truncated while reading {what} at offset {pos}: "
                           f"{n} bytes needed, {left} left")
     return f.read(n)
+
+
+def read_end(f: BinaryIO):
+    """Raise FormatError if any byte follows the declared content."""
+    if f.read(1):
+        raise FormatError(f"trailing bytes at offset {f.tell() - 1}")
 
 
 def read_array(f: BinaryIO, dtype, shape, what: str) -> np.ndarray:
@@ -311,6 +310,7 @@ def read_net(f: BinaryIO) -> FeedForwardNet:
         if din < 1 or dout < 1:
             raise FormatError(f"bad layer dims {din}x{dout} at offset {f.tell()}")
         specs.append(LayerSpec(din, dout, ACTIVATIONS[act]))
+    _check_chain(specs)
     net = object.__new__(FeedForwardNet)
     net.specs = specs
     net.weights = []
@@ -320,16 +320,3 @@ def read_net(f: BinaryIO) -> FeedForwardNet:
                                       "weights"))
         net.biases.append(read_array(f, "<f8", (s.output_dim,), "biases"))
     return net
-
-
-def save_net(path, net: FeedForwardNet):
-    """Standalone net file: magic LCMH, version, then the net section."""
-    with open(path, "wb") as f:
-        write_header(f, MODEL_MAGIC, NET_FORMAT_VERSION)
-        write_net(f, net)
-
-
-def load_net(path) -> FeedForwardNet:
-    with open(path, "rb") as f:
-        read_header(f, MODEL_MAGIC, NET_FORMAT_VERSION, "net format")
-        return read_net(f)

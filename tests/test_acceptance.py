@@ -18,8 +18,9 @@ from ltcmh import experiment, gradcheck, hash_learn, retrieval
 from ltcmh.dataset import (HeadTailPartition, build_affinity, primary_labels,
                            split_head_tail, synthesize_long_tailed)
 from ltcmh.hash_learn import TrainConfig, train, update_B
-from ltcmh.meta_embed import compute_prototypes, eta
-from ltcmh.retrieval import average_precision, binarize, evaluate, hamming
+from ltcmh.meta_embed import compute_prototypes, eta_ratio
+from ltcmh.retrieval import (average_precision, binarize, evaluate,
+                             hamming_matrix)
 
 SCALED = ["groups=4x200,10x20,10x5"]   # Flickr-shaped counts scaled down 10x
 
@@ -82,9 +83,7 @@ def test_criterion_3_hamming_identity():
         a = binarize(rng.normal(size=(c, 1000)))
         b = binarize(rng.normal(size=(c, 1000)))
         ua, ub = a.unpack(), b.unpack()
-        for i in range(1000):
-            d = hamming(a.words[i], b.words[i])
-            assert d == (c - ua[i] @ ub[i]) / 2
+        assert np.array_equal(hamming_matrix(a, b), (c - ua @ ub.T) / 2)
 
 
 def test_criterion_4_map_oracle():
@@ -104,9 +103,11 @@ def test_criterion_4_map_oracle():
         part = HeadTailPartition(is_head=is_head,
                                  counts=np.where(is_head, 100, 5))
         result = evaluate(q, ql, db, dl, part, "i2t")
+        # distances from the inner-product identity on unpacked codes
+        D = (c - q.unpack() @ db.unpack().T) / 2
         aps = []
         for i in range(nq):
-            dists = [hamming(q.words[i], db.words[j]) for j in range(nd)]
+            dists = D[i]
             order = sorted(range(nd), key=lambda j: (dists[j], j))
             rel = [int(bool((ql[i] & dl[j]).any())) for j in order]
             aps.append(average_precision(rel))
@@ -121,8 +122,8 @@ def test_criterion_5_eta_ordering():
     bank = compute_prototypes(data.X, data.labels, partition)
     prim = primary_labels(data.labels)
     head_samples = partition.is_head[prim]
-    intent = np.array([eta(x, bank, "intent_ratio") for x in data.X])
-    printed = np.array([eta(x, bank, "as_printed") for x in data.X])
+    intent = eta_ratio(data.X, bank, "intent_ratio", eta_max=10.0)
+    printed = eta_ratio(data.X, bank, "as_printed", eta_max=10.0)
     assert intent[head_samples].mean() < intent[~head_samples].mean()
     assert printed[head_samples].mean() > printed[~head_samples].mean()
 

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltcmh import experiment, hash_learn, retrieval
 from ltcmh.cli import main
 from ltcmh.dataset import MultiModalDataset, load_dataset, save_dataset
+from ltcmh.errors import FormatError, LtcmhError
+from ltcmh.tensor import LayerSpec
 
 FAST = [
     "groups=2x12,2x5", "d_x=8", "d_y=6", "extra_per_class=4",
@@ -28,6 +32,34 @@ def pipeline(tmp_path_factory):
     assert main(["train", "--dataset", str(root / "data" / "dataset.lcmd"),
                  "--out", str(root / "run"), *_sets()]) == 0
     return root
+
+
+@pytest.fixture(scope="module")
+def codes(pipeline):
+    """Image query codes and text retrieval codes of the pipeline model:
+    the two files `eval --direction i2t` takes."""
+    paths = []
+    for modality, split in (("image", "query"), ("text", "retrieval")):
+        out = pipeline / f"{modality}_{split}.lcmb"
+        assert main(["encode", "--model", str(pipeline / "run" / "model.lcmh"),
+                     "--dataset", str(pipeline / "data" / "dataset.lcmd"),
+                     "--modality", modality, "--split", split,
+                     "--out", str(out)]) == 0
+        paths.append(out)
+    return paths
+
+
+def _encode_and_eval(model, dataset, out_dir, codes=None):
+    """Exit codes of `encode` and of `eval --direction i2t` (with the
+    (query, db) code files when given) on these files."""
+    common = ["--model", str(model), "--dataset", str(dataset)]
+    encoded = main(["encode", *common, "--modality", "image",
+                    "--out", str(out_dir / "c.lcmb")])
+    pre = [] if codes is None else ["--query-codes", str(codes[0]),
+                                    "--db-codes", str(codes[1])]
+    evaluated = main(["eval", *common, "--direction", "i2t", *pre,
+                      "--out", str(out_dir / "r.csv")])
+    return encoded, evaluated
 
 
 # --- synth ------------------------------------------------------------------------
@@ -218,6 +250,41 @@ def test_encode_inconsistent_model_io_error(pipeline, tmp_path, capsys):
     assert "inconsistent model" in capsys.readouterr().err
 
 
+def _break_chain(model):
+    # the image basic net's second layer reads 7 of the first layer's outputs
+    net = model.embedder_x.basic_net
+    net.specs[1] = LayerSpec(7, net.output_dim)
+    net.weights[1] = np.zeros((net.output_dim, 7))
+
+
+def _nan_weight(model):
+    model.embedder_x.basic_net.weights[0][0, 0] = np.nan
+
+
+@pytest.mark.parametrize("mutate", [_break_chain, _nan_weight])
+def test_broken_model_io_error(pipeline, tmp_path, capsys, mutate):
+    model = hash_learn.load_model(pipeline / "run" / "model.lcmh")
+    mutate(model)
+    bad = tmp_path / "broken.lcmh"
+    hash_learn.save_model(bad, model)
+    assert _encode_and_eval(bad, pipeline / "data" / "dataset.lcmd",
+                            tmp_path) == (2, 2)
+    assert capsys.readouterr().err.count("error: inconsistent") == 2
+
+
+def test_encode_overflowing_model_numerical_error(pipeline, tmp_path, capsys):
+    # finite weights whose features overflow to inf and NaN
+    model = hash_learn.load_model(pipeline / "run" / "model.lcmh")
+    model.embedder_x.basic_net.weights[0][:] = 1e308
+    model.embedder_x.basic_net.biases[0][:] = 1e308
+    big = tmp_path / "big.lcmh"
+    hash_learn.save_model(big, model)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _encode_and_eval(big, pipeline / "data" / "dataset.lcmd",
+                                tmp_path) == (3, 3)
+    assert "features must be finite" in capsys.readouterr().err
+
+
 def test_encode_all_with_queries_in_retrieval(pipeline, tmp_path):
     # the query split is then part of retrieval, so the splits overlap
     data_path = str(pipeline / "data" / "dataset.lcmd")
@@ -304,11 +371,92 @@ def test_eval_codes_not_fitting_split_io_error(pipeline, tmp_path, capsys,
         capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("given, missing", [("--query-codes", "--db-codes"),
+                                            ("--db-codes", "--query-codes")])
+def test_eval_one_codes_file_usage_error(pipeline, codes, tmp_path, capsys,
+                                         given, missing):
+    assert main(["eval", "--model", str(pipeline / "run" / "model.lcmh"),
+                 "--dataset", str(pipeline / "data" / "dataset.lcmd"),
+                 "--direction", "i2t", given, str(codes[0]),
+                 "--out", str(tmp_path / "r.csv")]) == 1
+    assert f"{missing} is missing" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_eval_bad_direction_usage_error(pipeline, tmp_path):
     assert main(["eval", "--model", str(pipeline / "run" / "model.lcmh"),
                  "--dataset", str(pipeline / "data" / "dataset.lcmd"),
                  "--direction", "sideways",
                  "--out", str(tmp_path / "r.csv")]) == 1
+
+
+# --- damaged files ----------------------------------------------------------------
+
+def _files(pipeline, codes):
+    return {"dataset": (pipeline / "data" / "dataset.lcmd", load_dataset),
+            "model": (pipeline / "run" / "model.lcmh", hash_learn.load_model),
+            "codes": (codes[0], retrieval.load_codes)}
+
+
+@pytest.mark.parametrize("extra", [1, 400])
+@pytest.mark.parametrize("kind", ["dataset", "model", "codes"])
+def test_trailing_bytes_io_error(pipeline, codes, tmp_path, capsys, kind,
+                                 extra):
+    path, load = _files(pipeline, codes)[kind]
+    raw = path.read_bytes()
+    bad = tmp_path / path.name
+    bad.write_bytes(raw + (bytes(range(256)) * 2)[:extra])
+    with pytest.raises(FormatError, match=f"trailing bytes at offset {len(raw)}$"):
+        load(bad)
+    args = {"dataset": pipeline / "data" / "dataset.lcmd",
+            "model": pipeline / "run" / "model.lcmh", kind: bad}
+    q, db = (bad, codes[1]) if kind == "codes" else codes
+    assert _encode_and_eval(args["model"], args["dataset"], tmp_path,
+                            (q, db)) == (0 if kind == "codes" else 2, 2)
+    assert f"offset {len(raw)}" in capsys.readouterr().err
+
+
+MUTATIONS = st.one_of(
+    st.tuples(st.just("cut"), st.integers(0, 2**20)),
+    st.tuples(st.just("append"), st.binary(min_size=1, max_size=16)),
+    st.tuples(st.just("flip"), st.integers(0, 2**20), st.integers(0, 7)),
+)
+
+
+def _mutated(raw, mutation):
+    kind, *args = mutation
+    if kind == "cut":
+        return raw[:args[0] % len(raw)]
+    if kind == "append":
+        return raw + args[0]
+    flipped = bytearray(raw)
+    flipped[args[0] % len(raw)] ^= 1 << args[1]
+    return bytes(flipped)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["dataset", "model", "codes"]),
+       mutation=MUTATIONS)
+def test_damaged_files_fail_cleanly(pipeline, codes, kind, mutation):
+    # loaders raise only package errors, and encode/eval end in an exit
+    # code, never a traceback
+    path, load = _files(pipeline, codes)[kind]
+    out = pipeline / "damaged"
+    out.mkdir(exist_ok=True)
+    bad = out / path.name
+    bad.write_bytes(_mutated(path.read_bytes(), mutation))
+    try:
+        load(bad)
+    except LtcmhError:
+        pass
+    args = {"dataset": pipeline / "data" / "dataset.lcmd",
+            "model": pipeline / "run" / "model.lcmh", kind: bad}
+    q, db = (bad, codes[1]) if kind == "codes" else codes
+    with np.errstate(all="ignore"):
+        exits = (_encode_and_eval(args["model"], args["dataset"], out)
+                 + _encode_and_eval(args["model"], args["dataset"], out,
+                                    (q, db)))
+    assert set(exits) <= {0, 1, 2, 3}
 
 
 # --- gradcheck --------------------------------------------------------------------

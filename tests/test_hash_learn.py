@@ -1,4 +1,5 @@
 import itertools
+import struct
 
 import numpy as np
 import pytest
@@ -475,6 +476,22 @@ def _weight_net_wrong_input(model):
         [LayerSpec(3, model.bank_x.num_classes)], np.random.default_rng(1))
 
 
+def _broken_chain(model):
+    # the basic net's second layer reads 7 inputs after a layer of 16 outputs
+    net = model.embedder_x.basic_net
+    net.specs[1] = LayerSpec(7, net.output_dim)
+    net.weights[1] = np.zeros((net.output_dim, 7))
+
+
+def _no_layers(model):
+    net = model.embedder_y.weight_net
+    net.specs, net.weights, net.biases = [], [], []
+
+
+def _set_nan(arrays):
+    arrays[0].flat[0] = np.nan
+
+
 INCONSISTENT = {
     "centroids_one_column": lambda m: setattr(
         m, "bank_x", _shrink_bank(m.bank_x, cols=slice(0, 1))),
@@ -487,7 +504,32 @@ INCONSISTENT = {
     "text_code_length_differs": _narrow_text_embedder,
     "eta_net_input_not_code_length": _learned_eta_wrong_input,
     "weight_net_input_not_code_length": _weight_net_wrong_input,
+    "basic_net_chain_broken": _broken_chain,
+    "weight_net_without_layers": _no_layers,
+    "nan_weight": lambda m: _set_nan(m.embedder_x.basic_net.weights),
+    "nan_bias": lambda m: _set_nan(m.embedder_y.weight_net.biases),
+    "nan_centroid": lambda m: _set_nan([m.bank_y.centroids]),
+    "inf_eta_max": lambda m: setattr(m.embedder_x, "eta_max", np.inf),
+    "nan_alpha": lambda m: setattr(m, "alpha", np.nan),
+    "inf_beta": lambda m: setattr(m, "beta", -np.inf),
 }
+
+
+def test_model_array_rank_checked(tmp_path):
+    # every model array has a fixed rank. A flipped rank field used to make
+    # the reader take the bytes after it as dims; with hundreds of them the
+    # size in the error message passed Python's int-to-str digit limit
+    model = _trained_model()
+    path = tmp_path / "m.lcmh"
+    save_model(path, model)
+    raw = bytearray(path.read_bytes())
+    at = raw.index(struct.pack("<IQQ", 2, *model.bank_x.centroids.shape))
+    for ndim in (0, 3, 514):
+        raw[at:at + 4] = struct.pack("<I", ndim)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=f"array of {ndim} dims at "
+                                              f"offset {at}, expected 2"):
+            load_model(path)
 
 
 @pytest.mark.parametrize("mutate", INCONSISTENT.values(), ids=INCONSISTENT)

@@ -5,8 +5,7 @@ from ltcmh import gradcheck
 from ltcmh.dataset import HeadTailPartition
 from ltcmh.errors import ConfigError, ShapeError
 from ltcmh.meta_embed import (MetaEmbedder, PrototypeBank, compute_prototypes,
-                              embed_backward, embed_batch, eta, memory_feature,
-                              meta_feature)
+                              embed_backward, embed_batch, eta_ratio)
 from ltcmh.tensor import FeedForwardNet, LayerSpec
 
 
@@ -82,34 +81,57 @@ def test_prototypes_shape_mismatch():
                            _partition([True]))
 
 
-# --- memory_feature ---------------------------------------------------------------
+# --- memory path of embed_batch -------------------------------------------------
+
+def _identity(c):
+    """A c -> c identity layer, so embed_batch's v_direct equals its input."""
+    net = FeedForwardNet([LayerSpec(c, c, "identity")], np.random.default_rng(0))
+    net.weights[0][:] = np.eye(c)
+    net.biases[0][:] = 0.0
+    return net
+
+
+def _embed(v, bank, weight_net, eta_mode="learned", eta_net=None,
+           eta_max=10.0, normalize=True):
+    """embed_batch on the rows of v through an identity basic net. Learned
+    eta by default, so the memory path needs no head/tail classes."""
+    v = np.atleast_2d(np.asarray(v, dtype=np.float64))
+    c = v.shape[1]
+    if eta_mode == "learned" and eta_net is None:
+        eta_net = FeedForwardNet([LayerSpec(c, 1, "sigmoid")],
+                                 np.random.default_rng(1))
+    emb = MetaEmbedder(basic_net=_identity(c), weight_net=weight_net,
+                       eta_max=eta_max, eta_mode=eta_mode, eta_net=eta_net,
+                       normalize_weights=normalize)
+    return embed_batch(emb, v, bank)
+
 
 def test_memory_single_class_returns_centroid(rng):
     bank = _bank([[5.0, -1.0]], [True])
-    v_mem, w = memory_feature(np.array([0.3, 0.7]), bank, _net((2, 1), rng))
-    assert np.allclose(v_mem, bank.centroids[0])
-    assert np.allclose(w, [1.0])
+    _, cache = _embed([0.3, 0.7], bank, _net((2, 1), rng))
+    assert np.allclose(cache.v_memory[0], bank.centroids[0])
+    assert np.allclose(cache.weights[0], [1.0])
 
 
 def test_memory_equal_logits_averages_centroids():
     bank = _bank([[2.0, 0.0], [0.0, 2.0]], [True, False])
-    v_mem, w = memory_feature(np.array([1.0, 1.0]), bank,
-                              _net((2, 2), zero=True))
-    assert np.allclose(w, [0.5, 0.5])
-    assert np.allclose(v_mem, [1.0, 1.0])
+    _, cache = _embed([1.0, 1.0], bank, _net((2, 2), zero=True))
+    assert np.allclose(cache.weights[0], [0.5, 0.5])
+    assert np.allclose(cache.v_memory[0], [1.0, 1.0])
 
 
 def test_memory_matches_weighted_sum_oracle(rng):
     bank = _bank(rng.normal(size=(4, 3)), [True, True, False, False])
-    v = rng.normal(size=3)
-    v_mem, w = memory_feature(v, bank, _net((3, 4), rng))
-    assert np.allclose(v_mem, sum(w[i] * bank.centroids[i] for i in range(4)))
+    _, cache = _embed(rng.normal(size=3), bank, _net((3, 4), rng))
+    w = cache.weights[0]
+    assert np.allclose(cache.v_memory[0],
+                       sum(w[i] * bank.centroids[i] for i in range(4)))
 
 
 def test_memory_all_empty_raises(rng):
     bank = _bank([[1.0, 0.0]], [True], counts=[0])
     with pytest.raises(ConfigError):
-        memory_feature(np.zeros(2), bank, _net((2, 1), rng))
+        _embed(np.zeros(2), bank, _net((2, 1), rng))
 
 
 def test_memory_simplex_property(rng):
@@ -119,10 +141,11 @@ def test_memory_simplex_property(rng):
         if counts.sum() == 0:
             counts[0] = 1
         bank = _bank(rng.normal(size=(L, 3)), rng.random(L) < 0.5, counts)
-        _, w = memory_feature(rng.normal(size=3), bank, _net((3, L), rng))
+        _, cache = _embed(rng.normal(size=(4, 3)), bank, _net((3, L), rng))
+        w = cache.weights
         assert np.all(w >= 0)
-        assert abs(w.sum() - 1.0) < 1e-12
-        assert np.all(w[~bank.nonempty] == 0)
+        assert np.all(np.abs(w.sum(axis=1) - 1.0) < 1e-12)
+        assert np.all(w[:, ~bank.nonempty] == 0)
 
 
 def test_memory_raw_mode_uses_masked_logits(rng):
@@ -131,73 +154,75 @@ def test_memory_raw_mode_uses_masked_logits(rng):
     net = _net((2, 3), rng)
     v = rng.normal(size=2)
     logits, _ = net.forward(v[None, :])
-    v_mem, w = memory_feature(v, bank, net, normalize=False)
+    _, cache = _embed(v, bank, net, normalize=False)
     expect_w = np.where(bank.nonempty, logits[0], 0.0)
-    assert np.allclose(w, expect_w)
-    assert np.allclose(v_mem, expect_w @ bank.centroids)
+    assert np.allclose(cache.weights[0], expect_w)
+    assert np.allclose(cache.v_memory[0], expect_w @ bank.centroids)
 
 
 # --- eta --------------------------------------------------------------------------
 
 def test_eta_equal_distances_gives_one():
     bank = _bank([[0.0, 0.0], [2.0, 0.0]], [True, False])
-    v = np.array([1.0, 0.0])
-    assert eta(v, bank, "intent_ratio") == pytest.approx(1.0)
-    assert eta(v, bank, "as_printed") == pytest.approx(1.0)
+    v = np.array([[1.0, 0.0]])
+    assert eta_ratio(v, bank, "intent_ratio", 10.0) == pytest.approx([1.0])
+    assert eta_ratio(v, bank, "as_printed", 10.0) == pytest.approx([1.0])
 
 
 def test_eta_on_head_centroid_intent_zero():
     bank = _bank([[3.0, 4.0], [0.0, 0.0]], [True, False])
-    assert eta(np.array([3.0, 4.0]), bank, "intent_ratio") == 0.0
+    assert eta_ratio(np.array([[3.0, 4.0]]), bank, "intent_ratio",
+                     10.0)[0] == 0.0
 
 
 def test_eta_hand_computed_both_modes():
     # heads at (0,0), (4,0); tails at (0,3), (5,5); v = (1,1)
     bank = _bank([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0], [5.0, 5.0]],
                  [True, True, False, False])
-    v = np.array([1.0, 1.0])
+    v = np.array([[1.0, 1.0]])
     d_head = min(1 + 1, 9 + 1)          # 2
     d_tail = min(1 + 4, 16 + 16)        # 5
-    assert eta(v, bank, "intent_ratio") == pytest.approx(d_head / d_tail)
-    assert eta(v, bank, "as_printed") == pytest.approx(d_tail / d_head)
+    assert eta_ratio(v, bank, "intent_ratio", 10.0) == \
+        pytest.approx([d_head / d_tail])
+    assert eta_ratio(v, bank, "as_printed", 10.0) == \
+        pytest.approx([d_tail / d_head])
 
 
 def test_eta_clamped_at_max():
     bank = _bank([[0.0, 0.0], [9.0, 9.0]], [True, False])
     # on the head centroid: as_printed ratio explodes, must clamp
-    assert eta(np.array([0.0, 0.0]), bank, "as_printed", eta_max=10.0) == 10.0
-    assert eta(np.array([0.0, 0.0]), bank, "as_printed", eta_max=3.0) == 3.0
+    v = np.array([[0.0, 0.0]])
+    assert eta_ratio(v, bank, "as_printed", eta_max=10.0)[0] == 10.0
+    assert eta_ratio(v, bank, "as_printed", eta_max=3.0)[0] == 3.0
 
 
-def test_eta_learned_is_sigmoid_output(rng):
-    net = _net((2, 1), rng)
-    net.specs = net.specs  # identity layer; wrap with sigmoid net instead
+def test_eta_learned_is_sigmoid_output():
     sig = FeedForwardNet([LayerSpec(2, 1, "sigmoid")], np.random.default_rng(1))
     bank = _bank([[0.0, 0.0], [1.0, 1.0]], [True, False])
     v = np.array([0.2, -0.4])
     out, _ = sig.forward(v[None, :])
-    assert eta(v, bank, "learned", eta_net=sig) == pytest.approx(out[0, 0])
-    assert 0.0 < eta(v, bank, "learned", eta_net=sig) < 1.0
+    _, cache = _embed(v, bank, _net((2, 2), zero=True), eta_net=sig)
+    assert cache.eta[0] == pytest.approx(out[0, 0])
+    assert 0.0 < cache.eta[0] < 1.0
 
 
 def test_eta_errors():
-    bank_all_head = _bank([[0.0], [1.0]], [True, True])
+    v = np.zeros((1, 1))
     with pytest.raises(ConfigError):
-        eta(np.zeros(1), bank_all_head, "intent_ratio")
-    with pytest.raises(ConfigError):
-        eta(np.zeros(1), _bank([[0.0], [1.0]], [True, False]), "nope")
-    with pytest.raises(ConfigError):
-        eta(np.zeros(1), _bank([[0.0], [1.0]], [True, False]), "learned")
+        eta_ratio(v, _bank([[0.0], [1.0]], [True, True]), "intent_ratio", 10.0)
+    for mode in ("nope", "learned"):
+        with pytest.raises(ConfigError):
+            eta_ratio(v, _bank([[0.0], [1.0]], [True, False]), mode, 10.0)
 
 
-# --- meta_feature -----------------------------------------------------------------
+# --- meta features ----------------------------------------------------------------
 
 def test_meta_eta_zero_keeps_direct():
     bank = _bank([[3.0, 4.0], [0.0, 0.0]], [True, False])
     v = np.array([3.0, 4.0])   # on the head centroid: intent eta = 0
-    mf = meta_feature(v, bank, _net((2, 2), zero=True), "intent_ratio")
-    assert mf.eta == 0.0
-    assert np.array_equal(mf.v_meta, v)
+    V, cache = _embed(v, bank, _net((2, 2), zero=True), "intent_ratio")
+    assert cache.eta[0] == 0.0
+    assert np.array_equal(V[:, 0], v)
 
 
 def test_meta_eta_one_memory_equals_direct_doubles():
@@ -205,56 +230,60 @@ def test_meta_eta_one_memory_equals_direct_doubles():
     v = np.array([1.0, 2.0])
     d = np.array([0.5, -0.5])
     bank = _bank([v + d, v - d], [True, False])
-    mf = meta_feature(v, bank, _net((2, 2), zero=True), "intent_ratio")
-    assert mf.eta == pytest.approx(1.0)
-    assert np.allclose(mf.v_memory, v)
-    assert np.allclose(mf.v_meta, 2 * v)
+    V, cache = _embed(v, bank, _net((2, 2), zero=True), "intent_ratio")
+    assert cache.eta[0] == pytest.approx(1.0)
+    assert np.allclose(cache.v_memory[0], v)
+    assert np.allclose(V[:, 0], 2 * v)
 
 
 def test_meta_random_matches_recomputation(rng):
     bank = _bank(rng.normal(size=(4, 3)), [True, True, False, False])
     net = _net((3, 4), rng)
     v = rng.normal(size=3)
-    mf = meta_feature(v, bank, net, "intent_ratio")
-    v_mem, w = memory_feature(v, bank, net)
-    e = eta(v, bank, "intent_ratio")
-    assert np.allclose(mf.v_meta, v + e * v_mem)
-    assert np.allclose(mf.v_memory, v_mem)
-    assert mf.eta == pytest.approx(e)
+    V, cache = _embed(v, bank, net, "intent_ratio")
+    logits, _ = net.forward(v[None, :])
+    w = np.exp(logits[0]) / np.exp(logits[0]).sum()
+    v_mem = w @ bank.centroids
+    e = eta_ratio(v[None, :], bank, "intent_ratio", 10.0)[0]
+    assert np.allclose(V[:, 0], v + e * v_mem)
+    assert np.allclose(cache.v_memory[0], v_mem)
+    assert cache.eta[0] == pytest.approx(e)
 
 
 def test_meta_exactness_property(rng):
     for _ in range(20):
         bank = _bank(rng.normal(size=(5, 4)),
                      [True, True, True, False, False])
-        net = _net((4, 5), rng)
-        v = rng.normal(size=4)
-        mf = meta_feature(v, bank, net, "as_printed")
-        assert np.array_equal(mf.v_meta, mf.v_direct + mf.eta * mf.v_memory)
+        V, cache = _embed(rng.normal(size=(3, 4)), bank, _net((4, 5), rng),
+                          "as_printed")
+        for i in range(3):
+            assert np.array_equal(V[:, i], cache.v_direct[i]
+                                  + cache.eta[i] * cache.v_memory[i])
 
 
 # --- embed_batch ------------------------------------------------------------------
 
-def _batch_embedder(rng, c=3, L=4, d=5, eta_mode="intent_ratio", **kw):
+def _batch_embedder(rng, c=3, L=4, d=5, eta_mode="intent_ratio",
+                    eta_max=10.0, **kw):
     basic = FeedForwardNet([LayerSpec(d, c, "tanh")], rng)
     weight = FeedForwardNet([LayerSpec(c, L, "identity")], rng)
     eta_net = (FeedForwardNet([LayerSpec(c, 1, "sigmoid")], rng)
                if eta_mode == "learned" else None)
-    return MetaEmbedder(basic_net=basic, weight_net=weight, eta_mode=eta_mode,
-                        eta_net=eta_net, **kw)
+    return MetaEmbedder(basic_net=basic, weight_net=weight, eta_max=eta_max,
+                        eta_mode=eta_mode, eta_net=eta_net, **kw)
 
 
 def test_embed_batch_matches_per_sample(rng):
-    emb = _batch_embedder(rng)
-    bank = _bank(rng.normal(size=(4, 3)), [True, True, False, False])
-    batch = rng.normal(size=(6, 5))
-    V, _ = embed_batch(emb, batch, bank)
-    assert V.shape == (3, 6)
-    direct, _ = emb.basic_net.forward(batch)
-    for i in range(6):
-        mf = meta_feature(direct[i], bank, emb.weight_net, "intent_ratio",
-                          eta_max=emb.eta_max)
-        assert np.allclose(V[:, i], mf.v_meta)
+    # each column depends on its own sample only, not on the batch around it
+    for mode in ("intent_ratio", "as_printed", "learned"):
+        emb = _batch_embedder(rng, eta_mode=mode)
+        bank = _bank(rng.normal(size=(4, 3)), [True, True, False, False])
+        batch = rng.normal(size=(6, 5))
+        V, _ = embed_batch(emb, batch, bank)
+        assert V.shape == (3, 6)
+        for i in range(6):
+            v_i, _ = embed_batch(emb, batch[i:i + 1], bank)
+            assert np.allclose(V[:, i], v_i[:, 0])
 
 
 def test_embed_batch_no_memory_is_direct(rng):
@@ -278,8 +307,8 @@ def test_eta_ordering_head_vs_tail(rng):
     labels[:40, 0] = 1
     labels[40:, 1] = 1
     bank = compute_prototypes(feats, labels, _partition([True, False]))
-    intent = [eta(f, bank, "intent_ratio") for f in feats]
-    printed = [eta(f, bank, "as_printed") for f in feats]
+    intent = eta_ratio(feats, bank, "intent_ratio", 10.0)
+    printed = eta_ratio(feats, bank, "as_printed", 10.0)
     assert np.mean(intent[:40]) < np.mean(intent[40:])
     assert np.mean(printed[:40]) > np.mean(printed[40:])
 
@@ -338,13 +367,15 @@ def test_embedder_rejects_bad_mode(rng):
     basic = FeedForwardNet([LayerSpec(4, 3, "tanh")], rng)
     weight = FeedForwardNet([LayerSpec(3, 2, "identity")], rng)
     with pytest.raises(ConfigError):
-        MetaEmbedder(basic_net=basic, weight_net=weight, eta_mode="bogus")
+        MetaEmbedder(basic_net=basic, weight_net=weight, eta_max=10.0,
+                     eta_mode="bogus")
     with pytest.raises(ConfigError):
-        MetaEmbedder(basic_net=basic, weight_net=weight, eta_mode="learned")
+        MetaEmbedder(basic_net=basic, weight_net=weight, eta_max=10.0,
+                     eta_mode="learned")
 
 
 def test_embedder_rejects_width_mismatch(rng):
     basic = FeedForwardNet([LayerSpec(4, 3, "tanh")], rng)
     weight = FeedForwardNet([LayerSpec(5, 2, "identity")], rng)
     with pytest.raises(ShapeError):
-        MetaEmbedder(basic_net=basic, weight_net=weight)
+        MetaEmbedder(basic_net=basic, weight_net=weight, eta_max=10.0)

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from ltcmh.dataset import HeadTailPartition
 from ltcmh.errors import EvaluationError, FormatError, ShapeError
 from ltcmh.retrieval import (BinaryCodeMatrix, average_precision, binarize,
-                             evaluate, hamming, hamming_matrix, load_codes,
-                             query_groups, rank_by_hamming, save_codes,
-                             write_result_csv)
+                             evaluate, hamming_matrix, load_codes,
+                             query_groups, save_codes, write_result_csv)
 
 
 def _random_codes(rng, n, c):
@@ -50,16 +49,21 @@ def test_binarize_pad_bits_zero(rng):
 
 
 def test_binarize_rejects_nonfinite():
-    with pytest.raises(ValueError):
+    with pytest.raises(EvaluationError):
         binarize(np.array([[np.nan], [1.0]]))
 
 
 # --- hamming ----------------------------------------------------------------------
 
+def _unpacked_distances(a, b):
+    """Hamming distances from the inner-product identity on unpacked +-1
+    codes, (c - <u, v>) / 2, sharing no code with hamming_matrix."""
+    return (a.c - a.unpack() @ b.unpack().T) / 2
+
+
 def test_hamming_identical_and_eq5_at_zero(rng):
     codes = _random_codes(rng, 1, 16)
-    row = codes.words[0]
-    assert hamming(row, row) == 0
+    assert hamming_matrix(codes, codes)[0, 0] == 0
     v = codes.unpack()[0]
     assert v @ v == 16.0
 
@@ -67,7 +71,7 @@ def test_hamming_identical_and_eq5_at_zero(rng):
 def test_hamming_complementary_c32():
     ones = binarize(np.full((32, 1), 1.0))
     neg = binarize(np.full((32, 1), -1.0))
-    assert hamming(ones.words[0], neg.words[0]) == 32
+    assert hamming_matrix(ones, neg)[0, 0] == 32
     assert ones.unpack()[0] @ neg.unpack()[0] == -32.0
 
 
@@ -76,27 +80,25 @@ def test_hamming_two_oracles(c, rng):
     a = _random_codes(rng, 8, c)
     b = _random_codes(rng, 8, c)
     ua, ub = a.unpack(), b.unpack()
+    D = hamming_matrix(a, b)
     for i in range(8):
         for j in range(8):
-            d = hamming(a.words[i], b.words[j])
             # bit-loop oracle
-            assert d == int((ua[i] != ub[j]).sum())
+            assert D[i, j] == int((ua[i] != ub[j]).sum())
             # Eq. of the inner-product identity
-            assert d == (c - ua[i] @ ub[j]) / 2
+            assert D[i, j] == (c - ua[i] @ ub[j]) / 2
 
 
-def test_hamming_width_mismatch():
+def test_hamming_width_mismatch(rng):
     with pytest.raises(ShapeError):
-        hamming(np.zeros(1, np.uint64), np.zeros(2, np.uint64))
+        hamming_matrix(_random_codes(rng, 2, 1), _random_codes(rng, 2, 2))
 
 
 def test_hamming_matrix_matches_pairwise(rng):
+    # c = 48 leaves pad bits in every word; the query and database sizes differ
     q = _random_codes(rng, 5, 48)
     db = _random_codes(rng, 7, 48)
-    D = hamming_matrix(q, db)
-    for i in range(5):
-        for j in range(7):
-            assert D[i, j] == hamming(q.words[i], db.words[j])
+    assert np.array_equal(hamming_matrix(q, db), _unpacked_distances(q, db))
 
 
 def test_hamming_triangle_inequality(rng):
@@ -107,26 +109,40 @@ def test_hamming_triangle_inequality(rng):
         assert D[i, k] <= D[i, j] + D[j, k]
 
 
-# --- ranking ----------------------------------------------------------------------
+# --- ranking inside evaluate -------------------------------------------------------
 
-def test_rank_single_item_db(rng):
-    db = _random_codes(rng, 1, 16)
-    assert list(rank_by_hamming(db.words[0], db)) == [0]
+def _sort_oracle_aps(q, ql, db, dl):
+    """Per-query AP of the ranking by (distance, index), with relevance
+    from shared labels."""
+    D = _unpacked_distances(q, db)
+    aps = []
+    for i in range(q.n):
+        order = sorted(range(db.n), key=lambda j: (D[i, j], j))
+        aps.append(average_precision(
+            [int(bool((ql[i] & dl[j]).any())) for j in order]))
+    return np.array(aps)
 
 
 def test_rank_all_equal_codes_identity_order():
+    # every distance ties, so the ranking is the database order
     db = binarize(np.ones((8, 5)))
-    order = rank_by_hamming(db.words[0], db)
-    assert np.array_equal(order, np.arange(5))
+    dl = np.array([[0, 1], [1, 0], [0, 1], [1, 0], [1, 0]], np.uint8)
+    ql = np.array([[1, 0]], np.uint8)
+    result = evaluate(binarize(np.ones((8, 1))), ql, db, dl,
+                      _partition([True, False]), "i2t")
+    assert result.ap[0] == average_precision([0, 1, 0, 1, 1])
 
 
 def test_rank_matches_sort_oracle(rng):
-    db = _random_codes(rng, 20, 24)
-    q = _random_codes(rng, 1, 24)
-    order = rank_by_hamming(q.words[0], db)
-    dists = [hamming(q.words[0], db.words[j]) for j in range(20)]
-    expect = sorted(range(20), key=lambda j: (dists[j], j))
-    assert list(order) == expect
+    # c = 4 makes most distances tie, so the index tie-break decides
+    q = _random_codes(rng, 10, 4)
+    db = _random_codes(rng, 20, 4)
+    ql = (rng.random((10, 3)) < 0.4).astype(np.uint8)
+    dl = (rng.random((20, 3)) < 0.4).astype(np.uint8)
+    ql[ql.sum(1) == 0, 0] = 1
+    dl[dl.sum(1) == 0, 0] = 1
+    result = evaluate(q, ql, db, dl, _partition([True, False, False]), "i2t")
+    assert np.array_equal(result.ap, _sort_oracle_aps(q, ql, db, dl))
 
 
 # --- average precision -------------------------------------------------------------
@@ -178,12 +194,7 @@ def test_evaluate_matches_brute_force(rng):
     dl[dl.sum(1) == 0, 0] = 1
     part = _partition([True, True, False])
     result = evaluate(q, ql, db, dl, part, "t2i")
-    aps = []
-    for i in range(6):
-        dists = [hamming(q.words[i], db.words[j]) for j in range(15)]
-        order = sorted(range(15), key=lambda j: (dists[j], j))
-        rel = [int(bool((ql[i] & dl[j]).any())) for j in order]
-        aps.append(average_precision(rel))
+    aps = _sort_oracle_aps(q, ql, db, dl)
     assert result.map_all == pytest.approx(np.mean(aps))
     tail = ql[:, 2] > 0
     if tail.any():

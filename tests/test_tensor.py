@@ -1,4 +1,5 @@
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 from ltcmh.errors import FormatError, ShapeError, TrainingError
 from ltcmh.tensor import (ACTIVATIONS, FeedForwardNet, LayerSpec, _activate,
-                          _activate_grad, finite_diff_grad, load_net, read_net,
-                          save_net, sgd_step, sigmoid, softplus, write_net)
+                          _activate_grad, finite_diff_grad, read_end, read_net,
+                          sgd_step, sigmoid, softplus, write_net)
 
 
 def rel_err(a, b):
@@ -288,11 +289,17 @@ def test_finite_diff_rejects_bad_eps(rng):
 
 # --- persistence ----------------------------------------------------------------
 
-def test_net_save_load_roundtrip(tmp_path, rng):
+def _net_bytes(net):
+    buf = io.BytesIO()
+    write_net(buf, net)
+    return buf.getvalue()
+
+
+def test_net_save_load_roundtrip(rng):
     net = FeedForwardNet([LayerSpec(3, 4, "relu"), LayerSpec(4, 2, "sigmoid")], rng)
-    path = tmp_path / "net.lcmh"
-    save_net(path, net)
-    loaded = load_net(path)
+    f = io.BytesIO(_net_bytes(net))
+    loaded = read_net(f)
+    read_end(f)
     assert [s.activation for s in loaded.specs] == ["relu", "sigmoid"]
     for w1, w2 in zip(net.weights, loaded.weights):
         assert np.array_equal(w1, w2)
@@ -300,47 +307,53 @@ def test_net_save_load_roundtrip(tmp_path, rng):
         assert np.array_equal(b1, b2)
 
 
-def test_net_save_is_byte_deterministic(tmp_path, rng):
+def test_net_save_is_byte_deterministic(rng):
     net = FeedForwardNet([LayerSpec(2, 2)], rng)
-    p1, p2 = tmp_path / "a", tmp_path / "b"
-    save_net(p1, net)
-    save_net(p2, net)
-    assert p1.read_bytes() == p2.read_bytes()
+    assert _net_bytes(net) == _net_bytes(net)
 
 
-def test_net_file_layout_matches_documentation(tmp_path, rng):
+def test_net_file_layout_matches_documentation(rng):
     net = FeedForwardNet([LayerSpec(2, 1, "tanh")], rng)
-    path = tmp_path / "net.lcmh"
-    save_net(path, net)
-    raw = path.read_bytes()
-    assert raw[:4] == b"LCMH"
-    assert int.from_bytes(raw[4:8], "little") == 1          # format version
-    assert int.from_bytes(raw[8:12], "little") == 1         # layer count
-    assert int.from_bytes(raw[12:16], "little") == 2        # input_dim
-    assert int.from_bytes(raw[16:20], "little") == 1        # output_dim
-    assert raw[20] == ACTIVATIONS.index("tanh")
-    params = np.frombuffer(raw[21:], dtype="<f8")
+    raw = _net_bytes(net)
+    assert int.from_bytes(raw[0:4], "little") == 1          # layer count
+    assert int.from_bytes(raw[4:8], "little") == 2          # input_dim
+    assert int.from_bytes(raw[8:12], "little") == 1         # output_dim
+    assert raw[12] == ACTIVATIONS.index("tanh")
+    params = np.frombuffer(raw[13:], dtype="<f8")
     assert np.array_equal(params[:2], net.weights[0].ravel())
     assert params[2] == net.biases[0][0]
 
 
-def test_load_net_bad_magic_raises(tmp_path):
-    path = tmp_path / "bad.lcmh"
-    path.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(FormatError):
-        load_net(path)
-
-
-def test_load_net_truncated_raises(tmp_path, rng):
-    net = FeedForwardNet([LayerSpec(3, 3)], rng)
-    path = tmp_path / "net.lcmh"
-    save_net(path, net)
-    raw = path.read_bytes()
-    cut = tmp_path / "trunc.lcmh"
+def test_load_net_truncated_raises(rng):
+    raw = _net_bytes(FeedForwardNet([LayerSpec(3, 3)], rng))
     for end in range(len(raw)):
-        cut.write_bytes(raw[:end])
         with pytest.raises(FormatError):
-            load_net(cut)
+            read_net(io.BytesIO(raw[:end]))
+
+
+@pytest.mark.parametrize("specs, message", [
+    ([], "at least one layer"),
+    ([LayerSpec(3, 2), LayerSpec(1, 2)], "layer chain broken"),
+])
+def test_net_chain_checked_on_build_and_read(specs, message, rng):
+    # read_net checks what FeedForwardNet checks; a model load turns the
+    # ShapeError into FormatError
+    with pytest.raises(ShapeError, match=message):
+        FeedForwardNet(specs, rng)
+    raw = struct.pack("<I", len(specs)) + b"".join(
+        struct.pack("<IIB", s.input_dim, s.output_dim, 0) for s in specs)
+    with pytest.raises(ShapeError, match=message):
+        read_net(io.BytesIO(raw + bytes(64)))
+
+
+def test_read_end_rejects_trailing_bytes():
+    f = io.BytesIO(b"abc")
+    f.read(3)
+    read_end(f)
+    f = io.BytesIO(b"abcd")
+    f.read(3)
+    with pytest.raises(FormatError, match="offset 3"):
+        read_end(f)
 
 
 def test_read_net_bad_activation_tag_raises(rng):
