@@ -150,17 +150,16 @@ def cmd_sweep(args):
     cfg = _load_cfg(args)
     if args.param not in ("alpha", "beta"):
         raise ConfigError(f"sweep param must be alpha or beta, got {args.param!r}")
-    values = [float(v) for v in args.values.split(",") if v.strip()]
+    values = [experiment._parse_value(args.param, v, 1.0)
+              for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("sweep needs at least one value")
     out = _outdir(args, cfg)
     data = ds.load_dataset(args.dataset)
-    other = "beta" if args.param == "alpha" else "alpha"
     rows = []
     for v in values:
         run_cfg = dict(cfg)
         run_cfg[args.param] = v
-        run_cfg[other] = 1.0
         _, model, _ = experiment.run_train(data, run_cfg)
         i2t = experiment.evaluate_direction(model, data, "i2t")
         t2i = experiment.evaluate_direction(model, data, "t2i")

@@ -22,14 +22,12 @@ from .hash_learn import HashModel, TrainConfig
 from .retrieval import BinaryCodeMatrix
 
 DEFAULTS = {
-    # dataset synthesis
+    # dataset synthesis: LongTailSpec's fields and defaults, except that
+    # the pool holds 30 samples per class beyond the training counts for
+    # the query and retrieval splits to draw from
     "groups": "4x200,10x20,10x5",
-    "d_x": 32,
-    "d_y": 24,
+    **{f.name: f.default for f in fields(LongTailSpec) if f.name != "groups"},
     "extra_per_class": 30,
-    "mixed_fraction": 0.2,
-    "latent_dim": 16,
-    "noise_std": 0.5,
     # label trimming and splits
     "min_keep": 2,
     "max_keep": 3,

@@ -33,6 +33,17 @@ from .tensor import (FeedForwardNet, LayerSpec, read_array, read_end,
 MODEL_MAGIC = b"LCMH"
 MODEL_FORMAT_VERSION = 2
 
+# Fixed training settings, not config keys.
+# Each network's update is clipped to this global gradient norm, so a step
+# stays bounded however large the learning rate or the loss surface's slope.
+CLIP_NORM = 1.0
+# In memory-phase epochs each prototype bank keeps this share of its old
+# centroids, so the memory follows the moving direct features smoothly.
+BANK_EMA = 0.9
+# Scale k of the nearest-centroid attention init: large enough that a
+# sample attends mostly to its nearest prototypes, small enough to stay soft.
+ATTENTION_INIT_SCALE = 3.0
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -40,7 +51,6 @@ class TrainConfig:
     alpha: float = 1.0
     beta: float = 1.0
     learning_rate: float = 0.03
-    momentum: float = 0.0
     epochs: int = 60
     batch_columns: int = 64
     seed: int = 0
@@ -49,16 +59,10 @@ class TrainConfig:
     head_threshold: int = 100
     hidden_dim: int = 64
     no_memory: bool = False
-    # optimization stabilizers: gradients are averaged over the training
-    # set and each network's update is clipped to a global norm. The
-    # memory path is fitted after `warmup_epochs` of direct-only training
-    # (see `train`). The default warm-up spans the whole run; only epochs
-    # past it train through the memory, while the prototype banks track
-    # the moving direct features with an exponential average.
-    clip_norm: float = 1.0
-    bank_momentum: float = 0.9
+    # the memory path is fitted after `warmup_epochs` of direct-only
+    # training (see `train`). The default warm-up spans the whole run;
+    # only epochs past it train through the memory.
     warmup_epochs: int = 60
-    attention_init_scale: float = 3.0
     normalize_weights: bool = True
 
     def __post_init__(self):
@@ -69,14 +73,8 @@ class TrainConfig:
         if min(self.code_length, self.hidden_dim, self.batch_columns) < 1:
             raise ConfigError(
                 "code_length, hidden_dim and batch_columns must be >= 1")
-        if self.clip_norm < 0:
-            raise ConfigError("clip_norm must be >= 0 (0 disables clipping)")
-        if not 0.0 <= self.bank_momentum < 1.0:
-            raise ConfigError("bank_momentum must be in [0, 1)")
         if self.warmup_epochs < 0:
             raise ConfigError("warmup_epochs must be >= 0")
-        if self.attention_init_scale < 0:
-            raise ConfigError("attention_init_scale must be >= 0")
 
 
 @dataclass
@@ -213,47 +211,40 @@ def _refresh_bank(embedder: MetaEmbedder, features: np.ndarray,
     return compute_prototypes(direct, labels, partition)
 
 
-def _clip_grads(grads, max_norm: float):
-    """Scale a per-net gradient list so its global L2 norm is <= max_norm."""
-    if max_norm <= 0:
-        return grads
+def _clip_grads(grads):
+    """Scale a per-net gradient list so its global L2 norm is <= CLIP_NORM."""
     total = np.sqrt(sum(float((dw * dw).sum() + (db * db).sum())
                         for dw, db in grads))
-    scale = min(1.0, max_norm / max(total, 1e-12))
+    scale = min(1.0, CLIP_NORM / max(total, 1e-12))
     if scale >= 1.0:
         return grads
     return [(dw * scale, db * scale) for dw, db in grads]
 
 
 def _apply_grads(embedder: MetaEmbedder, grads: meta_embed.EmbedGrads,
-                 config: TrainConfig, velocities: dict):
-    pairs = [("basic", embedder.basic_net, grads.basic)]
+                 learning_rate: float):
+    pairs = [(embedder.basic_net, grads.basic)]
     if grads.weight is not None:
-        pairs.append(("weight", embedder.weight_net, grads.weight))
+        pairs.append((embedder.weight_net, grads.weight))
     if grads.eta is not None:
-        pairs.append(("eta", embedder.eta_net, grads.eta))
-    for name, net, g in pairs:
-        g = _clip_grads(g, config.clip_norm)
-        velocities[name] = sgd_step(net, g, config.learning_rate,
-                                    momentum=config.momentum,
-                                    velocity=velocities.get(name))
+        pairs.append((embedder.eta_net, grads.eta))
+    for net, g in pairs:
+        sgd_step(net, _clip_grads(g), learning_rate)
 
 
 def _switch_on_memory(embedder: MetaEmbedder, bank: PrototypeBank,
                       features: np.ndarray, labels: np.ndarray,
-                      partition: HeadTailPartition, config: TrainConfig):
+                      partition: HeadTailPartition):
     """End of memory warm-up: refresh the bank from current direct features
     and initialize the attention weights to scaled nearest-centroid matching
-    (logits k·C·v − k‖C‖²/2, the log-posterior of an isotropic Gaussian
-    mixture over the prototypes)."""
-    fresh = _refresh_bank(embedder, features, labels, partition)
-    bank.centroids[:] = fresh.centroids
-    bank.counts[:] = fresh.counts
-    k = config.attention_init_scale
-    if k > 0:
-        embedder.weight_net.weights[0][:] = k * bank.centroids
-        embedder.weight_net.biases[0][:] = \
-            -0.5 * k * (bank.centroids ** 2).sum(axis=1)
+    (logits k·C·v − k‖C‖²/2 with k = ATTENTION_INIT_SCALE, the
+    log-posterior of an isotropic Gaussian mixture over the prototypes)."""
+    bank.centroids[:] = _refresh_bank(embedder, features, labels,
+                                      partition).centroids
+    k = ATTENTION_INIT_SCALE
+    embedder.weight_net.weights[0][:] = k * bank.centroids
+    embedder.weight_net.biases[0][:] = \
+        -0.5 * k * (bank.centroids ** 2).sum(axis=1)
     embedder.use_memory = True
 
 
@@ -269,8 +260,8 @@ def train(dataset: MultiModalDataset, train_indices: np.ndarray,
     the basic nets, history and B steps equal those of the no_memory
     ablation, and the memory is fitted once after the last epoch. Only the
     epochs - warmup_epochs epochs past the warm-up train through the
-    memory, with the banks tracking the moving direct features with
-    momentum. Per epoch: SGD passes over column
+    memory, with the banks tracking the moving direct features by an
+    exponential average (BANK_EMA). Per epoch: SGD passes over column
     minibatches of each modality against the full cross-modal objective
     (gradients averaged over the training set), then B is recomputed in
     closed form. Returns (model, history) where history holds one record
@@ -314,25 +305,22 @@ def train(dataset: MultiModalDataset, train_indices: np.ndarray,
     B = update_B(Vx, Vy)
 
     history = []
-    vel_x, vel_y = {}, {}
     for epoch in range(config.epochs):
         if memory_on and epoch == switch_epoch:
-            _switch_on_memory(ex, bank_x, X, labels, partition, config)
-            _switch_on_memory(ey, bank_y, Y, labels, partition, config)
+            _switch_on_memory(ex, bank_x, X, labels, partition)
+            _switch_on_memory(ey, bank_y, Y, labels, partition)
         elif memory_on and epoch > switch_epoch:
             for embedder, bank, feats in ((ex, bank_x, X), (ey, bank_y, Y)):
                 fresh = _refresh_bank(embedder, feats, labels, partition)
-                m = config.bank_momentum
-                bank.centroids[:] = (m * bank.centroids
-                                     + (1.0 - m) * fresh.centroids)
-                bank.counts[:] = fresh.counts
+                bank.centroids[:] = (BANK_EMA * bank.centroids
+                                     + (1.0 - BANK_EMA) * fresh.centroids)
         Vx, _ = meta_embed.embed_batch(ex, X, bank_x)
         Vy, _ = meta_embed.embed_batch(ey, Y, bank_y)
 
         order = rng.permutation(n)
-        for side, embedder, bank, feats, V, grad, vel in (
-                ("x", ex, bank_x, X, Vx, grad_Vx, vel_x),
-                ("y", ey, bank_y, Y, Vy, grad_Vy, vel_y)):
+        for side, embedder, bank, feats, V, grad in (
+                ("x", ex, bank_x, X, Vx, grad_Vx),
+                ("y", ey, bank_y, Y, Vy, grad_Vy)):
             for start in range(0, n, config.batch_columns):
                 cols = order[start:start + config.batch_columns]
                 v_batch, cache = meta_embed.embed_batch(embedder, feats[cols], bank)
@@ -344,7 +332,7 @@ def train(dataset: MultiModalDataset, train_indices: np.ndarray,
                         f"non-finite gradient at epoch {epoch}, side {side}, "
                         f"batch starting {start}")
                 grads = meta_embed.embed_backward(embedder, cache, g)
-                _apply_grads(embedder, grads, config, vel)
+                _apply_grads(embedder, grads, config.learning_rate)
 
         # the NLL and balance terms do not depend on B: only the
         # quantization term is recomputed after the B step
@@ -367,8 +355,8 @@ def train(dataset: MultiModalDataset, train_indices: np.ndarray,
     if memory_on and switch_epoch >= config.epochs:
         # the whole run was warm-up (the default): fit the memory once on
         # the final direct features so the model embeds meta features
-        _switch_on_memory(ex, bank_x, X, labels, partition, config)
-        _switch_on_memory(ey, bank_y, Y, labels, partition, config)
+        _switch_on_memory(ex, bank_x, X, labels, partition)
+        _switch_on_memory(ey, bank_y, Y, labels, partition)
         Vx, _ = meta_embed.embed_batch(ex, X, bank_x)
         Vy, _ = meta_embed.embed_batch(ey, Y, bank_y)
         B = update_B(Vx, Vy)

@@ -181,29 +181,14 @@ class FeedForwardNet:
         return param_grads, g
 
 
-def sgd_step(net: FeedForwardNet, param_grads, learning_rate, momentum=0.0,
-             velocity=None):
-    """In-place SGD update; returns the velocity state (for momentum > 0)."""
+def sgd_step(net: FeedForwardNet, param_grads, learning_rate):
+    """In-place plain SGD update of every layer's weights and biases."""
     for dw, db in param_grads:
         if not (np.all(np.isfinite(dw)) and np.all(np.isfinite(db))):
             raise TrainingError("non-finite gradient, aborting step")
-    if momentum == 0.0:
-        for k, (dw, db) in enumerate(param_grads):
-            net.weights[k] -= learning_rate * dw
-            net.biases[k] -= learning_rate * db
-        return None
-    if velocity is None:
-        velocity = [(np.zeros_like(dw), np.zeros_like(db))
-                    for dw, db in param_grads]
     for k, (dw, db) in enumerate(param_grads):
-        vw, vb = velocity[k]
-        vw *= momentum
-        vw += dw
-        vb *= momentum
-        vb += db
-        net.weights[k] -= learning_rate * vw
-        net.biases[k] -= learning_rate * vb
-    return velocity
+        net.weights[k] -= learning_rate * dw
+        net.biases[k] -= learning_rate * db
 
 
 def central_diff(loss_fn: Callable[[], float], arr: np.ndarray,

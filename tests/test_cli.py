@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from ltcmh import experiment, hash_learn, retrieval
 from ltcmh.cli import main
-from ltcmh.dataset import MultiModalDataset, load_dataset, save_dataset
+from ltcmh.dataset import (LongTailSpec, MultiModalDataset, load_dataset,
+                           save_dataset)
 from ltcmh.errors import FormatError, LtcmhError
 from ltcmh.tensor import LayerSpec
 
@@ -151,14 +152,19 @@ def test_train_learned_eta_without_memory_epochs_usage_error(pipeline,
                  *_sets(["warmup_epochs=4", learned])]) == 1
 
 
+@pytest.mark.parametrize("setting", [
+    "learned_eta=true", "momentum=0.5", "clip_norm=0", "bank_momentum=0.5",
+    "attention_init_scale=1"])
 def test_train_learned_eta_key_removed_usage_error(pipeline, tmp_path,
-                                                   capsys):
-    # eta_mode=learned is the one spelling; the old alias is an unknown key
+                                                   capsys, setting):
+    # eta_mode=learned is the one spelling of the old learned_eta alias;
+    # the SGD momentum, clip norm, bank EMA and attention-init scale are
+    # fixed, so their former keys are unknown keys too
     assert main(["train", "--dataset",
                  str(pipeline / "data" / "dataset.lcmd"),
-                 "--out", str(tmp_path / "out"),
-                 *_sets(["learned_eta=true"])]) == 1
-    assert "unknown config key 'learned_eta'" in capsys.readouterr().err
+                 "--out", str(tmp_path / "out"), *_sets([setting])]) == 1
+    key = setting.split("=")[0]
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
 def test_train_missing_dataset_io_error(tmp_path):
@@ -183,8 +189,13 @@ def test_effective_config_roundtrip(pipeline, tmp_path):
 
 
 def test_train_config_defaults_are_train_config_defaults():
-    assert (experiment.train_config(experiment.load_config())
-            == hash_learn.TrainConfig())
+    cfg = experiment.load_config()
+    assert experiment.train_config(cfg) == hash_learn.TrainConfig()
+    # the synthesis keys are LongTailSpec's defaults, except for the 30
+    # extra samples per class that the query and retrieval splits draw on
+    spec = experiment.longtail_spec(cfg)
+    assert spec == LongTailSpec(groups=spec.groups, extra_per_class=30)
+    assert LongTailSpec(groups=spec.groups).extra_per_class == 0
 
 
 # --- encode -----------------------------------------------------------------------
@@ -489,11 +500,32 @@ def test_sweep_rows_and_reproducibility(pipeline, tmp_path):
     assert len(lines) == 3
 
 
-def test_sweep_bad_param_usage_error(pipeline, tmp_path):
+def test_sweep_keeps_the_other_weight(pipeline, tmp_path, monkeypatch):
+    # sweeping alpha leaves a beta set with --set (or a config file) as is
+    seen = []
+    real = experiment.run_train
+
+    def run_train(dataset, cfg):
+        seen.append((cfg["alpha"], cfg["beta"]))
+        return real(dataset, cfg)
+
+    monkeypatch.setattr(experiment, "run_train", run_train)
+    assert main(["sweep", "--dataset",
+                 str(pipeline / "data" / "dataset.lcmd"), "--param", "alpha",
+                 "--values", "0.5,2", "--out", str(tmp_path / "s"),
+                 *_sets(["epochs=2", "beta=0.5"])]) == 0
+    assert seen == [(0.5, 0.5), (2.0, 0.5)]
+
+
+@pytest.mark.parametrize("param, values", [("gamma", "1"),
+                                           ("alpha", "0.5,abc")])
+def test_sweep_bad_param_usage_error(pipeline, tmp_path, capsys, param,
+                                     values):
     assert main(["sweep", "--dataset",
                  str(pipeline / "data" / "dataset.lcmd"),
-                 "--param", "gamma", "--values", "1",
+                 "--param", param, "--values", values,
                  "--out", str(tmp_path / "s")]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 # --- argparse plumbing -------------------------------------------------------------

@@ -211,9 +211,7 @@ def test_update_B_shape_mismatch():
 
 @pytest.mark.parametrize("kw", [
     dict(learning_rate=0.0), dict(epochs=-1), dict(code_length=0),
-    dict(batch_columns=0), dict(clip_norm=-1.0), dict(bank_momentum=1.0),
-    dict(warmup_epochs=-1), dict(attention_init_scale=-0.5),
-    dict(hidden_dim=0),
+    dict(batch_columns=0), dict(warmup_epochs=-1), dict(hidden_dim=0),
 ])
 def test_train_config_rejects(kw):
     with pytest.raises(ConfigError):
@@ -280,9 +278,10 @@ def test_train_deterministic():
 
 
 def test_train_divergence_raises():
+    # gradients are clipped to norm 1, so only a step size this large
+    # overflows the weights
     data = _separable_dataset()
-    cfg = _fast_config(epochs=30, learning_rate=1e12, clip_norm=0.0,
-                       warmup_epochs=0)
+    cfg = _fast_config(epochs=30, learning_rate=1e100, warmup_epochs=0)
     with np.errstate(all="ignore"):
         with pytest.raises(TrainingError):
             train(data, np.arange(data.n), cfg)

@@ -251,16 +251,6 @@ def test_sgd_on_convex_quadratic_decreases_monotonically(rng):
     assert all(b < a for a, b in zip(losses, losses[1:]))
 
 
-def test_sgd_momentum_accumulates(rng):
-    net = FeedForwardNet([LayerSpec(1, 1)], rng)
-    net.weights[0][:] = 0.0
-    g = [(np.array([[1.0]]), np.zeros(1))]
-    vel = sgd_step(net, g, 0.1, momentum=0.9)
-    vel = sgd_step(net, g, 0.1, momentum=0.9, velocity=vel)
-    # steps: 0.1*1 then 0.1*(0.9*1+1) = 0.29 total
-    assert np.isclose(net.weights[0][0, 0], -0.29)
-
-
 # --- finite_diff_grad -----------------------------------------------------------
 
 def test_finite_diff_simple_quadratic(rng):
