@@ -211,7 +211,9 @@ def test_update_B_shape_mismatch():
 
 @pytest.mark.parametrize("kw", [
     dict(learning_rate=0.0), dict(epochs=-1), dict(code_length=0),
-    dict(batch_columns=0), dict(warmup_epochs=-1), dict(hidden_dim=0),
+    dict(batch_columns=0), dict(learning_rate=-0.5), dict(code_length=-1),
+    dict(warmup_epochs=-1), dict(batch_columns=-1),
+    dict(hidden_dim=0),
 ])
 def test_train_config_rejects(kw):
     with pytest.raises(ConfigError):
