@@ -154,6 +154,8 @@ def cmd_sweep(args):
               for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("sweep needs at least one value")
+    for v in values:   # reject a bad value before the first run trains
+        experiment.train_config({**cfg, args.param: v})
     out = _outdir(args, cfg)
     data = ds.load_dataset(args.dataset)
     rows = []

@@ -161,14 +161,18 @@ def trim_labels(labels: np.ndarray, min_keep: int = 2, max_keep: int = 3,
 
 
 def build_affinity(labels_a: np.ndarray, labels_b: np.ndarray) -> np.ndarray:
-    """a_ij = 1 iff rows i (of labels_a) and j (of labels_b) share a label."""
+    """a_ij = 1 iff rows i (of labels_a) and j (of labels_b) share a label.
+
+    Labels are 0/1, so each dot product counts shared labels; float32 holds
+    such counts exactly for L < 2**24 and the matmul runs through BLAS."""
     labels_a = np.asarray(labels_a)
     labels_b = np.asarray(labels_b)
     if labels_a.shape[1] != labels_b.shape[1]:
         raise ShapeError(
             f"label widths differ: {labels_a.shape} vs {labels_b.shape}"
         )
-    return (labels_a.astype(np.int64) @ labels_b.astype(np.int64).T > 0).astype(np.uint8)
+    shared = labels_a.astype(np.float32) @ labels_b.astype(np.float32).T
+    return (shared > 0).astype(np.uint8)
 
 
 def split_head_tail(class_counts: np.ndarray, threshold: int) -> HeadTailPartition:

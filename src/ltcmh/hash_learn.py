@@ -66,8 +66,11 @@ class TrainConfig:
     normalize_weights: bool = True
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigError("learning_rate must be finite and positive")
+        for name in ("alpha", "beta", "eta_max"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be finite and >= 0")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
         if min(self.code_length, self.hidden_dim, self.batch_columns) < 1:

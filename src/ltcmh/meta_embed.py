@@ -24,6 +24,7 @@ from .tensor import FeedForwardNet, ForwardCache
 
 ETA_MODES = ("intent_ratio", "as_printed", "learned")
 ETA_EPS = 1e-12
+ETA_BLOCK = 4096   # eta_ratio rows per block; bounds its block x L x c temporary
 
 
 @dataclass
@@ -120,10 +121,15 @@ def eta_ratio(v_direct: np.ndarray, bank: PrototypeBank, mode: str,
         raise ConfigError(
             "ratio eta modes need at least one non-empty head and tail class"
         )
-    # squared distances to every centroid, samples x L
-    d2 = ((v_direct[:, None, :] - bank.centroids[None, :, :]) ** 2).sum(axis=2)
-    d_head = d2[:, head].min(axis=1)
-    d_tail = d2[:, tail].min(axis=1)
+    # squared distances to every centroid, one row block at a time
+    d_head = np.empty(v_direct.shape[0])
+    d_tail = np.empty(v_direct.shape[0])
+    for start in range(0, v_direct.shape[0], ETA_BLOCK):
+        rows = slice(start, start + ETA_BLOCK)
+        d2 = ((v_direct[rows, None, :] - bank.centroids[None, :, :]) ** 2
+              ).sum(axis=2)
+        d_head[rows] = d2[:, head].min(axis=1)
+        d_tail[rows] = d2[:, tail].min(axis=1)
     if mode == "intent_ratio":
         eta = d_head / np.maximum(d_tail, ETA_EPS)
     else:

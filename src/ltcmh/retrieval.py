@@ -20,6 +20,7 @@ from .tensor import (read_array, read_end, read_exact, read_header,
 
 CODES_MAGIC = b"LCMB"
 CODES_FORMAT_VERSION = 1
+EVAL_CHUNK = 32   # query rows ranked at a time by evaluate
 
 
 @dataclass
@@ -54,11 +55,13 @@ def binarize(V: np.ndarray) -> BinaryCodeMatrix:
 
 
 def hamming_matrix(queries: BinaryCodeMatrix, db: BinaryCodeMatrix) -> np.ndarray:
-    """All-pairs Hamming distances (n_query x n_db)."""
+    """All-pairs Hamming distances (n_query x n_db) in the narrowest unsigned
+    dtype that holds c: uint8 for c <= 255, uint16 for c <= 65535."""
     if queries.c != db.c:
         raise ShapeError(f"code lengths differ: {queries.c} vs {db.c}")
     xored = queries.words[:, None, :] ^ db.words[None, :, :]
-    return np.bitwise_count(xored).sum(axis=2).astype(np.int64)
+    return np.bitwise_count(xored).sum(axis=2,
+                                       dtype=np.min_scalar_type(queries.c))
 
 
 def average_precision(relevance: np.ndarray) -> float:
@@ -107,20 +110,31 @@ def evaluate(query_codes: BinaryCodeMatrix, query_labels: np.ndarray,
              db_codes: BinaryCodeMatrix, db_labels: np.ndarray,
              partition: HeadTailPartition, direction: str) -> RetrievalResult:
     """Rank the database for every query and compute MAP with head/tail
-    breakdown. Relevance = sharing at least one label."""
+    breakdown. Relevance = sharing at least one label.
+
+    Queries are ranked EVAL_CHUNK rows at a time (a stable sort by distance,
+    ties in database order), so memory is O(EVAL_CHUNK * n_db)."""
     if query_codes.n == 0:
         raise EvaluationError("empty query set")
     if query_labels.shape[1] != db_labels.shape[1]:
         raise ShapeError(
             f"label widths differ: {query_labels.shape} vs {db_labels.shape}"
         )
-    relevant = build_affinity(query_labels, db_labels).astype(bool)
-    dists = hamming_matrix(query_codes, db_codes)
-    rankings = np.argsort(dists, axis=1, kind="stable")
-    ap = np.array([
-        average_precision(relevant[i, rankings[i]])
-        for i in range(query_codes.n)
-    ])
+    if (query_labels.shape[0], db_labels.shape[0]) != (query_codes.n, db_codes.n):
+        raise ShapeError(
+            f"label rows {query_labels.shape[0]}, {db_labels.shape[0]} != "
+            f"code rows {query_codes.n}, {db_codes.n}"
+        )
+    ap = np.empty(query_codes.n)
+    for start in range(0, query_codes.n, EVAL_CHUNK):
+        rows = slice(start, start + EVAL_CHUNK)
+        chunk = BinaryCodeMatrix(c=query_codes.c, words=query_codes.words[rows])
+        relevant = build_affinity(query_labels[rows], db_labels)
+        rankings = np.argsort(hamming_matrix(chunk, db_codes), axis=1,
+                              kind="stable")
+        ranked = np.take_along_axis(relevant, rankings, axis=1)
+        for i, rel in enumerate(ranked, start):
+            ap[i] = average_precision(rel)
     head_mask, tail_mask = query_groups(query_labels, partition)
     return RetrievalResult(
         direction=direction,

@@ -528,6 +528,20 @@ def test_sweep_bad_param_usage_error(pipeline, tmp_path, capsys, param,
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["train", "--set", "alpha=nan"],
+    ["sweep", "--param", "alpha", "--values", "0.5,nan"],
+])
+def test_nonfinite_weight_usage_error(pipeline, tmp_path, capsys, command):
+    # a non-finite weight is a config error before any training, not a
+    # numerical failure at epoch 0; sweep rejects it before its first run
+    assert main([command[0], "--dataset",
+                 str(pipeline / "data" / "dataset.lcmd"),
+                 "--out", str(tmp_path / "out"), *command[1:],
+                 *_sets()]) == 1
+    assert "alpha must be finite and >= 0" in capsys.readouterr().err
+
+
 # --- argparse plumbing -------------------------------------------------------------
 
 def test_missing_subcommand_usage_error(capsys):

@@ -214,6 +214,9 @@ def test_update_B_shape_mismatch():
     dict(batch_columns=0), dict(learning_rate=-0.5), dict(code_length=-1),
     dict(warmup_epochs=-1), dict(batch_columns=-1),
     dict(hidden_dim=0),
+    dict(alpha=float("nan")), dict(beta=float("inf")), dict(alpha=-1.0),
+    dict(eta_max=float("nan")), dict(eta_max=-1.0),
+    dict(learning_rate=float("nan")),
 ])
 def test_train_config_rejects(kw):
     with pytest.raises(ConfigError):

@@ -5,7 +5,8 @@ from ltcmh import gradcheck
 from ltcmh.dataset import HeadTailPartition
 from ltcmh.errors import ConfigError, ShapeError
 from ltcmh.meta_embed import (MetaEmbedder, PrototypeBank, compute_prototypes,
-                              embed_backward, embed_batch, eta_ratio)
+                              ETA_BLOCK, embed_backward, embed_batch,
+                              eta_ratio)
 from ltcmh.tensor import FeedForwardNet, LayerSpec
 
 
@@ -213,6 +214,22 @@ def test_eta_errors():
     for mode in ("nope", "learned"):
         with pytest.raises(ConfigError):
             eta_ratio(v, _bank([[0.0], [1.0]], [True, False]), mode, 10.0)
+
+
+@pytest.mark.parametrize("mode", ["intent_ratio", "as_printed"])
+def test_eta_ratio_invariant_under_row_blocks(mode, rng):
+    # one full block plus a partial one; eta_max is far above every ratio,
+    # so no clamp hides a difference in the distances
+    v = rng.normal(size=(ETA_BLOCK + 17, 6))
+    bank = _bank(rng.normal(size=(5, 6)), [True, True, False, False, False])
+    whole = eta_ratio(v, bank, mode, 1e9)
+    by_row = np.concatenate([eta_ratio(v[i:i + 1], bank, mode, 1e9)
+                             for i in range(len(v))])
+    assert np.array_equal(whole, by_row)
+    d2 = ((v[:, None, :] - bank.centroids[None, :, :]) ** 2).sum(axis=2)
+    d_head, d_tail = d2[:, :2].min(axis=1), d2[:, 2:].min(axis=1)
+    ratio = d_head / d_tail if mode == "intent_ratio" else d_tail / d_head
+    assert np.array_equal(whole, ratio)
 
 
 # --- meta features ----------------------------------------------------------------

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 from ltcmh.dataset import HeadTailPartition
 from ltcmh.errors import EvaluationError, FormatError, ShapeError
-from ltcmh.retrieval import (BinaryCodeMatrix, average_precision, binarize,
-                             evaluate, hamming_matrix, load_codes,
+from ltcmh.retrieval import (EVAL_CHUNK, BinaryCodeMatrix, average_precision,
+                             binarize, evaluate, hamming_matrix, load_codes,
                              query_groups, save_codes, write_result_csv)
 
 
@@ -101,6 +102,20 @@ def test_hamming_matrix_matches_pairwise(rng):
     assert np.array_equal(hamming_matrix(q, db), _unpacked_distances(q, db))
 
 
+@pytest.mark.parametrize("c, dtype", [(8, np.uint8), (255, np.uint8),
+                                      (256, np.uint16), (300, np.uint16)])
+def test_hamming_matrix_dtype(c, dtype, rng):
+    # the last 4 database rows complement the queries, so the largest
+    # distance, c itself, must fit the dtype
+    Vq = rng.normal(size=(c, 4))
+    q = binarize(Vq)
+    db = binarize(np.hstack([rng.normal(size=(c, 6)), -Vq]))
+    D = hamming_matrix(q, db)
+    assert D.dtype == dtype
+    assert np.array_equal(D, _unpacked_distances(q, db))
+    assert D.max() == c
+
+
 def test_hamming_triangle_inequality(rng):
     codes = _random_codes(rng, 30, 40)
     D = hamming_matrix(codes, codes)
@@ -143,6 +158,56 @@ def test_rank_matches_sort_oracle(rng):
     dl[dl.sum(1) == 0, 0] = 1
     result = evaluate(q, ql, db, dl, _partition([True, False, False]), "i2t")
     assert np.array_equal(result.ap, _sort_oracle_aps(q, ql, db, dl))
+
+
+def _random_labels(rng, n, L):
+    labels = (rng.random((n, L)) < 0.3).astype(np.uint8)
+    labels[labels.sum(1) == 0, 0] = 1
+    return labels
+
+
+def _full_matrix_evaluate(q, ql, db, dl, partition):
+    """evaluate's ranking done in one piece: int64 label affinity, distances
+    from the unpacked codes, one stable argsort of the n_q x n_db matrix."""
+    relevant = (ql.astype(np.int64) @ dl.astype(np.int64).T) > 0
+    rankings = np.argsort(_unpacked_distances(q, db), axis=1, kind="stable")
+    ap = np.array([average_precision(relevant[i, rankings[i]])
+                   for i in range(q.n)])
+    head, tail = query_groups(ql, partition)
+    return (ap, float(ap.mean()),
+            float(ap[head].mean()) if head.any() else 0.0,
+            float(ap[tail].mean()) if tail.any() else 0.0)
+
+
+@pytest.mark.parametrize("n_q", [EVAL_CHUNK // 2, 2 * EVAL_CHUNK + 5])
+@pytest.mark.parametrize("c", [4, 300])
+def test_evaluate_bit_identical_to_full_matrix(n_q, c, rng):
+    # c = 4: most distances tie and the index tie-break decides;
+    # c = 300: five words per code and uint16 distances
+    q, db = _random_codes(rng, n_q, c), _random_codes(rng, 150, c)
+    ql, dl = _random_labels(rng, n_q, 5), _random_labels(rng, 150, 5)
+    part = _partition([True, True, False, False, False])
+    result = evaluate(q, ql, db, dl, part, "i2t")
+    ap, map_all, map_head, map_tail = _full_matrix_evaluate(q, ql, db, dl, part)
+    assert np.array_equal(result.ap, ap)
+    assert (result.map_all, result.map_head, result.map_tail) == \
+        (map_all, map_head, map_tail)
+
+
+def test_evaluate_memory_bounded(rng):
+    # a full n_q x n_db ranking would allocate ~300 MB here; the chunked
+    # one stays near 30 MB
+    n_q, n_db, c, L = 240, 50_000, 16, 24
+    q, db = _random_codes(rng, n_q, c), _random_codes(rng, n_db, c)
+    ql, dl = _random_labels(rng, n_q, L), _random_labels(rng, n_db, L)
+    part = _partition(np.arange(L) < 6)
+    tracemalloc.start()
+    try:
+        evaluate(q, ql, db, dl, part, "i2t")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20
 
 
 # --- average precision -------------------------------------------------------------
@@ -216,6 +281,16 @@ def test_evaluate_label_width_mismatch(rng):
     with pytest.raises(ShapeError):
         evaluate(codes, np.ones((2, 2), np.uint8), codes,
                  np.ones((2, 3), np.uint8), _partition([True, False]), "i2t")
+
+
+@pytest.mark.parametrize("n_ql, n_dl", [(3, 4), (2, 5), (2, 3)])
+def test_evaluate_label_rows_mismatch(rng, n_ql, n_dl):
+    # one label row too many or too few on either side; a database label
+    # row past the codes would otherwise be ignored without an error
+    q, db = _random_codes(rng, 2, 8), _random_codes(rng, 4, 8)
+    with pytest.raises(ShapeError):
+        evaluate(q, np.ones((n_ql, 2), np.uint8), db,
+                 np.ones((n_dl, 2), np.uint8), _partition([True, False]), "i2t")
 
 
 def test_query_groups_any_tail_rule():
