@@ -5,12 +5,15 @@ Run from the repository root:
     python demos/02_gradient_check.py
 
 Covers activation derivatives, full-network backprop, the analytic
-objective gradient, and the meta-embedding backward pass (softmax and raw
-attention, ratio and learned eta). A deliberately corrupted pass shows the
-check actually catches broken gradients.
+objective gradient, and the meta-embedding backward pass (ratio and
+learned eta). A gradient broken on purpose shows the check actually
+catches broken gradients.
 """
 
+import numpy as np
+
 from ltcmh import gradcheck
+from ltcmh.tensor import FeedForwardNet, LayerSpec, finite_diff_grad
 
 print("== gradient suites (max relative error vs central differences) ==")
 errors = gradcheck.run_all(seed=0)
@@ -18,10 +21,23 @@ for name, err in errors.items():
     print(f"  {name:<24} {err:.3e}")
 print(f"overall: {max(errors.values()):.3e} (threshold 1e-3)")
 
-print("\n== negative control: gradient deliberately corrupted by +0.05 ==")
-bad = gradcheck.check_net_backward(seed=0, corrupt=True)
-print(f"  net_backward (corrupt)   {bad:.3e}  -> "
-      f"{'caught' if bad > 1e-3 else 'MISSED'}")
+print("\n== negative control: a backprop gradient broken by +0.05 ==")
+rng = np.random.default_rng(0)
+net = FeedForwardNet([LayerSpec(4, 5, "tanh"), LayerSpec(5, 3, "sigmoid"),
+                      LayerSpec(3, 2, "identity")], rng)
+batch = rng.normal(size=(6, 4))
+R = rng.normal(size=(6, 2))
+_, cache = net.forward(batch)
+(dw, _), *_ = net.backward(cache, R)[0]
+numeric = finite_diff_grad(lambda n: float((R * n.forward(batch)[0]).sum()),
+                           net, 1e-6)
+intact = gradcheck.rel_err(dw, numeric[0][0])
+broken = gradcheck.rel_err(dw + 0.05, numeric[0][0])
+caught = broken > 1e-3 > intact
+print(f"  first-layer dW  intact {intact:.3e}, broken {broken:.3e}  -> "
+      f"{'caught' if caught else 'MISSED'}")
+if not caught or max(errors.values()) > 1e-3:
+    raise SystemExit("gradient check failed")
 
 print("\n== step-size sweep: error stays bounded across eps ==")
 for eps in (1e-5, 1e-6, 1e-7):

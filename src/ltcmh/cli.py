@@ -133,8 +133,7 @@ def cmd_eval(args):
 
 
 def cmd_gradcheck(args):
-    errors = gradcheck.run_all(seed=args.seed if args.seed is not None else 0,
-                               corrupt=args.corrupt)
+    errors = gradcheck.run_all(seed=args.seed)
     worst = max(errors.values())
     for name, err in errors.items():
         print(f"{name:<24} max relative error {err:.3e}")
@@ -218,8 +217,6 @@ def build_parser():
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threshold", type=float, default=1e-3)
-    p.add_argument("--corrupt", action="store_true",
-                   help=argparse.SUPPRESS)  # negative-control test hook
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("sweep", help="hyperparameter sensitivity sweep")

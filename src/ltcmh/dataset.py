@@ -76,6 +76,12 @@ class LongTailSpec:
             raise ConfigError("groups must be sorted by descending samples_per_class")
         if not 0.0 <= self.mixed_fraction <= 1.0:
             raise ConfigError("mixed_fraction must be in [0, 1]")
+        if min(self.d_x, self.d_y, self.latent_dim) < 1:
+            raise ConfigError("d_x, d_y and latent_dim must be >= 1")
+        if self.extra_per_class < 0:
+            raise ConfigError("extra_per_class must be >= 0")
+        if not 0.0 <= self.noise_std < np.inf:
+            raise ConfigError("noise_std must be finite and >= 0")
 
     @property
     def num_classes(self):
@@ -141,6 +147,9 @@ def trim_labels(labels: np.ndarray, min_keep: int = 2, max_keep: int = 3,
     row is drawn uniformly from [min_keep, max_keep]. Rows already at or
     below max_keep labels pass through unchanged.
     """
+    if not 1 <= min_keep <= max_keep:
+        raise ConfigError(f"need 1 <= min_keep <= max_keep, got "
+                          f"min_keep={min_keep}, max_keep={max_keep}")
     labels = np.asarray(labels)
     if np.any(labels.sum(axis=1) < 1):
         raise ValueError("every row needs at least one label")
@@ -192,8 +201,7 @@ def primary_labels(labels: np.ndarray) -> np.ndarray:
 def split_query_retrieval(dataset: MultiModalDataset,
                           train_per_class: np.ndarray,
                           queries_per_class: int = 50,
-                          seed: int = 0,
-                          retrieval_includes_queries: bool = False):
+                          seed: int = 0):
     """Carve (train, query, retrieval) index sets out of the full pool.
 
     Per class (by primary label): train_per_class[k] samples go to training,
@@ -208,6 +216,8 @@ def split_query_retrieval(dataset: MultiModalDataset,
         raise ShapeError(
             f"train_per_class shape {train_per_class.shape} != ({L},)"
         )
+    if queries_per_class < 0:
+        raise ConfigError("queries_per_class must be >= 0")
     rng = np.random.default_rng(seed)
     prim = primary_labels(dataset.labels)
     train, query, retrieval = [], [], []
@@ -225,8 +235,6 @@ def split_query_retrieval(dataset: MultiModalDataset,
     train = np.sort(np.concatenate(train))
     query = np.sort(np.concatenate(query))
     retrieval = np.sort(np.concatenate(retrieval))
-    if retrieval_includes_queries:
-        retrieval = np.sort(np.concatenate([retrieval, query]))
     return train, query, retrieval
 
 
@@ -249,6 +257,9 @@ def load_dataset(path) -> MultiModalDataset:
     with open(path, "rb") as f:
         read_header(f, DATASET_MAGIC, DATASET_FORMAT_VERSION, "dataset")
         n, d_x, d_y, L = struct.unpack("<QQQQ", read_exact(f, 32, "header"))
+        if d_x == 0 or d_y == 0:
+            raise FormatError(f"zero feature width d_x={d_x}, d_y={d_y} "
+                              f"at offset {16 if d_x == 0 else 24}")
         X = read_array(f, "<f8", (n, d_x), "X")
         Y = read_array(f, "<f8", (n, d_y), "Y")
         labels_at = f.tell()

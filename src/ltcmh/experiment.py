@@ -32,7 +32,6 @@ DEFAULTS = {
     "min_keep": 2,
     "max_keep": 3,
     "queries_per_class": 10,
-    "retrieval_includes_queries": False,
     # training and ablations: TrainConfig's fields and defaults
     **{f.name: f.default for f in fields(TrainConfig)},
 }
@@ -59,7 +58,11 @@ def load_config(path=None, overrides=()):
     """Merged config: defaults, then file, then key=value overrides."""
     cfg = dict(DEFAULTS)
     if path is not None:
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path}: not UTF-8 at byte {e.start}") from None
+        for lineno, line in enumerate(text.splitlines(), 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -124,8 +127,7 @@ def prepare_splits(dataset: MultiModalDataset, cfg):
             f"has {dataset.num_classes}")
     train_idx, query_idx, retr_idx = split_query_retrieval(
         trimmed, spec.class_counts(),
-        queries_per_class=cfg["queries_per_class"], seed=cfg["seed"],
-        retrieval_includes_queries=cfg["retrieval_includes_queries"])
+        queries_per_class=cfg["queries_per_class"], seed=cfg["seed"])
     return trimmed, train_idx, query_idx, retr_idx
 
 
@@ -156,7 +158,7 @@ def split_indices(model: HashModel, name: str) -> np.ndarray:
     if name == "retrieval":
         return model.retrieval_indices
     if name == "all":
-        # retrieval may include the queries, so the splits can overlap
+        # a model file may hold overlapping splits, so take the union
         return np.unique(np.concatenate([
             model.train_indices, model.query_indices,
             model.retrieval_indices]))

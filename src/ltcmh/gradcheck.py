@@ -34,7 +34,7 @@ def check_activations(seed=0, points=100, eps=1e-6):
     return worst
 
 
-def check_net_backward(seed=0, eps=1e-6, corrupt=False):
+def check_net_backward(seed=0, eps=1e-6):
     """Full-net parameter gradients vs finite_diff_grad for a random scalar
     loss (weighted sum of outputs)."""
     rng = np.random.default_rng(seed)
@@ -52,14 +52,11 @@ def check_net_backward(seed=0, eps=1e-6, corrupt=False):
     numeric = finite_diff_grad(loss_fn, net, eps)
     worst = 0.0
     for (adw, adb), (ndw, ndb) in zip(analytic, numeric):
-        if corrupt:
-            adw = adw + 0.05
         worst = max(worst, rel_err(adw, ndw), rel_err(adb, ndb))
     return worst
 
 
-def check_objective_grad(instances=50, seed=0, eps=1e-6, corrupt=False,
-                         max_n=8, max_c=8):
+def check_objective_grad(instances=50, seed=0, eps=1e-6, max_n=8, max_c=8):
     """Analytic dJ/dVx and dJ/dVy vs central differences of the joint
     objective with V treated as free variables, on all columns and on a
     random column subset (the column batches `train` asks for)."""
@@ -84,13 +81,11 @@ def check_objective_grad(instances=50, seed=0, eps=1e-6, corrupt=False,
             for analytic, expect in (
                     (grad(Vx, Vy, A, B, alpha, beta), numeric),
                     (grad(Vx, Vy, A, B, alpha, beta, cols), numeric[:, cols])):
-                if corrupt:
-                    analytic = analytic + 0.05
                 worst = max(worst, rel_err(analytic, expect))
     return worst
 
 
-def _tiny_embed_setup(seed, eta_mode, normalize=True):
+def _tiny_embed_setup(seed, eta_mode):
     rng = np.random.default_rng(seed)
     c, L, d, n = 3, 4, 5, 6
     basic = FeedForwardNet([LayerSpec(d, 4, "tanh"), LayerSpec(4, c, "identity")], rng)
@@ -99,8 +94,7 @@ def _tiny_embed_setup(seed, eta_mode, normalize=True):
                if eta_mode == "learned" else None)
     embedder = MetaEmbedder(basic_net=basic, weight_net=weight,
                             eta_max=hash_learn.TrainConfig().eta_max,
-                            eta_mode=eta_mode, eta_net=eta_net,
-                            normalize_weights=normalize)
+                            eta_mode=eta_mode, eta_net=eta_net)
     batch = rng.normal(size=(n, d))
     labels = np.zeros((n, L), dtype=np.uint8)
     labels[np.arange(n), rng.integers(0, L, size=n)] = 1
@@ -112,12 +106,11 @@ def _tiny_embed_setup(seed, eta_mode, normalize=True):
     return embedder, batch, bank, R
 
 
-def check_embed_backward(seed=0, eps=1e-6, eta_mode="intent_ratio",
-                         corrupt=False, normalize=True):
+def check_embed_backward(seed=0, eps=1e-6, eta_mode="intent_ratio"):
     """embed_backward vs finite differences through the full meta embedding
     (bank held fixed, matching the stop-gradient on prototypes and ratio eta).
     """
-    embedder, batch, bank, R = _tiny_embed_setup(seed, eta_mode, normalize)
+    embedder, batch, bank, R = _tiny_embed_setup(seed, eta_mode)
     _, cache0 = meta_embed.embed_batch(embedder, batch, bank)
     frozen_eta = None if cache0.eta is None else cache0.eta.copy()
 
@@ -130,8 +123,7 @@ def check_embed_backward(seed=0, eps=1e-6, eta_mode="intent_ratio",
         # derivative
         direct, _ = embedder.basic_net.forward(batch)
         logits, _ = embedder.weight_net.forward(direct)
-        w = meta_embed._attention_weights(logits, bank.nonempty[None, :],
-                                          normalize)
+        w = meta_embed._attention_weights(logits, bank.nonempty[None, :])
         v_memory = w @ bank.centroids
         v_meta = (direct + frozen_eta[:, None] * v_memory).T
         return float((R * v_meta).sum())
@@ -146,24 +138,18 @@ def check_embed_backward(seed=0, eps=1e-6, eta_mode="intent_ratio",
     for net, analytic in checked:
         numeric = finite_diff_grad(loss_with, net, eps)
         for (adw, adb), (ndw, ndb) in zip(analytic, numeric):
-            if corrupt:
-                adw = adw + 0.05
             worst = max(worst, rel_err(adw, ndw), rel_err(adb, ndb))
     return worst
 
 
-def run_all(seed=0, corrupt=False):
+def run_all(seed=0):
     """All suites; returns {suite name: max relative error}."""
     return {
         "activations": check_activations(seed),
-        "net_backward": check_net_backward(seed, corrupt=corrupt),
+        "net_backward": check_net_backward(seed),
         "objective_grad": check_objective_grad(instances=10, seed=seed,
-                                               corrupt=corrupt,
                                                max_n=5, max_c=5),
-        "embed_backward": check_embed_backward(seed, corrupt=corrupt),
+        "embed_backward": check_embed_backward(seed),
         "embed_backward_learned": check_embed_backward(seed,
-                                                       eta_mode="learned",
-                                                       corrupt=corrupt),
-        "embed_backward_raw": check_embed_backward(seed, corrupt=corrupt,
-                                                   normalize=False),
+                                                       eta_mode="learned"),
     }

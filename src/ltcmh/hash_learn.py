@@ -63,7 +63,6 @@ class TrainConfig:
     # training (see `train`). The default warm-up spans the whole run;
     # only epochs past it train through the memory.
     warmup_epochs: int = 60
-    normalize_weights: bool = True
 
     def __post_init__(self):
         if not 0 < self.learning_rate < np.inf:
@@ -204,8 +203,7 @@ def _build_embedder(input_dim: int, num_classes: int, config: TrainConfig,
     return MetaEmbedder(basic_net=basic, weight_net=weight,
                         eta_mode=config.eta_mode, eta_net=eta_net,
                         use_memory=not config.no_memory,
-                        eta_max=config.eta_max,
-                        normalize_weights=config.normalize_weights)
+                        eta_max=config.eta_max)
 
 
 def _refresh_bank(embedder: MetaEmbedder, features: np.ndarray,
@@ -401,9 +399,9 @@ def _read_array(f: BinaryIO, dtype: str, ndim: int) -> np.ndarray:
 
 
 def _write_embedder(f: BinaryIO, e: MetaEmbedder):
+    # the third byte is the attention tag: 1 (softmax) is the only one
     mode = meta_embed.ETA_MODES.index(e.eta_mode)
-    f.write(struct.pack("<BBBd", mode, int(e.use_memory),
-                        int(e.normalize_weights), e.eta_max))
+    f.write(struct.pack("<BBBd", mode, int(e.use_memory), 1, e.eta_max))
     write_net(f, e.basic_net)
     write_net(f, e.weight_net)
     f.write(struct.pack("<B", int(e.eta_net is not None)))
@@ -412,10 +410,13 @@ def _write_embedder(f: BinaryIO, e: MetaEmbedder):
 
 
 def _read_embedder(f: BinaryIO) -> MetaEmbedder:
-    mode, use_memory, normalize, eta_max = struct.unpack(
+    mode, use_memory, attention, eta_max = struct.unpack(
         "<BBBd", read_exact(f, 11, "embedder header"))
     if mode >= len(meta_embed.ETA_MODES):
         raise FormatError(f"bad eta-mode tag {mode} at offset {f.tell() - 11}")
+    if attention != 1:
+        raise FormatError(f"bad attention tag {attention} at offset "
+                          f"{f.tell() - 9}, expected 1 (softmax)")
     try:
         basic = read_net(f)
         weight = read_net(f)
@@ -424,7 +425,7 @@ def _read_embedder(f: BinaryIO) -> MetaEmbedder:
         return MetaEmbedder(basic_net=basic, weight_net=weight,
                             eta_mode=meta_embed.ETA_MODES[mode],
                             eta_net=eta_net, use_memory=bool(use_memory),
-                            eta_max=eta_max, normalize_weights=bool(normalize))
+                            eta_max=eta_max)
     except (ConfigError, ShapeError) as e:
         raise FormatError(f"inconsistent embedder before offset {f.tell()}: {e}")
 

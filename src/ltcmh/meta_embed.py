@@ -50,7 +50,6 @@ class MetaEmbedder:
     eta_mode: str = "intent_ratio"
     eta_net: Optional[FeedForwardNet] = None
     use_memory: bool = True
-    normalize_weights: bool = True
 
     def __post_init__(self):
         if self.eta_mode not in ETA_MODES:
@@ -78,7 +77,6 @@ class EmbedCache:
     eta: Optional[np.ndarray]       # per-sample
     eta_cache: Optional[ForwardCache]
     centroids: Optional[np.ndarray]
-    mask: Optional[np.ndarray] = None   # non-empty classes, length L
 
 
 @dataclass
@@ -137,12 +135,9 @@ def eta_ratio(v_direct: np.ndarray, bank: PrototypeBank, mode: str,
     return np.clip(eta, 0.0, eta_max)
 
 
-def _attention_weights(logits: np.ndarray, mask: np.ndarray,
-                       normalize: bool) -> np.ndarray:
-    """Row softmax of the logits restricted to mask=True columns, or the
-    raw logits when normalize is False; masked entries get 0."""
-    if not normalize:
-        return np.where(mask, logits, 0.0)
+def _attention_weights(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Row softmax of the logits restricted to mask=True columns; masked
+    entries get 0."""
     z = np.where(mask, logits, -np.inf)
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -162,8 +157,7 @@ def embed_batch(embedder: MetaEmbedder, batch: np.ndarray, bank: PrototypeBank):
     if not bank.nonempty.any():
         raise ConfigError("all prototype classes are empty")
     logits, w_cache = embedder.weight_net.forward(v_direct)
-    w = _attention_weights(logits, bank.nonempty[None, :],
-                           embedder.normalize_weights)
+    w = _attention_weights(logits, bank.nonempty[None, :])
     v_memory = w @ bank.centroids
     if embedder.eta_mode == "learned":
         eta_out, e_cache = embedder.eta_net.forward(v_direct)
@@ -174,8 +168,7 @@ def embed_batch(embedder: MetaEmbedder, batch: np.ndarray, bank: PrototypeBank):
     v_meta = v_direct + etas[:, None] * v_memory
     cache = EmbedCache(basic_cache=b_cache, v_direct=v_direct,
                        weight_cache=w_cache, weights=w, v_memory=v_memory,
-                       eta=etas, eta_cache=e_cache, centroids=bank.centroids,
-                       mask=bank.nonempty.copy())
+                       eta=etas, eta_cache=e_cache, centroids=bank.centroids)
     return v_meta.T, cache
 
 
@@ -200,10 +193,7 @@ def embed_backward(embedder: MetaEmbedder, cache: EmbedCache,
     d_vmem = cache.eta[:, None] * g
     d_w = d_vmem @ cache.centroids.T
     w = cache.weights
-    if embedder.normalize_weights:
-        d_logits = w * (d_w - (d_w * w).sum(axis=1, keepdims=True))
-    else:
-        d_logits = np.where(cache.mask[None, :], d_w, 0.0)
+    d_logits = w * (d_w - (d_w * w).sum(axis=1, keepdims=True))
     weight_grads, d_vdirect_w = embedder.weight_net.backward(
         cache.weight_cache, d_logits)
     d_vdirect = g + d_vdirect_w

@@ -8,7 +8,7 @@ from ltcmh.cli import main
 from ltcmh.dataset import (LongTailSpec, MultiModalDataset, load_dataset,
                            save_dataset)
 from ltcmh.errors import FormatError, LtcmhError
-from ltcmh.tensor import LayerSpec
+from ltcmh.tensor import FeedForwardNet, LayerSpec
 
 FAST = [
     "groups=2x12,2x5", "d_x=8", "d_y=6", "extra_per_class=4",
@@ -105,11 +105,29 @@ def test_unknown_config_key_usage_error(tmp_path):
                  "not_a_key=1"]) == 1
 
 
+def test_non_utf8_config_usage_error(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes("seed = 1  # r\xe9glage\n".encode("latin-1"))
+    assert main(["synth", "--out", str(tmp_path / "bad"),
+                 "--config", str(path)]) == 1
+    assert f"{path}: not UTF-8 at byte 13" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, setting, message", [
     ("synth", "epochs=abc", "'epochs'"),
     ("synth", "alpha=x", "'alpha'"),
     ("synth", "mixed_fraction=2", "mixed_fraction"),
     ("train", "hidden_dim=0", "hidden_dim"),
+    ("train", "queries_per_class=-1", "queries_per_class"),
+    ("train", "max_keep=0", "max_keep=0"),
+    ("train", "min_keep=4", "min_keep=4"),
+    ("synth", "d_x=-1", "d_x"),
+    ("synth", "d_x=0", "d_x"),
+    ("synth", "d_y=0", "d_y"),
+    ("synth", "latent_dim=0", "latent_dim"),
+    ("synth", "extra_per_class=-50", "extra_per_class"),
+    ("synth", "noise_std=-1", "noise_std"),
+    ("synth", "noise_std=nan", "noise_std"),
 ])
 def test_bad_config_value_usage_error(pipeline, tmp_path, capsys, command,
                                       setting, message):
@@ -154,12 +172,14 @@ def test_train_learned_eta_without_memory_epochs_usage_error(pipeline,
 
 @pytest.mark.parametrize("setting", [
     "learned_eta=true", "momentum=0.5", "clip_norm=0", "bank_momentum=0.5",
-    "attention_init_scale=1"])
+    "attention_init_scale=1", "normalize_weights=false",
+    "retrieval_includes_queries=true"])
 def test_train_learned_eta_key_removed_usage_error(pipeline, tmp_path,
                                                    capsys, setting):
     # eta_mode=learned is the one spelling of the old learned_eta alias;
     # the SGD momentum, clip norm, bank EMA and attention-init scale are
-    # fixed, so their former keys are unknown keys too
+    # fixed, attention is always a softmax and the query split is never part
+    # of retrieval, so their former keys are unknown keys too
     assert main(["train", "--dataset",
                  str(pipeline / "data" / "dataset.lcmd"),
                  "--out", str(tmp_path / "out"), *_sets([setting])]) == 1
@@ -297,13 +317,16 @@ def test_encode_overflowing_model_numerical_error(pipeline, tmp_path, capsys):
 
 
 def test_encode_all_with_queries_in_retrieval(pipeline, tmp_path):
-    # the query split is then part of retrieval, so the splits overlap
+    # training never writes overlapping splits, but a model file may hold
+    # them: put the query split into retrieval too
     data_path = str(pipeline / "data" / "dataset.lcmd")
-    run = tmp_path / "run"
-    assert main(["train", "--dataset", data_path, "--out", str(run),
-                 *_sets(["retrieval_includes_queries=true"])]) == 0
+    model = hash_learn.load_model(pipeline / "run" / "model.lcmh")
+    model.retrieval_indices = np.union1d(model.retrieval_indices,
+                                         model.query_indices)
+    overlapping = tmp_path / "overlapping.lcmh"
+    hash_learn.save_model(overlapping, model)
     out = tmp_path / "all.lcmb"
-    assert main(["encode", "--model", str(run / "model.lcmh"), "--dataset",
+    assert main(["encode", "--model", str(overlapping), "--dataset",
                  data_path, "--modality", "image", "--split", "all",
                  "--out", str(out)]) == 0
     assert retrieval.load_codes(out).n == load_dataset(data_path).n
@@ -477,8 +500,16 @@ def test_gradcheck_passes(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
-def test_gradcheck_corrupt_negative_control(capsys):
-    assert main(["gradcheck", "--corrupt"]) == 3
+def test_gradcheck_corrupt_negative_control(monkeypatch, capsys):
+    # a broken backprop in the network code itself must fail the check
+    backward = FeedForwardNet.backward
+
+    def broken(self, cache, output_grad):
+        ((dw, db), *rest), input_grad = backward(self, cache, output_grad)
+        return [(dw + 0.05, db), *rest], input_grad
+
+    monkeypatch.setattr(FeedForwardNet, "backward", broken)
+    assert main(["gradcheck"]) == 3
     assert "FAIL" in capsys.readouterr().err
 
 

@@ -226,15 +226,6 @@ def test_split_zero_queries(tiny_dataset):
     assert len(train) + len(retrieval) == tiny_dataset.n
 
 
-def test_split_retrieval_includes_queries_flag(tiny_dataset):
-    from conftest import tiny_spec
-    spec = tiny_spec()
-    _, query, retrieval = split_query_retrieval(
-        tiny_dataset, spec.class_counts(), queries_per_class=2, seed=0,
-        retrieval_includes_queries=True)
-    assert set(query) <= set(retrieval)
-
-
 def test_split_errors_when_class_has_no_spare_samples():
     data = synthesize_long_tailed(LongTailSpec(groups=[(1, 4)], d_x=3, d_y=3),
                                   seed=0)
@@ -304,6 +295,18 @@ def test_dataset_bad_header_rejected(tmp_path, header, match):
     path.write_bytes(b"LCMD" + struct.pack("<I", 1) + struct.pack("<QQQQ", *header)
                      + bytes(8 * n * (d_x + d_y)))
     with pytest.raises(FormatError, match=match):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("d_x, d_y, offset", [(0, 2, 16), (2, 0, 24)])
+def test_dataset_zero_feature_width_rejected(tmp_path, d_x, d_y, offset):
+    # a well-formed file without image or without text features: no net
+    # can take it, so it is rejected at load, as L = 0 is
+    data = MultiModalDataset(X=np.zeros((3, d_x)), Y=np.zeros((3, d_y)),
+                             labels=np.ones((3, 1), np.uint8))
+    path = tmp_path / "d.lcmd"
+    save_dataset(data, path)
+    with pytest.raises(FormatError, match=f"at offset {offset}"):
         load_dataset(path)
 
 

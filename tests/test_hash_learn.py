@@ -140,9 +140,11 @@ def test_grad_matches_finite_differences():
     assert gradcheck.check_objective_grad(instances=50, seed=0) < 1e-4
 
 
-def test_gradcheck_negative_control():
-    assert gradcheck.check_objective_grad(instances=3, seed=0,
-                                          corrupt=True) > 1e-3
+def test_gradcheck_negative_control(monkeypatch):
+    # a broken gradient in the function that trains must fail the check
+    grad = hash_learn.grad_Vx
+    monkeypatch.setattr(hash_learn, "grad_Vx", lambda *a: grad(*a) + 0.05)
+    assert gradcheck.check_objective_grad(instances=3, seed=0) > 1e-3
 
 
 def test_grad_vy_symmetry(rng):
@@ -357,7 +359,7 @@ def test_model_roundtrip(tmp_path):
     assert np.array_equal(loaded.bank_y.counts, model.bank_y.counts)
     assert loaded.embedder_x.eta_mode == model.embedder_x.eta_mode
     assert loaded.embedder_x.eta_max == model.embedder_x.eta_max
-    assert loaded.embedder_x.normalize_weights
+    assert path.read_bytes()[26] == 1     # the image attention tag
     for w1, w2 in zip(loaded.embedder_x.basic_net.weights,
                       model.embedder_x.basic_net.weights):
         assert np.array_equal(w1, w2)
@@ -440,6 +442,14 @@ def test_model_bad_eta_mode_tag(tmp_path):
     # header starts with its eta-mode tag
     path = _corrupt_model(tmp_path, 24, bytes([7]))
     with pytest.raises(FormatError, match="eta-mode tag 7"):
+        load_model(path)
+
+
+def test_model_bad_attention_tag(tmp_path):
+    # the third byte of the embedder header is the attention tag, and 1
+    # (softmax) is the only attention there is
+    path = _corrupt_model(tmp_path, 26, bytes([0]))
+    with pytest.raises(FormatError, match="offset 26"):
         load_model(path)
 
 

@@ -93,7 +93,7 @@ def _identity(c):
 
 
 def _embed(v, bank, weight_net, eta_mode="learned", eta_net=None,
-           eta_max=10.0, normalize=True):
+           eta_max=10.0):
     """embed_batch on the rows of v through an identity basic net. Learned
     eta by default, so the memory path needs no head/tail classes."""
     v = np.atleast_2d(np.asarray(v, dtype=np.float64))
@@ -102,8 +102,7 @@ def _embed(v, bank, weight_net, eta_mode="learned", eta_net=None,
         eta_net = FeedForwardNet([LayerSpec(c, 1, "sigmoid")],
                                  np.random.default_rng(1))
     emb = MetaEmbedder(basic_net=_identity(c), weight_net=weight_net,
-                       eta_max=eta_max, eta_mode=eta_mode, eta_net=eta_net,
-                       normalize_weights=normalize)
+                       eta_max=eta_max, eta_mode=eta_mode, eta_net=eta_net)
     return embed_batch(emb, v, bank)
 
 
@@ -149,14 +148,15 @@ def test_memory_simplex_property(rng):
         assert np.all(w[:, ~bank.nonempty] == 0)
 
 
-def test_memory_raw_mode_uses_masked_logits(rng):
+def test_memory_masked_softmax_oracle(rng):
     bank = _bank(rng.normal(size=(3, 2)), [True, False, False],
                  counts=[2, 1, 0])
     net = _net((2, 3), rng)
     v = rng.normal(size=2)
     logits, _ = net.forward(v[None, :])
-    _, cache = _embed(v, bank, net, normalize=False)
-    expect_w = np.where(bank.nonempty, logits[0], 0.0)
+    _, cache = _embed(v, bank, net)
+    e = np.exp(logits[0, :2])
+    expect_w = np.append(e / e.sum(), 0.0)   # the empty class gets none
     assert np.allclose(cache.weights[0], expect_w)
     assert np.allclose(cache.v_memory[0], expect_w @ bank.centroids)
 
@@ -375,7 +375,6 @@ def test_backward_shape_mismatch(rng):
 def test_backward_finite_difference_suites():
     for mode, err in (("intent_ratio", None), ("learned", None)):
         assert gradcheck.check_embed_backward(seed=0, eta_mode=mode) < 1e-4
-    assert gradcheck.check_embed_backward(seed=0, normalize=False) < 1e-4
 
 
 # --- embedder validation ----------------------------------------------------------
