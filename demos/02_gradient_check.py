@@ -5,8 +5,8 @@ Run from the repository root:
     python demos/02_gradient_check.py
 
 Covers activation derivatives, full-network backprop, the analytic
-objective gradient, and the meta-embedding backward pass (ratio and
-learned eta). A gradient broken on purpose shows the check actually
+objective gradient, and the meta-embedding backward pass (with eta held
+constant, as training holds it). A gradient broken on purpose shows the check actually
 catches broken gradients.
 """
 

@@ -133,6 +133,8 @@ def cmd_eval(args):
 
 
 def cmd_gradcheck(args):
+    if args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     errors = gradcheck.run_all(seed=args.seed)
     worst = max(errors.values())
     for name, err in errors.items():

@@ -79,6 +79,8 @@ def load_config(path=None, overrides=()):
         if key not in DEFAULTS:
             raise ConfigError(f"unknown config key {key!r}")
         cfg[key] = _parse_value(key, raw, DEFAULTS[key])
+    if cfg["seed"] < 0:   # NumPy's generators take no negative seed
+        raise ConfigError(f"seed must be >= 0, got {cfg['seed']}")
     return cfg
 
 

@@ -85,16 +85,13 @@ def check_objective_grad(instances=50, seed=0, eps=1e-6, max_n=8, max_c=8):
     return worst
 
 
-def _tiny_embed_setup(seed, eta_mode):
+def _tiny_embed_setup(seed):
     rng = np.random.default_rng(seed)
     c, L, d, n = 3, 4, 5, 6
     basic = FeedForwardNet([LayerSpec(d, 4, "tanh"), LayerSpec(4, c, "identity")], rng)
     weight = FeedForwardNet([LayerSpec(c, L, "identity")], rng)
-    eta_net = (FeedForwardNet([LayerSpec(c, 1, "sigmoid")], rng)
-               if eta_mode == "learned" else None)
     embedder = MetaEmbedder(basic_net=basic, weight_net=weight,
-                            eta_max=hash_learn.TrainConfig().eta_max,
-                            eta_mode=eta_mode, eta_net=eta_net)
+                            eta_max=hash_learn.TrainConfig().eta_max)
     batch = rng.normal(size=(n, d))
     labels = np.zeros((n, L), dtype=np.uint8)
     labels[np.arange(n), rng.integers(0, L, size=n)] = 1
@@ -106,36 +103,28 @@ def _tiny_embed_setup(seed, eta_mode):
     return embedder, batch, bank, R
 
 
-def check_embed_backward(seed=0, eps=1e-6, eta_mode="intent_ratio"):
+def check_embed_backward(seed=0, eps=1e-6):
     """embed_backward vs finite differences through the full meta embedding
-    (bank held fixed, matching the stop-gradient on prototypes and ratio eta).
+    (bank held fixed, matching the stop-gradient on prototypes and eta).
     """
-    embedder, batch, bank, R = _tiny_embed_setup(seed, eta_mode)
-    _, cache0 = meta_embed.embed_batch(embedder, batch, bank)
-    frozen_eta = None if cache0.eta is None else cache0.eta.copy()
+    embedder, batch, bank, R = _tiny_embed_setup(seed)
+    _, cache = meta_embed.embed_batch(embedder, batch, bank)
+    grads = meta_embed.embed_backward(embedder, cache, R)
 
     def loss_with(net):
-        if eta_mode == "learned":
-            v_meta, _ = meta_embed.embed_batch(embedder, batch, bank)
-            return float((R * v_meta).sum())
-        # ratio eta is a stop-gradient constant: evaluate the embedding with
-        # eta frozen at its cached values so the oracle matches the defined
+        # eta is a stop-gradient constant: evaluate the embedding with eta
+        # frozen at its cached values so the oracle matches the defined
         # derivative
         direct, _ = embedder.basic_net.forward(batch)
         logits, _ = embedder.weight_net.forward(direct)
         w = meta_embed._attention_weights(logits, bank.nonempty[None, :])
         v_memory = w @ bank.centroids
-        v_meta = (direct + frozen_eta[:, None] * v_memory).T
+        v_meta = (direct + cache.eta[:, None] * v_memory).T
         return float((R * v_meta).sum())
 
-    _, cache = meta_embed.embed_batch(embedder, batch, bank)
-    grads = meta_embed.embed_backward(embedder, cache, R)
     worst = 0.0
-    checked = [(embedder.basic_net, grads.basic),
-               (embedder.weight_net, grads.weight)]
-    if eta_mode == "learned":
-        checked.append((embedder.eta_net, grads.eta))
-    for net, analytic in checked:
+    for net, analytic in ((embedder.basic_net, grads.basic),
+                          (embedder.weight_net, grads.weight)):
         numeric = finite_diff_grad(loss_with, net, eps)
         for (adw, adb), (ndw, ndb) in zip(analytic, numeric):
             worst = max(worst, rel_err(adw, ndw), rel_err(adb, ndb))
@@ -150,6 +139,4 @@ def run_all(seed=0):
         "objective_grad": check_objective_grad(instances=10, seed=seed,
                                                max_n=5, max_c=5),
         "embed_backward": check_embed_backward(seed),
-        "embed_backward_learned": check_embed_backward(seed,
-                                                       eta_mode="learned"),
     }

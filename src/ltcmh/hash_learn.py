@@ -77,6 +77,9 @@ class TrainConfig:
                 "code_length, hidden_dim and batch_columns must be >= 1")
         if self.warmup_epochs < 0:
             raise ConfigError("warmup_epochs must be >= 0")
+        if self.eta_mode not in meta_embed.ETA_MODES:
+            raise ConfigError(f"eta_mode {self.eta_mode!r} is not one of "
+                              f"{', '.join(meta_embed.ETA_MODES)}")
 
 
 @dataclass
@@ -197,11 +200,8 @@ def _build_embedder(input_dim: int, num_classes: int, config: TrainConfig,
         [LayerSpec(input_dim, config.hidden_dim, "relu"),
          LayerSpec(config.hidden_dim, c, "identity")], rng)
     weight = FeedForwardNet([LayerSpec(c, num_classes, "identity")], rng)
-    eta_net = None
-    if config.eta_mode == "learned":
-        eta_net = FeedForwardNet([LayerSpec(c, 1, "sigmoid")], rng)
     return MetaEmbedder(basic_net=basic, weight_net=weight,
-                        eta_mode=config.eta_mode, eta_net=eta_net,
+                        eta_mode=config.eta_mode,
                         use_memory=not config.no_memory,
                         eta_max=config.eta_max)
 
@@ -227,8 +227,6 @@ def _apply_grads(embedder: MetaEmbedder, grads: meta_embed.EmbedGrads,
     pairs = [(embedder.basic_net, grads.basic)]
     if grads.weight is not None:
         pairs.append((embedder.weight_net, grads.weight))
-    if grads.eta is not None:
-        pairs.append((embedder.eta_net, grads.eta))
     for net, g in pairs:
         sgd_step(net, _clip_grads(g), learning_rate)
 
@@ -268,19 +266,13 @@ def train(dataset: MultiModalDataset, train_indices: np.ndarray,
     closed form. Returns (model, history) where history holds one record
     per epoch including the loss before and after the B step.
 
-    eta_mode="learned" needs memory-phase epochs, since the eta net is
-    trained only while the memory is on; without them it raises
-    ConfigError rather than return an untrained eta net.
+    With the memory on, eta needs a non-empty head and a non-empty tail
+    class under head_threshold; a partition without both raises
+    ConfigError before the first epoch.
     """
     train_indices = np.asarray(train_indices, dtype=np.int64)
     if train_indices.size == 0:
         raise ConfigError("training split is empty")
-    if (config.eta_mode == "learned" and not config.no_memory
-            and config.warmup_epochs >= config.epochs):
-        raise ConfigError(
-            f"eta_mode=learned needs warmup_epochs < epochs: the eta net "
-            f"trains only in memory-phase epochs, and warmup_epochs="
-            f"{config.warmup_epochs} leaves none of epochs={config.epochs}")
     X = dataset.X[train_indices]
     Y = dataset.Y[train_indices]
     labels = dataset.labels[train_indices]
@@ -290,9 +282,15 @@ def train(dataset: MultiModalDataset, train_indices: np.ndarray,
     rng = np.random.default_rng(config.seed)
     counts = labels.sum(axis=0).astype(np.int64)
     partition = split_head_tail(counts, config.head_threshold)
+    memory_on = not config.no_memory
+    # head classes are never empty (threshold >= 1); eta needs a tail one too
+    if memory_on and not (partition.is_head.any()
+                          and counts[~partition.is_head].any()):
+        raise ConfigError(
+            f"head_threshold={config.head_threshold} leaves no head class or "
+            f"no non-empty tail class, and eta needs both")
     ex = _build_embedder(X.shape[1], dataset.num_classes, config, rng)
     ey = _build_embedder(Y.shape[1], dataset.num_classes, config, rng)
-    memory_on = not config.no_memory
     if memory_on:
         # warm-up: start with the memory path off
         ex.use_memory = False
@@ -404,9 +402,7 @@ def _write_embedder(f: BinaryIO, e: MetaEmbedder):
     f.write(struct.pack("<BBBd", mode, int(e.use_memory), 1, e.eta_max))
     write_net(f, e.basic_net)
     write_net(f, e.weight_net)
-    f.write(struct.pack("<B", int(e.eta_net is not None)))
-    if e.eta_net is not None:
-        write_net(f, e.eta_net)
+    f.write(b"\0")   # the eta-net flag: there is no eta net
 
 
 def _read_embedder(f: BinaryIO) -> MetaEmbedder:
@@ -420,12 +416,13 @@ def _read_embedder(f: BinaryIO) -> MetaEmbedder:
     try:
         basic = read_net(f)
         weight = read_net(f)
-        (has_eta,) = struct.unpack("<B", read_exact(f, 1, "eta-net flag"))
-        eta_net = read_net(f) if has_eta else None
+        (has_eta,) = read_exact(f, 1, "eta-net flag")
+        if has_eta != 0:
+            raise FormatError(f"bad eta-net flag {has_eta} at offset "
+                              f"{f.tell() - 1}, expected 0")
         return MetaEmbedder(basic_net=basic, weight_net=weight,
                             eta_mode=meta_embed.ETA_MODES[mode],
-                            eta_net=eta_net, use_memory=bool(use_memory),
-                            eta_max=eta_max)
+                            use_memory=bool(use_memory), eta_max=eta_max)
     except (ConfigError, ShapeError) as e:
         raise FormatError(f"inconsistent embedder before offset {f.tell()}: {e}")
 
@@ -493,8 +490,8 @@ def _check_model(model: HashModel):
     for side, e, bank in (("image", model.embedder_x, model.bank_x),
                           ("text", model.embedder_y, model.bank_y)):
         L = e.weight_net.output_dim
-        params = [p for net in (e.basic_net, e.weight_net, e.eta_net)
-                  if net is not None for p in net.weights + net.biases]
+        params = [p for net in (e.basic_net, e.weight_net)
+                  for p in net.weights + net.biases]
         checks += [
             (all(np.isfinite(p).all() for p in params + [bank.centroids])
              and np.isfinite(e.eta_max),
@@ -505,9 +502,6 @@ def _check_model(model: HashModel):
             (bank.counts.shape == bank.is_head.shape == (L,),
              f"{side} class counts {bank.counts.shape} and head flags "
              f"{bank.is_head.shape} do not have length {L}"),
-            (e.eta_net is None
-             or (e.eta_net.input_dim, e.eta_net.output_dim) == (c, 1),
-             f"{side} eta net does not map {c} inputs to 1 output"),
         ]
     idx = model.train_indices
     checks.append((model.B.shape == (c, idx.size),

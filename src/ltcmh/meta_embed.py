@@ -6,9 +6,10 @@ softmax-weighted combination of per-class centroids, and the meta feature is
 
     v_meta = v_direct + eta * v_memory
 
-where eta trades direct against memory evidence. eta comes in three modes:
-``intent_ratio`` (default: near-head samples get small eta), ``as_printed``
-(the reciprocal ratio), and ``learned`` (a sigmoid-output net).
+where eta trades direct against memory evidence. eta is a ratio of a
+sample's squared distances to the nearest head and tail prototypes, in one
+of two modes: ``intent_ratio`` (default: near-head samples get small eta)
+or ``as_printed`` (the reciprocal ratio).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .dataset import HeadTailPartition
 from .errors import ConfigError, ShapeError
 from .tensor import FeedForwardNet, ForwardCache
 
-ETA_MODES = ("intent_ratio", "as_printed", "learned")
+ETA_MODES = ("intent_ratio", "as_printed")
 ETA_EPS = 1e-12
 ETA_BLOCK = 4096   # eta_ratio rows per block; bounds its block x L x c temporary
 
@@ -48,14 +49,11 @@ class MetaEmbedder:
     weight_net: FeedForwardNet
     eta_max: float
     eta_mode: str = "intent_ratio"
-    eta_net: Optional[FeedForwardNet] = None
     use_memory: bool = True
 
     def __post_init__(self):
         if self.eta_mode not in ETA_MODES:
             raise ConfigError(f"unknown eta mode {self.eta_mode!r}")
-        if self.eta_mode == "learned" and self.use_memory and self.eta_net is None:
-            raise ConfigError("learned eta mode needs an eta_net")
         if self.weight_net.input_dim != self.basic_net.output_dim:
             raise ShapeError(
                 f"weight net input {self.weight_net.input_dim} != "
@@ -75,7 +73,6 @@ class EmbedCache:
     weights: Optional[np.ndarray]   # samples x L, zero at empty classes
     v_memory: Optional[np.ndarray]  # samples x c
     eta: Optional[np.ndarray]       # per-sample
-    eta_cache: Optional[ForwardCache]
     centroids: Optional[np.ndarray]
 
 
@@ -83,7 +80,6 @@ class EmbedCache:
 class EmbedGrads:
     basic: list
     weight: Optional[list]
-    eta: Optional[list]
 
 
 def compute_prototypes(direct_features: np.ndarray, labels: np.ndarray,
@@ -108,17 +104,16 @@ def compute_prototypes(direct_features: np.ndarray, labels: np.ndarray,
 
 def eta_ratio(v_direct: np.ndarray, bank: PrototypeBank, mode: str,
               eta_max: float) -> np.ndarray:
-    """Ratio-mode eta for each row of a samples x c matrix of direct
-    features, from its squared distances to the nearest non-empty head and
-    tail centroids, clipped to [0, eta_max]."""
-    if mode not in ("intent_ratio", "as_printed"):
-        raise ConfigError(f"{mode!r} is not a ratio eta mode")
+    """eta for each row of a samples x c matrix of direct features, from
+    its squared distances to the nearest non-empty head and tail centroids,
+    clipped to [0, eta_max]."""
+    if mode not in ETA_MODES:
+        raise ConfigError(f"{mode!r} is not an eta mode")
     head = bank.nonempty & bank.is_head
     tail = bank.nonempty & ~bank.is_head
     if not head.any() or not tail.any():
-        raise ConfigError(
-            "ratio eta modes need at least one non-empty head and tail class"
-        )
+        raise ConfigError("eta needs a non-empty head and a non-empty tail "
+                          "class")
     # squared distances to every centroid, one row block at a time
     d_head = np.empty(v_direct.shape[0])
     d_tail = np.empty(v_direct.shape[0])
@@ -151,7 +146,7 @@ def embed_batch(embedder: MetaEmbedder, batch: np.ndarray, bank: PrototypeBank):
     if not embedder.use_memory:
         cache = EmbedCache(basic_cache=b_cache, v_direct=v_direct,
                            weight_cache=None, weights=None, v_memory=None,
-                           eta=None, eta_cache=None, centroids=None)
+                           eta=None, centroids=None)
         return v_direct.T, cache
 
     if not bank.nonempty.any():
@@ -159,16 +154,11 @@ def embed_batch(embedder: MetaEmbedder, batch: np.ndarray, bank: PrototypeBank):
     logits, w_cache = embedder.weight_net.forward(v_direct)
     w = _attention_weights(logits, bank.nonempty[None, :])
     v_memory = w @ bank.centroids
-    if embedder.eta_mode == "learned":
-        eta_out, e_cache = embedder.eta_net.forward(v_direct)
-        etas = eta_out[:, 0]
-    else:
-        etas = eta_ratio(v_direct, bank, embedder.eta_mode, embedder.eta_max)
-        e_cache = None
+    etas = eta_ratio(v_direct, bank, embedder.eta_mode, embedder.eta_max)
     v_meta = v_direct + etas[:, None] * v_memory
     cache = EmbedCache(basic_cache=b_cache, v_direct=v_direct,
                        weight_cache=w_cache, weights=w, v_memory=v_memory,
-                       eta=etas, eta_cache=e_cache, centroids=bank.centroids)
+                       eta=etas, centroids=bank.centroids)
     return v_meta.T, cache
 
 
@@ -176,9 +166,9 @@ def embed_backward(embedder: MetaEmbedder, cache: EmbedCache,
                    meta_grad: np.ndarray) -> EmbedGrads:
     """Backpropagate dL/dV_meta (c x samples) into network parameters.
 
-    Prototypes are frozen within an epoch, and ratio-mode eta is treated as
-    a constant; gradient reaches v_direct both directly and through the
-    weight net (and eta net in learned mode).
+    Prototypes are frozen within an epoch, and eta is treated as a
+    constant; gradient reaches v_direct both directly and through the
+    weight net.
     """
     g = np.asarray(meta_grad, dtype=np.float64).T   # samples x c
     if g.shape != cache.v_direct.shape:
@@ -188,7 +178,7 @@ def embed_backward(embedder: MetaEmbedder, cache: EmbedCache,
         )
     if not embedder.use_memory:
         basic_grads, _ = embedder.basic_net.backward(cache.basic_cache, g)
-        return EmbedGrads(basic=basic_grads, weight=None, eta=None)
+        return EmbedGrads(basic=basic_grads, weight=None)
 
     d_vmem = cache.eta[:, None] * g
     d_w = d_vmem @ cache.centroids.T
@@ -196,13 +186,6 @@ def embed_backward(embedder: MetaEmbedder, cache: EmbedCache,
     d_logits = w * (d_w - (d_w * w).sum(axis=1, keepdims=True))
     weight_grads, d_vdirect_w = embedder.weight_net.backward(
         cache.weight_cache, d_logits)
-    d_vdirect = g + d_vdirect_w
-
-    eta_grads = None
-    if embedder.eta_mode == "learned":
-        d_eta = (g * cache.v_memory).sum(axis=1, keepdims=True)
-        eta_grads, d_vdirect_e = embedder.eta_net.backward(cache.eta_cache, d_eta)
-        d_vdirect = d_vdirect + d_vdirect_e
-
-    basic_grads, _ = embedder.basic_net.backward(cache.basic_cache, d_vdirect)
-    return EmbedGrads(basic=basic_grads, weight=weight_grads, eta=eta_grads)
+    basic_grads, _ = embedder.basic_net.backward(cache.basic_cache,
+                                                 g + d_vdirect_w)
+    return EmbedGrads(basic=basic_grads, weight=weight_grads)

@@ -138,6 +138,24 @@ def test_bad_config_value_usage_error(pipeline, tmp_path, capsys, command,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, seed", [
+    ("synth", "--set=seed=-1"), ("synth", "--seed=-1"),
+    ("train", "--set=seed=-1"), ("sweep", "--seed=-3"),
+    ("gradcheck", "--seed=-1"),
+])
+def test_negative_seed_usage_error(pipeline, tmp_path, capsys, command, seed):
+    args = [command, seed]
+    if command != "gradcheck":
+        args += ["--out", str(tmp_path / "out"), *_sets()]
+    if command in ("train", "sweep"):
+        args += ["--dataset", str(pipeline / "data" / "dataset.lcmd")]
+    if command == "sweep":
+        args += ["--param", "alpha", "--values", "1"]
+    assert main(args) == 1
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # --- train ------------------------------------------------------------------------
 
 def test_train_outputs(pipeline):
@@ -163,11 +181,15 @@ def test_train_zero_epochs(pipeline, tmp_path):
 @pytest.mark.parametrize("learned", ["eta_mode=learned"])
 def test_train_learned_eta_without_memory_epochs_usage_error(pipeline,
                                                              tmp_path,
-                                                             learned):
+                                                             capsys, learned):
+    # eta is a distance ratio in one of two modes; there is no learned eta,
+    # even with memory-phase epochs (FAST trains 2 of its 4 through it)
     assert main(["train", "--dataset",
                  str(pipeline / "data" / "dataset.lcmd"),
-                 "--out", str(tmp_path / "out"),
-                 *_sets(["warmup_epochs=4", learned])]) == 1
+                 "--out", str(tmp_path / "out"), *_sets([learned])]) == 1
+    assert ("eta_mode 'learned' is not one of intent_ratio, as_printed"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out" / "model.lcmh").exists()
 
 
 @pytest.mark.parametrize("setting", [

@@ -1,3 +1,4 @@
+import io
 import itertools
 import struct
 
@@ -218,7 +219,7 @@ def test_update_B_shape_mismatch():
     dict(hidden_dim=0),
     dict(alpha=float("nan")), dict(beta=float("inf")), dict(alpha=-1.0),
     dict(eta_max=float("nan")), dict(eta_max=-1.0),
-    dict(learning_rate=float("nan")),
+    dict(learning_rate=float("nan")), dict(eta_mode="learned"),
 ])
 def test_train_config_rejects(kw):
     with pytest.raises(ConfigError):
@@ -324,13 +325,24 @@ def test_train_default_schedule_fits_memory_on_final_direct_features():
         assert np.array_equal(bank.counts, expected.counts)
 
 
-def test_train_learned_eta_needs_memory_epochs():
+@pytest.mark.parametrize("threshold", [1000, 1])
+def test_train_head_tail_checked_before_first_epoch(monkeypatch, threshold):
+    # 1000 leaves no head class and 1 no non-empty tail class; eta needs
+    # both, and the run must fail before any epoch trains
+    calls = []
+    grad = hash_learn.grad_Vx
+    monkeypatch.setattr(hash_learn, "grad_Vx",
+                        lambda *a: calls.append(1) or grad(*a))
     data = _separable_dataset()
-    for cfg in (TrainConfig(eta_mode="learned"),     # the default schedule
-                _fast_config(epochs=6, warmup_epochs=6, eta_mode="learned"),
-                _fast_config(epochs=6, warmup_epochs=9, eta_mode="learned")):
-        with pytest.raises(ConfigError, match="warmup_epochs"):
-            train(data, np.arange(data.n), cfg)
+    for warmup in (0, 400):
+        with pytest.raises(ConfigError, match=f"head_threshold={threshold}"):
+            train(data, np.arange(data.n), _fast_config(
+                epochs=400, warmup_epochs=warmup, head_threshold=threshold))
+    assert calls == []
+    # the no_memory ablation reads no eta, so any partition trains
+    train(data, np.arange(data.n), _fast_config(
+        epochs=1, head_threshold=threshold, no_memory=True))
+    assert calls
 
 
 def test_encode_features_unknown_modality():
@@ -364,18 +376,6 @@ def test_model_roundtrip(tmp_path):
                       model.embedder_x.basic_net.weights):
         assert np.array_equal(w1, w2)
     assert np.array_equal(loaded.train_indices, model.train_indices)
-
-
-def test_model_roundtrip_learned_eta(tmp_path):
-    # the eta net trains only in memory-phase epochs: 1 of the 3 here
-    model = _trained_model(eta_mode="learned", warmup_epochs=2)
-    path = tmp_path / "m.lcmh"
-    save_model(path, model)
-    loaded = load_model(path)
-    assert loaded.embedder_x.eta_mode == "learned"
-    for w1, w2 in zip(loaded.embedder_x.eta_net.weights,
-                      model.embedder_x.eta_net.weights):
-        assert np.array_equal(w1, w2)
 
 
 def test_model_roundtrip_preserves_encoding(tmp_path):
@@ -417,7 +417,8 @@ def test_model_bad_version(tmp_path):
 
 
 def test_model_truncated(tmp_path):
-    model = _trained_model(eta_mode="learned", warmup_epochs=2)
+    # a memory-phase model: 1 of its 3 epochs trains through the memory
+    model = _trained_model(warmup_epochs=2)
     path = tmp_path / "m.lcmh"
     save_model(path, model)
     raw = path.read_bytes()
@@ -439,9 +440,20 @@ def _corrupt_model(tmp_path, offset, value: bytes):
 
 def test_model_bad_eta_mode_tag(tmp_path):
     # magic, version and alpha/beta take 24 bytes; the image embedder's
-    # header starts with its eta-mode tag
-    path = _corrupt_model(tmp_path, 24, bytes([7]))
-    with pytest.raises(FormatError, match="eta-mode tag 7"):
+    # header starts with its eta-mode tag, and 0 and 1 are the only modes
+    for tag in (7, 2):
+        path = _corrupt_model(tmp_path, 24, bytes([tag]))
+        with pytest.raises(FormatError,
+                           match=f"eta-mode tag {tag} at offset 24"):
+            load_model(path)
+    # the image embedder ends in its eta-net flag, which must be 0
+    buf = io.BytesIO()
+    hash_learn._write_embedder(buf, _trained_model().embedder_x)
+    flag_at = 24 + len(buf.getvalue()) - 1
+    assert buf.getvalue()[-1] == 0
+    path = _corrupt_model(tmp_path, flag_at, bytes([1]))
+    with pytest.raises(FormatError,
+                       match=f"eta-net flag 1 at offset {flag_at}, expected 0"):
         load_model(path)
 
 
@@ -479,11 +491,6 @@ def _narrow_text_embedder(model):
         [LayerSpec(4, e.weight_net.output_dim)], rng)
 
 
-def _learned_eta_wrong_input(model):
-    model.embedder_x.eta_net = FeedForwardNet([LayerSpec(3, 1, "sigmoid")],
-                                              np.random.default_rng(1))
-
-
 def _weight_net_wrong_input(model):
     # the weight net no longer reads the basic net's c outputs
     model.embedder_x.weight_net = FeedForwardNet(
@@ -516,7 +523,6 @@ INCONSISTENT = {
     "B_five_columns_short": lambda m: setattr(m, "B", m.B[:, :-5]),
     "B_one_row_short": lambda m: setattr(m, "B", m.B[:-1]),
     "text_code_length_differs": _narrow_text_embedder,
-    "eta_net_input_not_code_length": _learned_eta_wrong_input,
     "weight_net_input_not_code_length": _weight_net_wrong_input,
     "basic_net_chain_broken": _broken_chain,
     "weight_net_without_layers": _no_layers,

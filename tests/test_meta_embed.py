@@ -92,25 +92,23 @@ def _identity(c):
     return net
 
 
-def _embed(v, bank, weight_net, eta_mode="learned", eta_net=None,
-           eta_max=10.0):
-    """embed_batch on the rows of v through an identity basic net. Learned
-    eta by default, so the memory path needs no head/tail classes."""
+def _embed(v, bank, weight_net, eta_mode="intent_ratio", eta_max=10.0):
+    """embed_batch on the rows of v through an identity basic net. The bank
+    needs a non-empty head and a non-empty tail class, which eta reads."""
     v = np.atleast_2d(np.asarray(v, dtype=np.float64))
-    c = v.shape[1]
-    if eta_mode == "learned" and eta_net is None:
-        eta_net = FeedForwardNet([LayerSpec(c, 1, "sigmoid")],
-                                 np.random.default_rng(1))
-    emb = MetaEmbedder(basic_net=_identity(c), weight_net=weight_net,
-                       eta_max=eta_max, eta_mode=eta_mode, eta_net=eta_net)
+    emb = MetaEmbedder(basic_net=_identity(v.shape[1]), weight_net=weight_net,
+                       eta_max=eta_max, eta_mode=eta_mode)
     return embed_batch(emb, v, bank)
 
 
-def test_memory_single_class_returns_centroid(rng):
-    bank = _bank([[5.0, -1.0]], [True])
-    _, cache = _embed([0.3, 0.7], bank, _net((2, 1), rng))
-    assert np.allclose(cache.v_memory[0], bank.centroids[0])
-    assert np.allclose(cache.weights[0], [1.0])
+def test_memory_single_class_returns_centroid():
+    # the tail logit is so low that its softmax weight underflows to 0
+    bank = _bank([[5.0, -1.0], [2.0, 3.0]], [True, False])
+    net = _net((2, 2), zero=True)
+    net.biases[0][1] = -1e3
+    _, cache = _embed([0.3, 0.7], bank, net)
+    assert np.array_equal(cache.weights[0], [1.0, 0.0])
+    assert np.array_equal(cache.v_memory[0], bank.centroids[0])
 
 
 def test_memory_equal_logits_averages_centroids():
@@ -129,18 +127,19 @@ def test_memory_matches_weighted_sum_oracle(rng):
 
 
 def test_memory_all_empty_raises(rng):
-    bank = _bank([[1.0, 0.0]], [True], counts=[0])
-    with pytest.raises(ConfigError):
-        _embed(np.zeros(2), bank, _net((2, 1), rng))
+    bank = _bank([[1.0, 0.0], [0.0, 1.0]], [True, False], counts=[0, 0])
+    with pytest.raises(ConfigError, match="all prototype classes are empty"):
+        _embed(np.zeros(2), bank, _net((2, 2), rng))
 
 
 def test_memory_simplex_property(rng):
     for _ in range(20):
-        L = int(rng.integers(1, 6))
+        L = int(rng.integers(2, 7))
         counts = rng.integers(0, 3, size=L)
-        if counts.sum() == 0:
-            counts[0] = 1
-        bank = _bank(rng.normal(size=(L, 3)), rng.random(L) < 0.5, counts)
+        counts[:2] = np.maximum(counts[:2], 1)
+        is_head = rng.random(L) < 0.5
+        is_head[:2] = True, False   # a non-empty head and tail class
+        bank = _bank(rng.normal(size=(L, 3)), is_head, counts)
         _, cache = _embed(rng.normal(size=(4, 3)), bank, _net((3, L), rng))
         w = cache.weights
         assert np.all(w >= 0)
@@ -197,16 +196,6 @@ def test_eta_clamped_at_max():
     assert eta_ratio(v, bank, "as_printed", eta_max=3.0)[0] == 3.0
 
 
-def test_eta_learned_is_sigmoid_output():
-    sig = FeedForwardNet([LayerSpec(2, 1, "sigmoid")], np.random.default_rng(1))
-    bank = _bank([[0.0, 0.0], [1.0, 1.0]], [True, False])
-    v = np.array([0.2, -0.4])
-    out, _ = sig.forward(v[None, :])
-    _, cache = _embed(v, bank, _net((2, 2), zero=True), eta_net=sig)
-    assert cache.eta[0] == pytest.approx(out[0, 0])
-    assert 0.0 < cache.eta[0] < 1.0
-
-
 def test_eta_errors():
     v = np.zeros((1, 1))
     with pytest.raises(ConfigError):
@@ -237,7 +226,7 @@ def test_eta_ratio_invariant_under_row_blocks(mode, rng):
 def test_meta_eta_zero_keeps_direct():
     bank = _bank([[3.0, 4.0], [0.0, 0.0]], [True, False])
     v = np.array([3.0, 4.0])   # on the head centroid: intent eta = 0
-    V, cache = _embed(v, bank, _net((2, 2), zero=True), "intent_ratio")
+    V, cache = _embed(v, bank, _net((2, 2), zero=True))
     assert cache.eta[0] == 0.0
     assert np.array_equal(V[:, 0], v)
 
@@ -247,7 +236,7 @@ def test_meta_eta_one_memory_equals_direct_doubles():
     v = np.array([1.0, 2.0])
     d = np.array([0.5, -0.5])
     bank = _bank([v + d, v - d], [True, False])
-    V, cache = _embed(v, bank, _net((2, 2), zero=True), "intent_ratio")
+    V, cache = _embed(v, bank, _net((2, 2), zero=True))
     assert cache.eta[0] == pytest.approx(1.0)
     assert np.allclose(cache.v_memory[0], v)
     assert np.allclose(V[:, 0], 2 * v)
@@ -257,7 +246,7 @@ def test_meta_random_matches_recomputation(rng):
     bank = _bank(rng.normal(size=(4, 3)), [True, True, False, False])
     net = _net((3, 4), rng)
     v = rng.normal(size=3)
-    V, cache = _embed(v, bank, net, "intent_ratio")
+    V, cache = _embed(v, bank, net)
     logits, _ = net.forward(v[None, :])
     w = np.exp(logits[0]) / np.exp(logits[0]).sum()
     v_mem = w @ bank.centroids
@@ -284,15 +273,13 @@ def _batch_embedder(rng, c=3, L=4, d=5, eta_mode="intent_ratio",
                     eta_max=10.0, **kw):
     basic = FeedForwardNet([LayerSpec(d, c, "tanh")], rng)
     weight = FeedForwardNet([LayerSpec(c, L, "identity")], rng)
-    eta_net = (FeedForwardNet([LayerSpec(c, 1, "sigmoid")], rng)
-               if eta_mode == "learned" else None)
     return MetaEmbedder(basic_net=basic, weight_net=weight, eta_max=eta_max,
-                        eta_mode=eta_mode, eta_net=eta_net, **kw)
+                        eta_mode=eta_mode, **kw)
 
 
 def test_embed_batch_matches_per_sample(rng):
     # each column depends on its own sample only, not on the batch around it
-    for mode in ("intent_ratio", "as_printed", "learned"):
+    for mode in ("intent_ratio", "as_printed"):
         emb = _batch_embedder(rng, eta_mode=mode)
         bank = _bank(rng.normal(size=(4, 3)), [True, True, False, False])
         batch = rng.normal(size=(6, 5))
@@ -351,17 +338,14 @@ def test_backward_eta_zero_equals_plain_backward(rng):
 
 
 def test_backward_single_class_constant_memory(rng):
-    # one non-empty class: w is identically 1, so the weight net gets zero
-    # gradient (softmax jacobian vanishes) and memory is a constant shift
-    emb = _batch_embedder(rng, L=2)
-    bank = _bank(rng.normal(size=(2, 3)), [True, False], counts=[3, 0])
-    # single-class banks cannot drive ratio eta; use learned mode instead
-    emb = _batch_embedder(rng, L=2, eta_mode="learned")
-    V, cache = embed_batch(emb, batch := rng.normal(size=(4, 5)), bank)
-    grads = embed_backward(emb, cache, R := rng.normal(size=V.shape))
-    for gw, gb in grads.weight:
-        assert np.allclose(gw, 0.0)
-        assert np.allclose(gb, 0.0)
+    # one non-empty class leaves eta without a head or without a tail
+    # distance, so the memory path refuses the bank in either mode
+    for mode in ("intent_ratio", "as_printed"):
+        emb = _batch_embedder(rng, L=2, eta_mode=mode)
+        for is_head in ([True, False], [False, True]):
+            bank = _bank(rng.normal(size=(2, 3)), is_head, counts=[3, 0])
+            with pytest.raises(ConfigError, match="non-empty head"):
+                embed_batch(emb, rng.normal(size=(4, 5)), bank)
 
 
 def test_backward_shape_mismatch(rng):
@@ -373,8 +357,7 @@ def test_backward_shape_mismatch(rng):
 
 
 def test_backward_finite_difference_suites():
-    for mode, err in (("intent_ratio", None), ("learned", None)):
-        assert gradcheck.check_embed_backward(seed=0, eta_mode=mode) < 1e-4
+    assert gradcheck.check_embed_backward(seed=0) < 1e-4
 
 
 # --- embedder validation ----------------------------------------------------------

@@ -1,4 +1,5 @@
-"""The demos run, and the README's configuration table matches the code."""
+"""The demos run, and the README's configuration table matches the code:
+its keys and the eta modes it lists."""
 
 import os
 import re
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ltcmh import experiment
+from ltcmh import experiment, meta_embed
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -24,9 +25,20 @@ def test_demo_runs(demo):
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def test_readme_config_table_names_every_key_once():
+def _config_table():
+    """The README's config table as (key, default, meaning) cell triples."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     table = text.split("| key | default | meaning |", 1)[1].split("\n\n", 1)[0]
-    keys = [key for row in table.splitlines()[2:]
-            for key in re.findall(r"`(\w+)`", row.split("|")[1])]
+    return [row.split("|")[1:4] for row in table.splitlines()[2:]]
+
+
+def test_readme_config_table_names_every_key_once():
+    keys = [key for cells in _config_table()
+            for key in re.findall(r"`(\w+)`", cells[0])]
     assert sorted(keys) == sorted(experiment.DEFAULTS)
+
+
+def test_readme_eta_mode_row_names_every_mode_in_tag_order():
+    (meaning,) = [m for key, _, m in _config_table()
+                  if key.strip() == "`eta_mode`"]
+    assert re.findall(r"`(\w+)`", meaning) == list(meta_embed.ETA_MODES)
