@@ -39,8 +39,8 @@ trimmed, model, history = experiment.run_train(data, cfg)
 print(f"{len(history)} epochs; total loss {history[0]['total']:.1f} -> "
       f"{history[-1]['total']:.1f}")
 print(f"code length {model.code_length} bits, "
-      f"{model.partition.is_head.sum()} head / "
-      f"{(~model.partition.is_head).sum()} tail classes")
+      f"{model.partition.sum()} head / "
+      f"{(~model.partition).sum()} tail classes")
 
 print("\n== 3. encode ==")
 query_codes = experiment.encode_split(model, trimmed, "image", "query")

@@ -23,8 +23,8 @@ print(f"overall: {max(errors.values()):.3e} (threshold 1e-3)")
 
 print("\n== negative control: a backprop gradient broken by +0.05 ==")
 rng = np.random.default_rng(0)
-net = FeedForwardNet([LayerSpec(4, 5, "tanh"), LayerSpec(5, 3, "sigmoid"),
-                      LayerSpec(3, 2, "identity")], rng)
+net = FeedForwardNet([LayerSpec(4, 5, "relu"), LayerSpec(5, 2, "identity")],
+                     rng)
 batch = rng.normal(size=(6, 4))
 R = rng.normal(size=(6, 2))
 _, cache = net.forward(batch)

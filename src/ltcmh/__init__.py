@@ -6,10 +6,10 @@ codes by alternating continuous/discrete optimization, and evaluates
 cross-modal retrieval with Hamming ranking and mean average precision.
 """
 
-from .dataset import (HeadTailPartition, LongTailSpec, MultiModalDataset,
-                      build_affinity, load_dataset, save_dataset,
-                      split_head_tail, split_query_retrieval,
-                      synthesize_long_tailed, trim_labels)
+from .dataset import (LongTailSpec, MultiModalDataset, build_affinity,
+                      load_dataset, save_dataset, split_head_tail,
+                      split_query_retrieval, synthesize_long_tailed,
+                      trim_labels)
 from .errors import (ConfigError, EvaluationError, FormatError, LtcmhError,
                      ShapeError, TrainingError)
 from .hash_learn import (HashModel, LossBreakdown, TrainConfig, balance_loss,

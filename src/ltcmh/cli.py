@@ -5,7 +5,8 @@ honors --seed for bit-reproducible outputs, and commands that produce
 output directories persist the effective (defaults-merged) config next to
 their outputs.
 
-Exit codes: 0 success, 1 usage, 2 I/O or file format, 3 numerical failure.
+Exit codes: 0 success, 1 usage, 2 I/O or file format, 3 numerical or
+resource failure.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ def _outdir(args, cfg):
 
 def cmd_synth(args):
     cfg = _load_cfg(args)
-    out = _outdir(args, cfg)
     spec = experiment.longtail_spec(cfg)
+    out = _outdir(args, cfg)
     data = ds.synthesize_long_tailed(spec, seed=cfg["seed"])
     path = out / "dataset.lcmd"
     ds.save_dataset(data, path)
@@ -63,8 +64,9 @@ def cmd_synth(args):
 
 def cmd_train(args):
     cfg = _load_cfg(args)
-    out = _outdir(args, cfg)
+    experiment.train_config(cfg)   # reject bad keys before writing anything
     data = ds.load_dataset(args.dataset)
+    out = _outdir(args, cfg)
     _, model, history = experiment.run_train(data, cfg)
     hash_learn.save_model(out / "model.lcmh", model)
     experiment.write_loss_csv(out / "loss.csv", history)
@@ -157,8 +159,8 @@ def cmd_sweep(args):
         raise ConfigError("sweep needs at least one value")
     for v in values:   # reject a bad value before the first run trains
         experiment.train_config({**cfg, args.param: v})
-    out = _outdir(args, cfg)
     data = ds.load_dataset(args.dataset)
+    out = _outdir(args, cfg)
     rows = []
     for v in values:
         run_cfg = dict(cfg)
@@ -245,7 +247,8 @@ def main(argv=None):
     except (FormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
-    except (TrainingError, EvaluationError, FloatingPointError) as e:
+    except (TrainingError, EvaluationError, FloatingPointError,
+            MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
 

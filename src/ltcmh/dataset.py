@@ -95,12 +95,6 @@ class LongTailSpec:
         return np.asarray(out, dtype=np.int64)
 
 
-@dataclass
-class HeadTailPartition:
-    is_head: np.ndarray   # bool, length L
-    counts: np.ndarray    # training sample count per class
-
-
 def synthesize_long_tailed(spec: LongTailSpec, seed: int) -> MultiModalDataset:
     """Generate a paired dataset whose per-class counts match the spec.
 
@@ -184,12 +178,12 @@ def build_affinity(labels_a: np.ndarray, labels_b: np.ndarray) -> np.ndarray:
     return (shared > 0).astype(np.uint8)
 
 
-def split_head_tail(class_counts: np.ndarray, threshold: int) -> HeadTailPartition:
-    """Flag a class as head iff its training count is >= threshold."""
+def split_head_tail(class_counts: np.ndarray, threshold: int) -> np.ndarray:
+    """is_head, a bool per class: true iff its training count is >=
+    threshold."""
     if threshold < 1:
         raise ConfigError("threshold must be >= 1")
-    counts = np.asarray(class_counts, dtype=np.int64)
-    return HeadTailPartition(is_head=counts >= threshold, counts=counts)
+    return np.asarray(class_counts, dtype=np.int64) >= threshold
 
 
 def primary_labels(labels: np.ndarray) -> np.ndarray:

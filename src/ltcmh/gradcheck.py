@@ -5,10 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import hash_learn, meta_embed
-from .dataset import HeadTailPartition
 from .meta_embed import MetaEmbedder, compute_prototypes
-from .tensor import (FeedForwardNet, LayerSpec, _activate, _activate_grad,
-                     central_diff, finite_diff_grad)
+from .tensor import (ACTIVATIONS, FeedForwardNet, LayerSpec, _activate,
+                     _activate_grad, central_diff, finite_diff_grad)
 
 
 def rel_err(analytic, numeric):
@@ -22,13 +21,13 @@ def check_activations(seed=0, points=100, eps=1e-6):
     """Activation derivatives vs central differences at random points."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for name in ("identity", "relu", "sigmoid", "tanh"):
+    for name in ACTIVATIONS:
         x = rng.uniform(-4, 4, size=points)
         if name == "relu":
             # keep away from the kink, where FD is undefined
             x = x[np.abs(x) > 1e-3]
         a = _activate(name, x)
-        analytic = _activate_grad(name, x, a)
+        analytic = _activate_grad(name, a, np.ones_like(x))
         numeric = (_activate(name, x + eps) - _activate(name, x - eps)) / (2 * eps)
         worst = max(worst, rel_err(analytic, numeric))
     return worst
@@ -36,10 +35,12 @@ def check_activations(seed=0, points=100, eps=1e-6):
 
 def check_net_backward(seed=0, eps=1e-6):
     """Full-net parameter gradients vs finite_diff_grad for a random scalar
-    loss (weighted sum of outputs)."""
+    loss (weighted sum of outputs), on the relu -> identity shape of the
+    basic nets. (A relu -> relu chain would put samples whose first-layer
+    units are all off exactly at the second kink, with zero biases.)"""
     rng = np.random.default_rng(seed)
-    net = FeedForwardNet([LayerSpec(4, 5, "tanh"), LayerSpec(5, 3, "sigmoid"),
-                          LayerSpec(3, 2, "identity")], rng)
+    net = FeedForwardNet([LayerSpec(4, 5, "relu"), LayerSpec(5, 2, "identity")],
+                         rng)
     batch = rng.normal(size=(6, 4))
     R = rng.normal(size=(6, 2))
 
@@ -88,17 +89,17 @@ def check_objective_grad(instances=50, seed=0, eps=1e-6, max_n=8, max_c=8):
 def _tiny_embed_setup(seed):
     rng = np.random.default_rng(seed)
     c, L, d, n = 3, 4, 5, 6
-    basic = FeedForwardNet([LayerSpec(d, 4, "tanh"), LayerSpec(4, c, "identity")], rng)
+    basic = FeedForwardNet([LayerSpec(d, 4, "relu"), LayerSpec(4, c, "identity")], rng)
     weight = FeedForwardNet([LayerSpec(c, L, "identity")], rng)
     embedder = MetaEmbedder(basic_net=basic, weight_net=weight,
                             eta_max=hash_learn.TrainConfig().eta_max)
     batch = rng.normal(size=(n, d))
+    # every class gets a sample, so eta has a head and a tail class
     labels = np.zeros((n, L), dtype=np.uint8)
-    labels[np.arange(n), rng.integers(0, L, size=n)] = 1
-    partition = HeadTailPartition(is_head=np.array([True, True, False, False]),
-                                  counts=labels.sum(axis=0))
+    labels[np.arange(n), np.r_[np.arange(L), rng.integers(0, L, size=n - L)]] = 1
     direct, _ = basic.forward(batch)
-    bank = compute_prototypes(direct, labels, partition)
+    bank = compute_prototypes(direct, labels,
+                              np.array([True, True, False, False]))
     R = rng.normal(size=(c, n))
     return embedder, batch, bank, R
 

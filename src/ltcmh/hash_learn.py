@@ -22,8 +22,7 @@ from typing import BinaryIO
 import numpy as np
 
 from . import meta_embed
-from .dataset import (HeadTailPartition, MultiModalDataset, build_affinity,
-                      split_head_tail)
+from .dataset import MultiModalDataset, build_affinity, split_head_tail
 from .errors import ConfigError, FormatError, ShapeError, TrainingError
 from .meta_embed import MetaEmbedder, PrototypeBank, compute_prototypes
 from .tensor import (FeedForwardNet, LayerSpec, read_array, read_end,
@@ -113,9 +112,9 @@ class HashModel:
         return self.embedder_x.code_length
 
     @property
-    def partition(self) -> HeadTailPartition:
-        return HeadTailPartition(is_head=self.bank_x.is_head,
-                                 counts=self.bank_x.counts)
+    def partition(self) -> np.ndarray:
+        """is_head per class, as split_head_tail gave it in training."""
+        return self.bank_x.is_head
 
 
 def pairwise_phi(Vx: np.ndarray, Vy: np.ndarray) -> np.ndarray:
@@ -207,9 +206,9 @@ def _build_embedder(input_dim: int, num_classes: int, config: TrainConfig,
 
 
 def _refresh_bank(embedder: MetaEmbedder, features: np.ndarray,
-                  labels: np.ndarray, partition: HeadTailPartition) -> PrototypeBank:
+                  labels: np.ndarray, is_head: np.ndarray) -> PrototypeBank:
     direct, _ = embedder.basic_net.forward(features)
-    return compute_prototypes(direct, labels, partition)
+    return compute_prototypes(direct, labels, is_head)
 
 
 def _clip_grads(grads):
@@ -233,13 +232,13 @@ def _apply_grads(embedder: MetaEmbedder, grads: meta_embed.EmbedGrads,
 
 def _switch_on_memory(embedder: MetaEmbedder, bank: PrototypeBank,
                       features: np.ndarray, labels: np.ndarray,
-                      partition: HeadTailPartition):
+                      is_head: np.ndarray):
     """End of memory warm-up: refresh the bank from current direct features
     and initialize the attention weights to scaled nearest-centroid matching
     (logits k·C·v − k‖C‖²/2 with k = ATTENTION_INIT_SCALE, the
     log-posterior of an isotropic Gaussian mixture over the prototypes)."""
     bank.centroids[:] = _refresh_bank(embedder, features, labels,
-                                      partition).centroids
+                                      is_head).centroids
     k = ATTENTION_INIT_SCALE
     embedder.weight_net.weights[0][:] = k * bank.centroids
     embedder.weight_net.biases[0][:] = \
@@ -281,11 +280,10 @@ def train(dataset: MultiModalDataset, train_indices: np.ndarray,
 
     rng = np.random.default_rng(config.seed)
     counts = labels.sum(axis=0).astype(np.int64)
-    partition = split_head_tail(counts, config.head_threshold)
+    is_head = split_head_tail(counts, config.head_threshold)
     memory_on = not config.no_memory
     # head classes are never empty (threshold >= 1); eta needs a tail one too
-    if memory_on and not (partition.is_head.any()
-                          and counts[~partition.is_head].any()):
+    if memory_on and not (is_head.any() and counts[~is_head].any()):
         raise ConfigError(
             f"head_threshold={config.head_threshold} leaves no head class or "
             f"no non-empty tail class, and eta needs both")
@@ -297,8 +295,8 @@ def train(dataset: MultiModalDataset, train_indices: np.ndarray,
         ey.use_memory = False
     switch_epoch = min(config.warmup_epochs, config.epochs)
 
-    bank_x = _refresh_bank(ex, X, labels, partition)
-    bank_y = _refresh_bank(ey, Y, labels, partition)
+    bank_x = _refresh_bank(ex, X, labels, is_head)
+    bank_y = _refresh_bank(ey, Y, labels, is_head)
     Vx, _ = meta_embed.embed_batch(ex, X, bank_x)
     Vy, _ = meta_embed.embed_batch(ey, Y, bank_y)
     B = update_B(Vx, Vy)
@@ -306,11 +304,11 @@ def train(dataset: MultiModalDataset, train_indices: np.ndarray,
     history = []
     for epoch in range(config.epochs):
         if memory_on and epoch == switch_epoch:
-            _switch_on_memory(ex, bank_x, X, labels, partition)
-            _switch_on_memory(ey, bank_y, Y, labels, partition)
+            _switch_on_memory(ex, bank_x, X, labels, is_head)
+            _switch_on_memory(ey, bank_y, Y, labels, is_head)
         elif memory_on and epoch > switch_epoch:
             for embedder, bank, feats in ((ex, bank_x, X), (ey, bank_y, Y)):
-                fresh = _refresh_bank(embedder, feats, labels, partition)
+                fresh = _refresh_bank(embedder, feats, labels, is_head)
                 bank.centroids[:] = (BANK_EMA * bank.centroids
                                      + (1.0 - BANK_EMA) * fresh.centroids)
         Vx, _ = meta_embed.embed_batch(ex, X, bank_x)
@@ -354,8 +352,8 @@ def train(dataset: MultiModalDataset, train_indices: np.ndarray,
     if memory_on and switch_epoch >= config.epochs:
         # the whole run was warm-up (the default): fit the memory once on
         # the final direct features so the model embeds meta features
-        _switch_on_memory(ex, bank_x, X, labels, partition)
-        _switch_on_memory(ey, bank_y, Y, labels, partition)
+        _switch_on_memory(ex, bank_x, X, labels, is_head)
+        _switch_on_memory(ey, bank_y, Y, labels, is_head)
         Vx, _ = meta_embed.embed_batch(ex, X, bank_x)
         Vy, _ = meta_embed.embed_batch(ey, Y, bank_y)
         B = update_B(Vx, Vy)

@@ -19,7 +19,6 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import HeadTailPartition
 from .errors import ConfigError, ShapeError
 from .tensor import FeedForwardNet, ForwardCache
 
@@ -83,7 +82,7 @@ class EmbedGrads:
 
 
 def compute_prototypes(direct_features: np.ndarray, labels: np.ndarray,
-                       partition: HeadTailPartition) -> PrototypeBank:
+                       is_head: np.ndarray) -> PrototypeBank:
     """Per-class mean of direct features; a multi-label sample contributes
     to every class it carries. Empty classes get a zero centroid."""
     direct_features = np.asarray(direct_features, dtype=np.float64)
@@ -99,7 +98,7 @@ def compute_prototypes(direct_features: np.ndarray, labels: np.ndarray,
     centroids = sums / denom[:, None]
     centroids[counts == 0] = 0.0
     return PrototypeBank(centroids=centroids, counts=counts,
-                         is_head=np.asarray(partition.is_head, dtype=bool))
+                         is_head=np.asarray(is_head, dtype=bool))
 
 
 def eta_ratio(v_direct: np.ndarray, bank: PrototypeBank, mode: str,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import HeadTailPartition, build_affinity
+from .dataset import build_affinity
 from .errors import EvaluationError, FormatError, ShapeError
 from .tensor import (read_array, read_end, read_exact, read_header,
                      write_header)
@@ -99,16 +99,16 @@ class RetrievalResult:
         ]
 
 
-def query_groups(query_labels: np.ndarray, partition: HeadTailPartition):
+def query_groups(query_labels: np.ndarray, is_head: np.ndarray):
     """A query is in the tail group if any of its labels is a tail class."""
     labels = np.asarray(query_labels) > 0
-    is_tail = (labels & ~partition.is_head[None, :]).any(axis=1)
+    is_tail = (labels & ~is_head[None, :]).any(axis=1)
     return ~is_tail, is_tail
 
 
 def evaluate(query_codes: BinaryCodeMatrix, query_labels: np.ndarray,
              db_codes: BinaryCodeMatrix, db_labels: np.ndarray,
-             partition: HeadTailPartition, direction: str) -> RetrievalResult:
+             is_head: np.ndarray, direction: str) -> RetrievalResult:
     """Rank the database for every query and compute MAP with head/tail
     breakdown. Relevance = sharing at least one label.
 
@@ -135,7 +135,7 @@ def evaluate(query_codes: BinaryCodeMatrix, query_labels: np.ndarray,
         ranked = np.take_along_axis(relevant, rankings, axis=1)
         for i, rel in enumerate(ranked, start):
             ap[i] = average_precision(rel)
-    head_mask, tail_mask = query_groups(query_labels, partition)
+    head_mask, tail_mask = query_groups(query_labels, is_head)
     return RetrievalResult(
         direction=direction,
         code_bits=query_codes.c,

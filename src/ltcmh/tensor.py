@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import FormatError, ShapeError, TrainingError
 
-ACTIVATIONS = ("identity", "relu", "sigmoid", "tanh")
+ACTIVATIONS = ("identity", "relu")
 
 
 def sigmoid(x):
@@ -55,23 +55,19 @@ def _activate(name, z):
         return z
     if name == "relu":
         return np.maximum(z, 0.0)
-    if name == "sigmoid":
-        return sigmoid(z)
-    if name == "tanh":
-        return np.tanh(z)
     raise ValueError(f"unknown activation {name!r}")
 
 
-def _activate_grad(name, z, a):
-    """d(activation)/d(pre-activation), given pre-act z and post-act a."""
+def _activate_grad(name, a, g):
+    """The gradient g at a layer's output a = act(z), carried back to z.
+
+    relu's derivative is taken from the output: a > 0 exactly where z > 0,
+    since z <= 0, -0.0 and NaN all give an a = max(z, 0) that is not > 0.
+    """
     if name == "identity":
-        return np.ones_like(z)
+        return g
     if name == "relu":
-        return (z > 0).astype(np.float64)
-    if name == "sigmoid":
-        return a * (1.0 - a)
-    if name == "tanh":
-        return 1.0 - a * a
+        return g * (a > 0)
     raise ValueError(f"unknown activation {name!r}")
 
 
@@ -93,7 +89,6 @@ class ForwardCache:
     """Per-layer intermediates from one forward pass."""
 
     inputs: np.ndarray
-    pre_acts: list = field(default_factory=list)
     post_acts: list = field(default_factory=list)
 
 
@@ -148,9 +143,7 @@ class FeedForwardNet:
         cache = ForwardCache(inputs=batch)
         a = batch
         for spec, w, b in zip(self.specs, self.weights, self.biases):
-            z = a @ w.T + b
-            a = _activate(spec.activation, z)
-            cache.pre_acts.append(z)
+            a = _activate(spec.activation, a @ w.T + b)
             cache.post_acts.append(a)
         return a, cache
 
@@ -160,7 +153,9 @@ class FeedForwardNet:
         Returns (param_grads, input_grad) where param_grads is a list of
         (dW, db) pairs, one per layer.
         """
-        output_grad = np.asarray(output_grad, dtype=np.float64)
+        # C order: on a transposed view (embed_backward passes one) the
+        # column sums and products below would round differently
+        output_grad = np.ascontiguousarray(output_grad, dtype=np.float64)
         if output_grad.shape != cache.post_acts[-1].shape:
             raise ShapeError(
                 f"output_grad shape {output_grad.shape} != forward output "
@@ -169,10 +164,8 @@ class FeedForwardNet:
         param_grads = [None] * len(self.specs)
         g = output_grad
         for k in range(len(self.specs) - 1, -1, -1):
-            spec = self.specs[k]
-            z = cache.pre_acts[k]
-            a = cache.post_acts[k]
-            gz = g * _activate_grad(spec.activation, z, a)
+            gz = _activate_grad(self.specs[k].activation,
+                                cache.post_acts[k], g)
             prev = cache.inputs if k == 0 else cache.post_acts[k - 1]
             dw = gz.T @ prev
             db = gz.sum(axis=0)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from ltcmh import experiment, gradcheck, hash_learn, retrieval
-from ltcmh.dataset import (HeadTailPartition, build_affinity, primary_labels,
+from ltcmh.dataset import (build_affinity, primary_labels,
                            split_head_tail, synthesize_long_tailed)
 from ltcmh.hash_learn import TrainConfig, train, update_B
 from ltcmh.meta_embed import compute_prototypes, eta_ratio
@@ -100,9 +100,7 @@ def test_criterion_4_map_oracle():
         ql[ql.sum(1) == 0, 0] = 1
         dl[dl.sum(1) == 0, 0] = 1
         is_head = rng.random(L) < 0.5
-        part = HeadTailPartition(is_head=is_head,
-                                 counts=np.where(is_head, 100, 5))
-        result = evaluate(q, ql, db, dl, part, "i2t")
+        result = evaluate(q, ql, db, dl, is_head, "i2t")
         # distances from the inner-product identity on unpacked codes
         D = (c - q.unpack() @ db.unpack().T) / 2
         aps = []
@@ -118,10 +116,10 @@ def test_criterion_5_eta_ordering():
     cfg = _scaled_cfg(0)
     data = synthesize_long_tailed(experiment.longtail_spec(cfg), seed=0)
     counts = data.labels.sum(axis=0).astype(np.int64)
-    partition = split_head_tail(counts, cfg["head_threshold"])
-    bank = compute_prototypes(data.X, data.labels, partition)
+    is_head = split_head_tail(counts, cfg["head_threshold"])
+    bank = compute_prototypes(data.X, data.labels, is_head)
     prim = primary_labels(data.labels)
-    head_samples = partition.is_head[prim]
+    head_samples = is_head[prim]
     intent = eta_ratio(data.X, bank, "intent_ratio", eta_max=10.0)
     printed = eta_ratio(data.X, bank, "as_printed", eta_max=10.0)
     assert intent[head_samples].mean() < intent[~head_samples].mean()

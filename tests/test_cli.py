@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -138,6 +140,30 @@ def test_bad_config_value_usage_error(pipeline, tmp_path, capsys, command,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, setting", [
+    ("synth", "mixed_fraction=2"), ("train", "hidden_dim=0"),
+    ("train", "eta_mode=learned")])
+def test_rejected_run_writes_no_config(pipeline, tmp_path, command, setting):
+    # the config is validated before the output directory is written
+    args = [command, "--out", str(tmp_path / "out"), *_sets([setting])]
+    if command == "train":
+        args += ["--dataset", str(pipeline / "data" / "dataset.lcmd")]
+    assert main(args) == 1
+    assert not (tmp_path / "out" / "config.effective").exists()
+
+
+def test_memory_error_numerical_exit(pipeline, tmp_path, capsys, monkeypatch):
+    message = "Unable to allocate 13.4 GiB for an array with shape (60010, 60010)"
+
+    def run_train(data, cfg):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(experiment, "run_train", run_train)
+    assert main(["train", "--dataset", str(pipeline / "data" / "dataset.lcmd"),
+                 "--out", str(tmp_path / "out"), *_sets()]) == 3
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, seed", [
     ("synth", "--set=seed=-1"), ("synth", "--seed=-1"),
     ("train", "--set=seed=-1"), ("sweep", "--seed=-3"),
@@ -212,6 +238,7 @@ def test_train_learned_eta_key_removed_usage_error(pipeline, tmp_path,
 def test_train_missing_dataset_io_error(tmp_path):
     assert main(["train", "--dataset", str(tmp_path / "absent.lcmd"),
                  "--out", str(tmp_path / "out"), *_sets()]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_effective_config_roundtrip(pipeline, tmp_path):
@@ -323,6 +350,26 @@ def test_broken_model_io_error(pipeline, tmp_path, capsys, mutate):
     assert _encode_and_eval(bad, pipeline / "data" / "dataset.lcmd",
                             tmp_path) == (2, 2)
     assert capsys.readouterr().err.count("error: inconsistent") == 2
+
+
+@pytest.mark.parametrize("tag", [2, 3, 255])
+def test_encode_bad_activation_tag_io_error(pipeline, tmp_path, capsys, tag):
+    # only 0 (identity) and 1 (relu) are activation tags
+    raw = bytearray((pipeline / "run" / "model.lcmh").read_bytes())
+    net = hash_learn.load_model(pipeline / "run" / "model.lcmh"
+                                ).embedder_x.basic_net
+    spec = net.specs[0]
+    at = raw.find(struct.pack("<IIIB", len(net.specs), spec.input_dim,
+                              spec.output_dim, 1)) + 12
+    assert at > 12 and raw[at] == 1
+    raw[at] = tag
+    bad = tmp_path / "tag.lcmh"
+    bad.write_bytes(bytes(raw))
+    assert main(["encode", "--model", str(bad), "--dataset",
+                 str(pipeline / "data" / "dataset.lcmd"),
+                 "--modality", "image", "--out",
+                 str(tmp_path / "c.lcmb")]) == 2
+    assert f"bad activation tag {tag}" in capsys.readouterr().err
 
 
 def test_encode_overflowing_model_numerical_error(pipeline, tmp_path, capsys):
@@ -520,6 +567,13 @@ def test_damaged_files_fail_cleanly(pipeline, codes, kind, mutation):
 def test_gradcheck_passes(capsys):
     assert main(["gradcheck"]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_gradcheck_passes_seeds_0_to_80(capsys):
+    # the tiny embedding always has a head and a tail class for eta
+    for seed in range(81):
+        assert main(["gradcheck", "--seed", str(seed)]) == 0, seed
+    assert capsys.readouterr().out.count("PASS") == 81
 
 
 def test_gradcheck_corrupt_negative_control(monkeypatch, capsys):

@@ -183,15 +183,16 @@ def test_affinity_symmetric_unit_diagonal(labels):
 
 def test_split_head_tail_flickr_counts():
     counts = np.array([2000] * 4 + [200] * 10 + [50] * 10)
-    part = split_head_tail(counts, threshold=2000)
-    assert part.is_head.sum() == 4
-    assert (~part.is_head).sum() == 20
+    is_head = split_head_tail(counts, threshold=2000)
+    assert is_head.dtype == bool and is_head.shape == (24,)
+    assert is_head.sum() == 4
+    assert (~is_head).sum() == 20
 
 
 def test_split_head_tail_extremes():
     counts = np.array([5, 10, 20])
-    assert np.all(split_head_tail(counts, 1).is_head)
-    assert not np.any(split_head_tail(counts, 21).is_head)
+    assert np.all(split_head_tail(counts, 1))
+    assert not np.any(split_head_tail(counts, 21))
 
 
 def test_split_head_tail_rejects_bad_threshold():

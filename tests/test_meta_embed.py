@@ -2,18 +2,11 @@ import numpy as np
 import pytest
 
 from ltcmh import gradcheck
-from ltcmh.dataset import HeadTailPartition
 from ltcmh.errors import ConfigError, ShapeError
 from ltcmh.meta_embed import (MetaEmbedder, PrototypeBank, compute_prototypes,
                               ETA_BLOCK, embed_backward, embed_batch,
                               eta_ratio)
 from ltcmh.tensor import FeedForwardNet, LayerSpec
-
-
-def _partition(is_head):
-    is_head = np.asarray(is_head, dtype=bool)
-    return HeadTailPartition(is_head=is_head,
-                             counts=np.where(is_head, 100, 5))
 
 
 def _net(shape, rng=None, zero=False):
@@ -40,7 +33,7 @@ def _bank(centroids, is_head, counts=None):
 def test_prototypes_one_sample_per_class():
     feats = np.array([[1.0, 2.0], [3.0, -1.0]])
     labels = np.eye(2, dtype=np.uint8)
-    bank = compute_prototypes(feats, labels, _partition([True, False]))
+    bank = compute_prototypes(feats, labels, np.array([True, False]))
     assert np.array_equal(bank.centroids, feats)
     assert np.array_equal(bank.counts, [1, 1])
 
@@ -48,7 +41,7 @@ def test_prototypes_one_sample_per_class():
 def test_prototypes_two_sample_mean():
     u, v = np.array([2.0, 0.0]), np.array([0.0, 4.0])
     labels = np.array([[1], [1]], dtype=np.uint8)
-    bank = compute_prototypes(np.stack([u, v]), labels, _partition([True]))
+    bank = compute_prototypes(np.stack([u, v]), labels, np.array([True]))
     assert np.allclose(bank.centroids[0], (u + v) / 2)
 
 
@@ -57,7 +50,7 @@ def test_prototypes_match_brute_force(rng):
     labels = (rng.random((20, 5)) < 0.4).astype(np.uint8)
     labels[labels.sum(1) == 0, 0] = 1
     bank = compute_prototypes(feats, labels,
-                              _partition([True, True, False, False, False]))
+                              np.array([True, True, False, False, False]))
     for k in range(5):
         members = [feats[i] for i in range(20) if labels[i, k]]
         if members:
@@ -71,7 +64,7 @@ def test_prototypes_match_brute_force(rng):
 def test_prototypes_empty_class_zero_and_excluded():
     feats = np.array([[1.0, 1.0]])
     labels = np.array([[1, 0]], dtype=np.uint8)
-    bank = compute_prototypes(feats, labels, _partition([True, False]))
+    bank = compute_prototypes(feats, labels, np.array([True, False]))
     assert np.all(bank.centroids[1] == 0)
     assert list(bank.nonempty) == [True, False]
 
@@ -79,7 +72,7 @@ def test_prototypes_empty_class_zero_and_excluded():
 def test_prototypes_shape_mismatch():
     with pytest.raises(ShapeError):
         compute_prototypes(np.zeros((3, 2)), np.ones((2, 1), np.uint8),
-                           _partition([True]))
+                           np.array([True]))
 
 
 # --- memory path of embed_batch -------------------------------------------------
@@ -271,7 +264,8 @@ def test_meta_exactness_property(rng):
 
 def _batch_embedder(rng, c=3, L=4, d=5, eta_mode="intent_ratio",
                     eta_max=10.0, **kw):
-    basic = FeedForwardNet([LayerSpec(d, c, "tanh")], rng)
+    basic = FeedForwardNet([LayerSpec(d, 4, "relu"), LayerSpec(4, c, "identity")],
+                           rng)
     weight = FeedForwardNet([LayerSpec(c, L, "identity")], rng)
     return MetaEmbedder(basic_net=basic, weight_net=weight, eta_max=eta_max,
                         eta_mode=eta_mode, **kw)
@@ -310,7 +304,7 @@ def test_eta_ordering_head_vs_tail(rng):
     labels = np.zeros((48, 2), dtype=np.uint8)
     labels[:40, 0] = 1
     labels[40:, 1] = 1
-    bank = compute_prototypes(feats, labels, _partition([True, False]))
+    bank = compute_prototypes(feats, labels, np.array([True, False]))
     intent = eta_ratio(feats, bank, "intent_ratio", 10.0)
     printed = eta_ratio(feats, bank, "as_printed", 10.0)
     assert np.mean(intent[:40]) < np.mean(intent[40:])
@@ -363,7 +357,8 @@ def test_backward_finite_difference_suites():
 # --- embedder validation ----------------------------------------------------------
 
 def test_embedder_rejects_bad_mode(rng):
-    basic = FeedForwardNet([LayerSpec(4, 3, "tanh")], rng)
+    basic = FeedForwardNet([LayerSpec(4, 3, "relu"), LayerSpec(3, 3, "identity")],
+                           rng)
     weight = FeedForwardNet([LayerSpec(3, 2, "identity")], rng)
     with pytest.raises(ConfigError):
         MetaEmbedder(basic_net=basic, weight_net=weight, eta_max=10.0,
@@ -374,7 +369,8 @@ def test_embedder_rejects_bad_mode(rng):
 
 
 def test_embedder_rejects_width_mismatch(rng):
-    basic = FeedForwardNet([LayerSpec(4, 3, "tanh")], rng)
+    basic = FeedForwardNet([LayerSpec(4, 3, "relu"), LayerSpec(3, 3, "identity")],
+                           rng)
     weight = FeedForwardNet([LayerSpec(5, 2, "identity")], rng)
     with pytest.raises(ShapeError):
         MetaEmbedder(basic_net=basic, weight_net=weight, eta_max=10.0)

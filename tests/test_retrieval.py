@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltcmh.dataset import HeadTailPartition
 from ltcmh.errors import EvaluationError, FormatError, ShapeError
 from ltcmh.retrieval import (EVAL_CHUNK, BinaryCodeMatrix, average_precision,
                              binarize, evaluate, hamming_matrix, load_codes,
@@ -15,12 +14,6 @@ from ltcmh.retrieval import (EVAL_CHUNK, BinaryCodeMatrix, average_precision,
 
 def _random_codes(rng, n, c):
     return binarize(rng.normal(size=(c, n)))
-
-
-def _partition(is_head):
-    is_head = np.asarray(is_head, dtype=bool)
-    return HeadTailPartition(is_head=is_head,
-                             counts=np.where(is_head, 100, 5))
 
 
 # --- binarize ---------------------------------------------------------------------
@@ -144,7 +137,7 @@ def test_rank_all_equal_codes_identity_order():
     dl = np.array([[0, 1], [1, 0], [0, 1], [1, 0], [1, 0]], np.uint8)
     ql = np.array([[1, 0]], np.uint8)
     result = evaluate(binarize(np.ones((8, 1))), ql, db, dl,
-                      _partition([True, False]), "i2t")
+                      np.array([True, False]), "i2t")
     assert result.ap[0] == average_precision([0, 1, 0, 1, 1])
 
 
@@ -156,7 +149,7 @@ def test_rank_matches_sort_oracle(rng):
     dl = (rng.random((20, 3)) < 0.4).astype(np.uint8)
     ql[ql.sum(1) == 0, 0] = 1
     dl[dl.sum(1) == 0, 0] = 1
-    result = evaluate(q, ql, db, dl, _partition([True, False, False]), "i2t")
+    result = evaluate(q, ql, db, dl, np.array([True, False, False]), "i2t")
     assert np.array_equal(result.ap, _sort_oracle_aps(q, ql, db, dl))
 
 
@@ -166,14 +159,14 @@ def _random_labels(rng, n, L):
     return labels
 
 
-def _full_matrix_evaluate(q, ql, db, dl, partition):
+def _full_matrix_evaluate(q, ql, db, dl, is_head):
     """evaluate's ranking done in one piece: int64 label affinity, distances
     from the unpacked codes, one stable argsort of the n_q x n_db matrix."""
     relevant = (ql.astype(np.int64) @ dl.astype(np.int64).T) > 0
     rankings = np.argsort(_unpacked_distances(q, db), axis=1, kind="stable")
     ap = np.array([average_precision(relevant[i, rankings[i]])
                    for i in range(q.n)])
-    head, tail = query_groups(ql, partition)
+    head, tail = query_groups(ql, is_head)
     return (ap, float(ap.mean()),
             float(ap[head].mean()) if head.any() else 0.0,
             float(ap[tail].mean()) if tail.any() else 0.0)
@@ -186,7 +179,7 @@ def test_evaluate_bit_identical_to_full_matrix(n_q, c, rng):
     # c = 300: five words per code and uint16 distances
     q, db = _random_codes(rng, n_q, c), _random_codes(rng, 150, c)
     ql, dl = _random_labels(rng, n_q, 5), _random_labels(rng, 150, 5)
-    part = _partition([True, True, False, False, False])
+    part = np.array([True, True, False, False, False])
     result = evaluate(q, ql, db, dl, part, "i2t")
     ap, map_all, map_head, map_tail = _full_matrix_evaluate(q, ql, db, dl, part)
     assert np.array_equal(result.ap, ap)
@@ -200,7 +193,7 @@ def test_evaluate_memory_bounded(rng):
     n_q, n_db, c, L = 240, 50_000, 16, 24
     q, db = _random_codes(rng, n_q, c), _random_codes(rng, n_db, c)
     ql, dl = _random_labels(rng, n_q, L), _random_labels(rng, n_db, L)
-    part = _partition(np.arange(L) < 6)
+    part = np.array(np.arange(L) < 6)
     tracemalloc.start()
     try:
         evaluate(q, ql, db, dl, part, "i2t")
@@ -245,7 +238,7 @@ def test_evaluate_single_perfect_query():
     codes = binarize(np.ones((8, 1)))
     labels = np.array([[1, 0]], dtype=np.uint8)
     result = evaluate(codes, labels, codes, labels,
-                      _partition([True, False]), "i2t")
+                      np.array([True, False]), "i2t")
     assert result.map_all == 1.0
     assert result.num_queries == 1
 
@@ -257,7 +250,7 @@ def test_evaluate_matches_brute_force(rng):
     dl = (rng.random((15, 3)) < 0.5).astype(np.uint8)
     ql[ql.sum(1) == 0, 0] = 1
     dl[dl.sum(1) == 0, 0] = 1
-    part = _partition([True, True, False])
+    part = np.array([True, True, False])
     result = evaluate(q, ql, db, dl, part, "t2i")
     aps = _sort_oracle_aps(q, ql, db, dl)
     assert result.map_all == pytest.approx(np.mean(aps))
@@ -273,14 +266,14 @@ def test_evaluate_empty_queries_raises(rng):
     empty = BinaryCodeMatrix(c=8, words=np.empty((0, 1), np.uint64))
     with pytest.raises(EvaluationError):
         evaluate(empty, np.empty((0, 1), np.uint8), db,
-                 np.ones((3, 1), np.uint8), _partition([True]), "i2t")
+                 np.ones((3, 1), np.uint8), np.array([True]), "i2t")
 
 
 def test_evaluate_label_width_mismatch(rng):
     codes = _random_codes(rng, 2, 8)
     with pytest.raises(ShapeError):
         evaluate(codes, np.ones((2, 2), np.uint8), codes,
-                 np.ones((2, 3), np.uint8), _partition([True, False]), "i2t")
+                 np.ones((2, 3), np.uint8), np.array([True, False]), "i2t")
 
 
 @pytest.mark.parametrize("n_ql, n_dl", [(3, 4), (2, 5), (2, 3)])
@@ -290,11 +283,11 @@ def test_evaluate_label_rows_mismatch(rng, n_ql, n_dl):
     q, db = _random_codes(rng, 2, 8), _random_codes(rng, 4, 8)
     with pytest.raises(ShapeError):
         evaluate(q, np.ones((n_ql, 2), np.uint8), db,
-                 np.ones((n_dl, 2), np.uint8), _partition([True, False]), "i2t")
+                 np.ones((n_dl, 2), np.uint8), np.array([True, False]), "i2t")
 
 
 def test_query_groups_any_tail_rule():
-    part = _partition([True, False])
+    part = np.array([True, False])
     labels = np.array([[1, 0], [1, 1], [0, 1]], dtype=np.uint8)
     head, tail = query_groups(labels, part)
     assert list(head) == [True, False, False]
@@ -311,7 +304,7 @@ def test_evaluate_db_shuffle_invariance(rng):
     db = binarize(V)
     ql = np.array([[1, 0]], dtype=np.uint8)
     dl = np.array([[1, 0], [0, 1], [1, 0], [0, 1]], dtype=np.uint8)
-    part = _partition([True, False])
+    part = np.array([True, False])
     base = evaluate(q, ql, db, dl, part, "i2t").map_all
     perm = rng.permutation(4)
     db2 = BinaryCodeMatrix(c=16, words=db.words[perm])
@@ -322,7 +315,7 @@ def test_evaluate_db_shuffle_invariance(rng):
 def test_result_csv_table_shape(tmp_path, rng):
     q = _random_codes(rng, 4, 16)
     labels = np.array([[1, 0]] * 2 + [[0, 1]] * 2, dtype=np.uint8)
-    part = _partition([True, False])
+    part = np.array([True, False])
     res_i = evaluate(q, labels, q, labels, part, "i2t")
     res_t = evaluate(q, labels, q, labels, part, "t2i")
     path = tmp_path / "result.csv"

@@ -88,9 +88,29 @@ def test_activation_grads_match_finite_differences(rng):
         if name == "relu":
             x = x[np.abs(x) > 1e-3]   # away from the kink
         a = _activate(name, x)
-        analytic = _activate_grad(name, x, a)
+        analytic = _activate_grad(name, a, np.ones_like(x))
         numeric = (_activate(name, x + eps) - _activate(name, x - eps)) / (2 * eps)
         assert rel_err(analytic, numeric) < 1e-6
+
+
+def test_activations_are_identity_and_relu():
+    # tags 0 and 1 are the values every written model file carries
+    assert ACTIVATIONS == ("identity", "relu")
+    with pytest.raises(ValueError):
+        LayerSpec(2, 2, "tanh")
+
+
+def test_relu_grad_from_output_equals_pre_activation_formula(rng):
+    # a = max(z, 0) > 0 exactly where z > 0, including at +-0.0, +-inf and NaN
+    z = np.concatenate([rng.normal(size=983), _SPECIAL])
+    g = np.concatenate([rng.normal(size=500), _SPECIAL, rng.normal(size=483)])
+    for zz, gg in ((z, g), (z.reshape(-1, 10), g.reshape(10, -1).T)):
+        with np.errstate(invalid="ignore"):   # inf * 0
+            got = _activate_grad("relu", _activate("relu", zz), gg)
+            want = gg * (zz > 0).astype(np.float64)
+        assert np.array_equal(got, want, equal_nan=True)
+        real = ~np.isnan(want)
+        assert np.array_equal(np.signbit(got[real]), np.signbit(want[real]))
 
 
 # --- forward ------------------------------------------------------------------
@@ -104,16 +124,8 @@ def test_forward_identity_layer_is_identity(rng):
     assert np.array_equal(out, v)
 
 
-def test_forward_sigmoid_unit_zero_weight_gives_half(rng):
-    net = FeedForwardNet([LayerSpec(4, 1, "sigmoid")], rng)
-    net.weights[0][:] = 0.0
-    net.biases[0][:] = 0.0
-    out, _ = net.forward(rng.normal(size=(5, 4)))
-    assert np.allclose(out, 0.5)
-
-
 def test_forward_matches_scalar_loop_oracle(rng):
-    net = FeedForwardNet([LayerSpec(3, 4, "tanh"), LayerSpec(4, 2, "sigmoid")], rng)
+    net = FeedForwardNet([LayerSpec(3, 4, "relu"), LayerSpec(4, 2, "identity")], rng)
     batch = rng.normal(size=(5, 3))
     out, _ = net.forward(batch)
     # hand-rolled forward with explicit scalar loops
@@ -124,12 +136,12 @@ def test_forward_matches_scalar_loop_oracle(rng):
             acc = net.biases[0][j]
             for i in range(3):
                 acc += net.weights[0][j, i] * batch[s, i]
-            h[j] = np.tanh(acc)
+            h[j] = max(acc, 0.0)
         for j in range(2):
             acc = net.biases[1][j]
             for i in range(4):
                 acc += net.weights[1][j, i] * h[i]
-            expect[s, j] = 1.0 / (1.0 + np.exp(-acc))
+            expect[s, j] = acc
     assert np.allclose(out, expect, atol=1e-12)
 
 
@@ -166,7 +178,7 @@ def test_backward_linear_net_weight_grad_is_input_sum(rng):
 
 
 def test_backward_zero_output_grad_gives_zero_grads(rng):
-    net = FeedForwardNet([LayerSpec(3, 4, "tanh"), LayerSpec(4, 2, "sigmoid")], rng)
+    net = FeedForwardNet([LayerSpec(3, 4, "relu"), LayerSpec(4, 2, "identity")], rng)
     out, cache = net.forward(rng.normal(size=(5, 3)))
     grads, input_grad = net.backward(cache, np.zeros_like(out))
     for dw, db in grads:
@@ -175,8 +187,7 @@ def test_backward_zero_output_grad_gives_zero_grads(rng):
 
 
 def test_backward_matches_finite_differences(rng):
-    net = FeedForwardNet([LayerSpec(4, 5, "tanh"), LayerSpec(5, 3, "sigmoid"),
-                          LayerSpec(3, 2, "identity")], rng)
+    net = FeedForwardNet([LayerSpec(4, 5, "relu"), LayerSpec(5, 2, "identity")], rng)
     batch = rng.normal(size=(6, 4))
     R = rng.normal(size=(6, 2))
 
@@ -193,7 +204,7 @@ def test_backward_matches_finite_differences(rng):
 
 
 def test_backward_input_grad_matches_finite_differences(rng):
-    net = FeedForwardNet([LayerSpec(3, 4, "tanh"), LayerSpec(4, 2, "sigmoid")], rng)
+    net = FeedForwardNet([LayerSpec(3, 4, "relu"), LayerSpec(4, 2, "identity")], rng)
     batch = rng.normal(size=(2, 3))
     R = rng.normal(size=(2, 2))
     out, cache = net.forward(batch)
@@ -208,6 +219,19 @@ def test_backward_input_grad_matches_finite_differences(rng):
         lo = float((R * net.forward(b)[0]).sum())
         numeric[idx] = (hi - lo) / (2 * eps)
     assert rel_err(input_grad, numeric) < 1e-5
+
+
+def test_backward_bit_identical_for_transposed_output_grad(rng):
+    # embed_backward passes a transposed view; the sums must not see it
+    net = FeedForwardNet([LayerSpec(6, 16, "relu"), LayerSpec(16, 8, "identity")],
+                         rng)
+    out, cache = net.forward(rng.normal(size=(200, 6)))
+    R = rng.normal(size=out.shape)
+    want, want_in = net.backward(cache, R)
+    got, got_in = net.backward(cache, np.asfortranarray(R))
+    assert np.array_equal(got_in, want_in)
+    for (gw, gb), (ww, wb) in zip(got, want):
+        assert np.array_equal(gw, ww) and np.array_equal(gb, wb)
 
 
 def test_backward_shape_mismatch_raises(rng):
@@ -286,11 +310,11 @@ def _net_bytes(net):
 
 
 def test_net_save_load_roundtrip(rng):
-    net = FeedForwardNet([LayerSpec(3, 4, "relu"), LayerSpec(4, 2, "sigmoid")], rng)
+    net = FeedForwardNet([LayerSpec(3, 4, "relu"), LayerSpec(4, 2, "identity")], rng)
     f = io.BytesIO(_net_bytes(net))
     loaded = read_net(f)
     read_end(f)
-    assert [s.activation for s in loaded.specs] == ["relu", "sigmoid"]
+    assert [s.activation for s in loaded.specs] == ["relu", "identity"]
     for w1, w2 in zip(net.weights, loaded.weights):
         assert np.array_equal(w1, w2)
     for b1, b2 in zip(net.biases, loaded.biases):
@@ -303,12 +327,12 @@ def test_net_save_is_byte_deterministic(rng):
 
 
 def test_net_file_layout_matches_documentation(rng):
-    net = FeedForwardNet([LayerSpec(2, 1, "tanh")], rng)
+    net = FeedForwardNet([LayerSpec(2, 1, "relu")], rng)
     raw = _net_bytes(net)
     assert int.from_bytes(raw[0:4], "little") == 1          # layer count
     assert int.from_bytes(raw[4:8], "little") == 2          # input_dim
     assert int.from_bytes(raw[8:12], "little") == 1         # output_dim
-    assert raw[12] == ACTIVATIONS.index("tanh")
+    assert raw[12] == ACTIVATIONS.index("relu") == 1
     params = np.frombuffer(raw[13:], dtype="<f8")
     assert np.array_equal(params[:2], net.weights[0].ravel())
     assert params[2] == net.biases[0][0]
@@ -351,9 +375,11 @@ def test_read_net_bad_activation_tag_raises(rng):
     buf = io.BytesIO()
     write_net(buf, net)
     raw = bytearray(buf.getvalue())
-    raw[12] = 200   # activation tag byte of the first layer spec
-    with pytest.raises(FormatError):
-        read_net(io.BytesIO(bytes(raw)))
+    # the activation tag byte of the first layer spec; only 0 and 1 are tags
+    for tag in (2, 3, 200, 255):
+        raw[12] = tag
+        with pytest.raises(FormatError, match=f"bad activation tag {tag}"):
+            read_net(io.BytesIO(bytes(raw)))
 
 
 # --- properties -----------------------------------------------------------------
@@ -363,8 +389,8 @@ def test_read_net_bad_activation_tag_raises(rng):
 def test_forward_deterministic_for_seed(seed):
     r1 = np.random.default_rng(seed)
     r2 = np.random.default_rng(seed)
-    n1 = FeedForwardNet([LayerSpec(3, 2, "tanh")], r1)
-    n2 = FeedForwardNet([LayerSpec(3, 2, "tanh")], r2)
+    n1 = FeedForwardNet([LayerSpec(3, 2, "relu")], r1)
+    n2 = FeedForwardNet([LayerSpec(3, 2, "relu")], r2)
     batch = np.random.default_rng(seed + 1).normal(size=(4, 3))
     assert np.array_equal(n1.forward(batch)[0], n2.forward(batch)[0])
 
