@@ -66,8 +66,9 @@ def cmd_train(args):
     cfg = _load_cfg(args)
     experiment.train_config(cfg)   # reject bad keys before writing anything
     data = ds.load_dataset(args.dataset)
-    out = _outdir(args, cfg)
+    # some config errors need the dataset: write nothing before training
     _, model, history = experiment.run_train(data, cfg)
+    out = _outdir(args, cfg)
     hash_learn.save_model(out / "model.lcmh", model)
     experiment.write_loss_csv(out / "loss.csv", history)
     final = history[-1]["total"] if history else float("nan")
@@ -160,7 +161,6 @@ def cmd_sweep(args):
     for v in values:   # reject a bad value before the first run trains
         experiment.train_config({**cfg, args.param: v})
     data = ds.load_dataset(args.dataset)
-    out = _outdir(args, cfg)
     rows = []
     for v in values:
         run_cfg = dict(cfg)
@@ -171,7 +171,7 @@ def cmd_sweep(args):
         rows.append((v, i2t.map_all, t2i.map_all))
         print(f"{args.param}={v:g}: map_i2t={i2t.map_all:.4f} "
               f"map_t2i={t2i.map_all:.4f}")
-    path = out / f"sweep_{args.param}.csv"
+    path = _outdir(args, cfg) / f"sweep_{args.param}.csv"
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow([args.param, "map_i2t", "map_t2i"])

@@ -171,12 +171,17 @@ def grad_Vx(Vx, Vy, A, B, alpha, beta, cols=slice(None)) -> np.ndarray:
     return g
 
 
-def grad_Vy(Vx, Vy, A, B, alpha, beta, cols=slice(None)) -> np.ndarray:
+def grad_Vy(Vx, Vy, A, B, alpha, beta, cols=slice(None), *,
+            nll=None) -> np.ndarray:
     """dJ/dVy at columns `cols` (all by default); grad_Vx with the roles of
-    the modalities swapped."""
+    the modalities swapped. A list `nll` gets the NLL of these Phi columns,
+    nll_loss(phi, A[:, cols]), appended."""
     phi = pairwise_phi(Vx, Vy[:, cols])
+    a = A[:, cols]
+    if nll is not None:
+        nll.append(nll_loss(phi, a))
     s = sigmoid(phi)
-    s -= A[:, cols]
+    s -= a
     g = 0.5 * (Vx @ s)
     g += 2.0 * alpha * (Vy[:, cols] - B[:, cols])
     g += 2.0 * beta * Vy.sum(axis=1, keepdims=True)
@@ -263,7 +268,9 @@ def train(dataset: MultiModalDataset, train_indices: np.ndarray,
     minibatches of each modality against the full cross-modal objective
     (gradients averaged over the training set), then B is recomputed in
     closed form. Returns (model, history) where history holds one record
-    per epoch including the loss before and after the B step.
+    per epoch including the loss before and after the B step. Phi is
+    computed once per side per epoch: the record's NLL is the sum of the
+    NLLs of the y pass's Phi blocks, not a separate objective() pass.
 
     With the memory on, eta needs a non-empty head and a non-empty tail
     class under head_threshold; a partition without both raises
@@ -315,14 +322,17 @@ def train(dataset: MultiModalDataset, train_indices: np.ndarray,
         Vy, _ = meta_embed.embed_batch(ey, Y, bank_y)
 
         order = rng.permutation(n)
-        for side, embedder, bank, feats, V, grad in (
-                ("x", ex, bank_x, X, Vx, grad_Vx),
-                ("y", ey, bank_y, Y, Vy, grad_Vy)):
+        nll = []
+        # A is symmetric: A.T turns grad_Vy's column gather into a row gather
+        for side, embedder, bank, feats, V, grad, aff, extra in (
+                ("x", ex, bank_x, X, Vx, grad_Vx, A, {}),
+                ("y", ey, bank_y, Y, Vy, grad_Vy, A.T, {"nll": nll})):
             for start in range(0, n, config.batch_columns):
                 cols = order[start:start + config.batch_columns]
                 v_batch, cache = meta_embed.embed_batch(embedder, feats[cols], bank)
                 V[:, cols] = v_batch
-                g = grad(Vx, Vy, A, B, config.alpha, config.beta, cols)
+                g = grad(Vx, Vy, aff, B, config.alpha, config.beta, cols,
+                         **extra)
                 g /= n
                 if not np.all(np.isfinite(g)):
                     raise TrainingError(
@@ -331,9 +341,10 @@ def train(dataset: MultiModalDataset, train_indices: np.ndarray,
                 grads = meta_embed.embed_backward(embedder, cache, g)
                 _apply_grads(embedder, grads, config.learning_rate)
 
-        # the NLL and balance terms do not depend on B: only the
-        # quantization term is recomputed after the B step
-        pre = objective(Vx, Vy, A, B, config.alpha, config.beta)
+        # the y blocks are this epoch's final Phi (Vx fixed, each Vy column
+        # final once used); only the quantization term depends on B
+        pre = LossBreakdown(sum(nll), quantization_loss(B, Vx, Vy),
+                            balance_loss(Vx, Vy), config.alpha, config.beta)
         B = update_B(Vx, Vy)
         post = dataclasses.replace(
             pre, quantization=quantization_loss(B, Vx, Vy))

@@ -142,12 +142,19 @@ def test_bad_config_value_usage_error(pipeline, tmp_path, capsys, command,
 
 @pytest.mark.parametrize("command, setting", [
     ("synth", "mixed_fraction=2"), ("train", "hidden_dim=0"),
-    ("train", "eta_mode=learned")])
+    ("train", "eta_mode=learned"),
+    # rejected against the dataset: 24 config classes for 4 dataset
+    # classes, and a head threshold that leaves no non-empty tail class
+    ("train", "groups=4x200,10x20,10x5"), ("train", "head_threshold=1"),
+    ("sweep", "groups=4x200,10x20,10x5")])
 def test_rejected_run_writes_no_config(pipeline, tmp_path, command, setting):
-    # the config is validated before the output directory is written
+    # nothing is written until every config check, the dataset-dependent
+    # ones included, has passed
     args = [command, "--out", str(tmp_path / "out"), *_sets([setting])]
-    if command == "train":
+    if command != "synth":
         args += ["--dataset", str(pipeline / "data" / "dataset.lcmd")]
+    if command == "sweep":
+        args += ["--param", "alpha", "--values", "1"]
     assert main(args) == 1
     assert not (tmp_path / "out" / "config.effective").exists()
 

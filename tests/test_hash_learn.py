@@ -173,6 +173,46 @@ def test_grad_cols_equal_full_gradient_columns(rng):
                            full_y[:, cols], rtol=1e-12, atol=1e-12)
 
 
+def _column_partition(rng, n, size):
+    order = rng.permutation(n)
+    return [order[start:start + size] for start in range(0, n, size)]
+
+
+def test_grad_vy_nll_blocks_sum_to_full_nll(rng):
+    Vx, Vy = rng.normal(size=(6, 30)) * 2, rng.normal(size=(6, 30)) * 2
+    A = rng.integers(0, 2, size=(30, 30)).astype(float)
+    assert not np.array_equal(A, A.T)
+    B = update_B(Vx, Vy)
+    blocks = []
+    parts = _column_partition(rng, 30, 7)
+    for cols in parts:
+        grad_Vy(Vx, Vy, A, B, 0.7, 0.3, cols, nll=blocks)
+    assert len(blocks) == len(parts)
+    assert sum(blocks) == pytest.approx(nll_loss(pairwise_phi(Vx, Vy), A),
+                                        rel=1e-12, abs=0)
+
+
+def test_grad_vy_gradient_unchanged_by_nll(rng):
+    Vx, Vy = rng.normal(size=(6, 30)), rng.normal(size=(6, 30))
+    A = rng.integers(0, 2, size=(30, 30)).astype(float)
+    B = update_B(Vx, Vy)
+    for cols in [slice(None), *_column_partition(rng, 30, 7)]:
+        assert np.array_equal(grad_Vy(Vx, Vy, A, B, 0.7, 0.3, cols, nll=[]),
+                              grad_Vy(Vx, Vy, A, B, 0.7, 0.3, cols))
+
+
+def test_grad_vy_transposed_symmetric_affinity_bit_identical(rng):
+    # train hands grad_Vy its symmetric affinity as A.T (a row gather)
+    labels = rng.integers(0, 2, size=(30, 5))
+    A = build_affinity(labels, labels).astype(np.float64)
+    assert np.array_equal(A, A.T) and set(np.unique(A)) == {0.0, 1.0}
+    Vx, Vy = rng.normal(size=(6, 30)), rng.normal(size=(6, 30))
+    B = update_B(Vx, Vy)
+    for cols in [slice(None), *_column_partition(rng, 30, 7)]:
+        assert np.array_equal(grad_Vy(Vx, Vy, A, B, 0.7, 0.3, cols),
+                              grad_Vy(Vx, Vy, A.T, B, 0.7, 0.3, cols))
+
+
 # --- B update ---------------------------------------------------------------------
 
 def test_update_B_tie_rule():
@@ -267,14 +307,39 @@ def test_train_monotone_b_step_in_history():
         assert rec["post_b_total"] <= rec["pre_b_total"] + 1e-9
 
 
-def test_train_evaluates_objective_once_per_epoch(monkeypatch):
-    calls = []
-    real = hash_learn.objective
+def test_train_one_phi_pass_per_epoch_side(monkeypatch):
+    # the history NLL comes from grad_Vy's Phi blocks, not from objective()
+    objective_calls, pairs, snaps = [], [0], []
+    real_objective = hash_learn.objective
+    real_phi, real_grad_Vy = hash_learn.pairwise_phi, hash_learn.grad_Vy
+
+    def phi(Vx, Vy):
+        pairs[0] += Vx.shape[1] * Vy.shape[1]
+        return real_phi(Vx, Vy)
+
+    def spy(Vx, Vy, *args, nll=None):
+        g = real_grad_Vy(Vx, Vy, *args, nll=nll)
+        # one record per epoch (per nll list), kept from its last call
+        if snaps and snaps[-1][0] is nll:
+            snaps.pop()
+        snaps.append((nll, Vx.copy(), Vy.copy(), pairs[0]))
+        return g
+
     monkeypatch.setattr(hash_learn, "objective",
-                        lambda *a, **k: calls.append(1) or real(*a, **k))
+                        lambda *a, **k: objective_calls.append(1)
+                        or real_objective(*a, **k))
+    monkeypatch.setattr(hash_learn, "pairwise_phi", phi)
+    monkeypatch.setattr(hash_learn, "grad_Vy", spy)
     data = _separable_dataset()
-    train(data, np.arange(data.n), _fast_config(epochs=6))
-    assert len(calls) == 6
+    n = data.n
+    _, history = train(data, np.arange(n), _fast_config(epochs=6))
+    assert objective_calls == []
+    assert pairs[0] == 6 * 2 * n * n
+    assert [p for *_, p in snaps] == [2 * n * n * (e + 1) for e in range(6)]
+    A = build_affinity(data.labels, data.labels).astype(np.float64)
+    for rec, (_, Vx, Vy, _) in zip(history, snaps, strict=True):
+        assert rec["nll"] == pytest.approx(nll_loss(real_phi(Vx, Vy), A),
+                                           rel=1e-12, abs=0)
 
 
 def test_train_deterministic():
