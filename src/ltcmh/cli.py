@@ -138,6 +138,9 @@ def cmd_eval(args):
 def cmd_gradcheck(args):
     if args.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {args.seed}")
+    if not 0.0 < args.threshold < float("inf"):
+        raise ConfigError(f"threshold must be finite and > 0, got "
+                          f"{args.threshold}")
     errors = gradcheck.run_all(seed=args.seed)
     worst = max(errors.values())
     for name, err in errors.items():

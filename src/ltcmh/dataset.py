@@ -118,10 +118,9 @@ def synthesize_long_tailed(spec: LongTailSpec, seed: int) -> MultiModalDataset:
         second = np.where(second >= k, second + 1, second)
         lab = np.zeros((m, L), dtype=np.uint8)
         lab[:, k] = 1
+        lab[np.arange(n_mixed), second] = 1
         z = np.tile(centers[k], (m, 1))
-        for i, j in enumerate(second):
-            z[i] = 0.5 * (centers[k] + centers[j])
-            lab[i, j] = 1
+        z[:n_mixed] = 0.5 * (centers[k] + centers[second])
         z = z + rng.normal(size=z.shape) * 0.3
         xs.append(z @ a_x.T + rng.normal(size=(m, spec.d_x)) * spec.noise_std)
         ys.append(z @ a_y.T + rng.normal(size=(m, spec.d_y)) * spec.noise_std)
@@ -145,15 +144,14 @@ def trim_labels(labels: np.ndarray, min_keep: int = 2, max_keep: int = 3,
         raise ConfigError(f"need 1 <= min_keep <= max_keep, got "
                           f"min_keep={min_keep}, max_keep={max_keep}")
     labels = np.asarray(labels)
-    if np.any(labels.sum(axis=1) < 1):
+    per_row = labels.sum(axis=1)
+    if np.any(per_row < 1):
         raise ValueError("every row needs at least one label")
     rng = np.random.default_rng(seed)
     global_counts = labels.sum(axis=0)
     out = labels.copy()
-    for i in range(labels.shape[0]):
+    for i in np.flatnonzero(per_row > max_keep):
         present = np.flatnonzero(labels[i])
-        if present.size <= max_keep:
-            continue
         keep_n = int(rng.integers(min_keep, max_keep + 1))
         # rarest first; lexsort's last key dominates, index breaks ties
         order = np.lexsort((present, global_counts[present]))

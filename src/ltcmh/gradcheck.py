@@ -11,10 +11,12 @@ from .tensor import (ACTIVATIONS, FeedForwardNet, LayerSpec, _activate,
 
 
 def rel_err(analytic, numeric):
-    """Max elementwise |a - f| / (1e-8 + |a| + |f|)."""
+    """Max elementwise |a - f| / (1e-8 + |a| + |f|); inf if any entry is
+    NaN, so a NaN gradient fails every threshold (max() would drop it)."""
     a = np.asarray(analytic, dtype=np.float64)
     f = np.asarray(numeric, dtype=np.float64)
-    return float((np.abs(a - f) / (1e-8 + np.abs(a) + np.abs(f))).max())
+    err = float((np.abs(a - f) / (1e-8 + np.abs(a) + np.abs(f))).max())
+    return np.inf if np.isnan(err) else err
 
 
 def check_activations(seed=0, points=100, eps=1e-6):

@@ -24,7 +24,6 @@ from .tensor import FeedForwardNet, ForwardCache
 
 ETA_MODES = ("intent_ratio", "as_printed")
 ETA_EPS = 1e-12
-ETA_BLOCK = 4096   # eta_ratio rows per block; bounds its block x L x c temporary
 
 
 @dataclass
@@ -113,15 +112,11 @@ def eta_ratio(v_direct: np.ndarray, bank: PrototypeBank, mode: str,
     if not head.any() or not tail.any():
         raise ConfigError("eta needs a non-empty head and a non-empty tail "
                           "class")
-    # squared distances to every centroid, one row block at a time
-    d_head = np.empty(v_direct.shape[0])
-    d_tail = np.empty(v_direct.shape[0])
-    for start in range(0, v_direct.shape[0], ETA_BLOCK):
-        rows = slice(start, start + ETA_BLOCK)
-        d2 = ((v_direct[rows, None, :] - bank.centroids[None, :, :]) ** 2
-              ).sum(axis=2)
-        d_head[rows] = d2[:, head].min(axis=1)
-        d_tail[rows] = d2[:, tail].min(axis=1)
+    # nearest squared distances, one centroid at a time: O(samples x c)
+    d_head, d_tail = np.full((2, v_direct.shape[0]), np.inf)
+    for d, classes in ((d_head, head), (d_tail, tail)):
+        for m in bank.centroids[classes]:
+            np.minimum(d, ((v_direct - m) ** 2).sum(axis=1), out=d)
     if mode == "intent_ratio":
         eta = d_head / np.maximum(d_tail, ETA_EPS)
     else:
@@ -131,11 +126,11 @@ def eta_ratio(v_direct: np.ndarray, bank: PrototypeBank, mode: str,
 
 def _attention_weights(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Row softmax of the logits restricted to mask=True columns; masked
-    entries get 0."""
+    entries get 0. Works in place on one samples x L array."""
     z = np.where(mask, logits, -np.inf)
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    return np.divide(z, z.sum(axis=1, keepdims=True), out=z)
 
 
 def embed_batch(embedder: MetaEmbedder, batch: np.ndarray, bank: PrototypeBank):

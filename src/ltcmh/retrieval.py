@@ -67,12 +67,12 @@ def hamming_matrix(queries: BinaryCodeMatrix, db: BinaryCodeMatrix) -> np.ndarra
 def average_precision(relevance: np.ndarray) -> float:
     """AP of a ranked 0/1 relevance list; 0 when nothing is relevant."""
     rel = np.asarray(relevance, dtype=bool)
-    total = int(rel.sum())
+    ranks = np.flatnonzero(rel) + 1
+    total = ranks.size
     if total == 0:
         return 0.0
-    hits = np.cumsum(rel)
-    ranks = np.flatnonzero(rel) + 1
-    return float((hits[ranks - 1] / ranks).sum() / total)
+    # the k-th relevant item has exactly k hits at its rank
+    return float((np.arange(1, total + 1) / ranks).sum() / total)
 
 
 @dataclass

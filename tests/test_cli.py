@@ -596,6 +596,26 @@ def test_gradcheck_corrupt_negative_control(monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().err
 
 
+def test_gradcheck_nan_gradient_fails(monkeypatch, capsys):
+    # max() keeps its first argument against a NaN; the check must not
+    backward = FeedForwardNet.backward
+
+    def nan_dw(self, cache, output_grad):
+        ((dw, db), *rest), input_grad = backward(self, cache, output_grad)
+        return [(np.full_like(dw, np.nan), db), *rest], input_grad
+
+    monkeypatch.setattr(FeedForwardNet, "backward", nan_dw)
+    assert main(["gradcheck"]) == 3
+    captured = capsys.readouterr()
+    assert "FAIL" in captured.err and "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1"])
+def test_gradcheck_rejects_bad_threshold(capsys, threshold):
+    assert main(["gradcheck", f"--threshold={threshold}"]) == 1
+    assert "threshold must be finite and > 0" in capsys.readouterr().err
+
+
 # --- sweep ------------------------------------------------------------------------
 
 def test_sweep_rows_and_reproducibility(pipeline, tmp_path):

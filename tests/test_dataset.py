@@ -55,6 +55,47 @@ def test_synthesize_class_label_counts():
     assert np.all(data.labels.sum(axis=0) >= expect)
 
 
+def _synthesize_per_sample_mixing(spec, seed):
+    """synthesize_long_tailed with the second labels mixed in one sample at
+    a time, the form it replaced; returns (X, Y, labels)."""
+    rng = np.random.default_rng(seed)
+    L = spec.num_classes
+    counts = spec.class_counts() + spec.extra_per_class
+    centers = rng.normal(size=(L, spec.latent_dim)) * 2.0
+    a_x = rng.normal(size=(spec.d_x, spec.latent_dim)) / np.sqrt(spec.latent_dim)
+    a_y = rng.normal(size=(spec.d_y, spec.latent_dim)) / np.sqrt(spec.latent_dim)
+    xs, ys, labs = [], [], []
+    for k in range(L):
+        m = int(counts[k])
+        n_mixed = int(np.floor(spec.mixed_fraction * m)) if L > 1 else 0
+        second = rng.integers(0, L - 1, size=n_mixed) if n_mixed else np.empty(0, int)
+        second = np.where(second >= k, second + 1, second)
+        lab = np.zeros((m, L), dtype=np.uint8)
+        lab[:, k] = 1
+        z = np.tile(centers[k], (m, 1))
+        for i, j in enumerate(second):
+            z[i] = 0.5 * (centers[k] + centers[j])
+            lab[i, j] = 1
+        z = z + rng.normal(size=z.shape) * 0.3
+        xs.append(z @ a_x.T + rng.normal(size=(m, spec.d_x)) * spec.noise_std)
+        ys.append(z @ a_y.T + rng.normal(size=(m, spec.d_y)) * spec.noise_std)
+        labs.append(lab)
+    return np.concatenate(xs), np.concatenate(ys), np.concatenate(labs)
+
+
+@pytest.mark.parametrize("groups, mixed_fraction, seed", [
+    ([(1, 5)], 0.5, 0), ([(2, 30), (3, 7)], 0.0, 1),
+    ([(2, 30), (3, 7)], 0.2, 2), ([(3, 11), (2, 4)], 1.0, 3)])
+def test_synthesize_matches_per_sample_mixing(groups, mixed_fraction, seed):
+    spec = LongTailSpec(groups=groups, d_x=5, d_y=4, latent_dim=3,
+                        extra_per_class=2, mixed_fraction=mixed_fraction)
+    data = synthesize_long_tailed(spec, seed)
+    X, Y, labels = _synthesize_per_sample_mixing(spec, seed)
+    assert np.array_equal(data.X, X) and np.array_equal(data.Y, Y)
+    assert data.labels.dtype == labels.dtype
+    assert np.array_equal(data.labels, labels)
+
+
 def test_synthesize_modalities_share_class_structure():
     # class centroids in X-space must be farther apart than within-class spread
     spec = LongTailSpec(groups=[(2, 50)], d_x=16, d_y=12, noise_std=0.2,
@@ -134,6 +175,43 @@ def test_trim_monotonicity_property(labels, seed):
     assert np.all(trimmed[~small] <= 3)
     # kept labels are a subset of the original ones
     assert np.all(labels[out.astype(bool)] == 1)
+
+
+def _trim_labels_row_loop(labels, min_keep, max_keep, seed):
+    """trim_labels as a visit to every row, the form it replaced."""
+    rng = np.random.default_rng(seed)
+    global_counts = labels.sum(axis=0)
+    out = labels.copy()
+    for i in range(labels.shape[0]):
+        present = np.flatnonzero(labels[i])
+        if present.size <= max_keep:
+            continue
+        keep_n = int(rng.integers(min_keep, max_keep + 1))
+        order = np.lexsort((present, global_counts[present]))
+        out[i] = 0
+        out[i, present[order[:keep_n]]] = 1
+    return out
+
+
+@pytest.mark.parametrize("min_keep, max_keep, seed",
+                         [(1, 1, 0), (2, 3, 0), (2, 3, 7), (1, 4, 3),
+                          (3, 3, 5), (2, 5, 11)])
+def test_trim_matches_row_loop(min_keep, max_keep, seed):
+    rng = np.random.default_rng(seed)
+    labels = (rng.random((300, 12)) < 0.3).astype(np.uint8)
+    labels[np.arange(300), rng.integers(0, 12, size=300)] = 1
+    assert (labels.sum(axis=1) > max_keep).any()
+    out = trim_labels(labels, min_keep, max_keep, seed)
+    assert out.dtype == labels.dtype
+    assert np.array_equal(out, _trim_labels_row_loop(labels, min_keep,
+                                                     max_keep, seed))
+
+
+def test_trim_without_long_rows_returns_equal_copy():
+    labels = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 0]], dtype=np.uint8)
+    out = trim_labels(labels, max_keep=2)
+    assert np.array_equal(out, labels)
+    assert not np.shares_memory(out, labels)
 
 
 def test_trim_rejects_empty_row():

@@ -148,6 +148,13 @@ def test_gradcheck_negative_control(monkeypatch):
     assert gradcheck.check_objective_grad(instances=3, seed=0) > 1e-3
 
 
+def test_gradcheck_nan_gradient_is_infinite_error(monkeypatch):
+    grad = hash_learn.grad_Vx
+    monkeypatch.setattr(hash_learn, "grad_Vx",
+                        lambda *a: np.full_like(grad(*a), np.nan))
+    assert gradcheck.check_objective_grad(instances=3, seed=0) == np.inf
+
+
 def test_grad_vy_symmetry(rng):
     # grad_Vy on (Vx, Vy, A) equals grad_Vx on the transposed problem
     Vx, Vy = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))

@@ -3,8 +3,8 @@ import pytest
 
 from ltcmh import gradcheck
 from ltcmh.errors import ConfigError, ShapeError
-from ltcmh.meta_embed import (MetaEmbedder, PrototypeBank, compute_prototypes,
-                              ETA_BLOCK, embed_backward, embed_batch,
+from ltcmh.meta_embed import (MetaEmbedder, PrototypeBank, _attention_weights,
+                              compute_prototypes, embed_backward, embed_batch,
                               eta_ratio)
 from ltcmh.tensor import FeedForwardNet, LayerSpec
 
@@ -153,6 +153,20 @@ def test_memory_masked_softmax_oracle(rng):
     assert np.allclose(cache.v_memory[0], expect_w @ bank.centroids)
 
 
+def test_attention_weights_equal_out_of_place_softmax(rng):
+    # in-place shift, exp and divide give the bits of the plain expression
+    logits = rng.normal(size=(5000, 24)) * rng.choice([0.1, 10.0, 300.0],
+                                                      size=(5000, 1))
+    mask = np.ones((1, 24), dtype=bool)
+    mask[0, [3, 17]] = False
+    z = np.where(mask, logits, -np.inf)
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    expect = e / e.sum(axis=1, keepdims=True)
+    w = _attention_weights(logits, mask)
+    assert np.array_equal(w, expect)
+    assert not w[:, [3, 17]].any()
+
+
 # --- eta --------------------------------------------------------------------------
 
 def test_eta_equal_distances_gives_one():
@@ -199,19 +213,24 @@ def test_eta_errors():
 
 
 @pytest.mark.parametrize("mode", ["intent_ratio", "as_printed"])
-def test_eta_ratio_invariant_under_row_blocks(mode, rng):
-    # one full block plus a partial one; eta_max is far above every ratio,
-    # so no clamp hides a difference in the distances
-    v = rng.normal(size=(ETA_BLOCK + 17, 6))
+def test_eta_ratio_row_invariant_and_matches_broadcast_oracle(mode, rng):
+    # eta_max is far above every ratio, so no clamp hides a difference in
+    # the distances; a NaN feature must give NaN eta, as in the oracle
+    v = rng.normal(size=(4113, 6))
+    v[100, 3] = np.nan
     bank = _bank(rng.normal(size=(5, 6)), [True, True, False, False, False])
     whole = eta_ratio(v, bank, mode, 1e9)
     by_row = np.concatenate([eta_ratio(v[i:i + 1], bank, mode, 1e9)
                              for i in range(len(v))])
-    assert np.array_equal(whole, by_row)
+    assert np.array_equal(whole, by_row, equal_nan=True)
     d2 = ((v[:, None, :] - bank.centroids[None, :, :]) ** 2).sum(axis=2)
     d_head, d_tail = d2[:, :2].min(axis=1), d2[:, 2:].min(axis=1)
     ratio = d_head / d_tail if mode == "intent_ratio" else d_tail / d_head
-    assert np.array_equal(whole, ratio)
+    assert np.isnan(whole[100]) and np.isnan(whole).sum() == 1
+    assert np.array_equal(whole, ratio, equal_nan=True)
+    # a NaN centroid poisons its group's min for every row, as in np.min
+    bank.centroids[3, 0] = np.nan
+    assert np.isnan(eta_ratio(v, bank, mode, 1e9)).all()
 
 
 # --- meta features ----------------------------------------------------------------

@@ -225,6 +225,25 @@ def test_ap_all_relevant_first_is_one(rng):
         assert average_precision(rel) == 1.0
 
 
+def _ap_prefix_sum(relevance):
+    """average_precision through a prefix sum of hits, the form it replaced."""
+    rel = np.asarray(relevance, dtype=bool)
+    total = int(rel.sum())
+    if total == 0:
+        return 0.0
+    hits = np.cumsum(rel)
+    ranks = np.flatnonzero(rel) + 1
+    return float((hits[ranks - 1] / ranks).sum() / total)
+
+
+def test_ap_equals_prefix_sum_form(rng):
+    lists = [np.zeros(50), np.ones(50), np.r_[np.zeros(49), 1.0], [1], [0]]
+    lists += [rng.random(int(rng.integers(1, 2000))) < p
+              for p in (0.01, 0.1, 0.5, 0.9) for _ in range(25)]
+    for rel in lists:
+        assert average_precision(rel) == _ap_prefix_sum(rel)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=30))
 def test_ap_in_unit_interval(rel):
