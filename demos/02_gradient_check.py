@@ -27,8 +27,8 @@ net = FeedForwardNet([LayerSpec(4, 5, "relu"), LayerSpec(5, 2, "identity")],
                      rng)
 batch = rng.normal(size=(6, 4))
 R = rng.normal(size=(6, 2))
-_, cache = net.forward(batch)
-(dw, _), *_ = net.backward(cache, R)[0]
+_, acts = net.forward(batch)
+(dw, _), *_ = net.backward(acts, R)[0]
 numeric = finite_diff_grad(lambda n: float((R * n.forward(batch)[0]).sum()),
                            net, 1e-6)
 intact = gradcheck.rel_err(dw, numeric[0][0])

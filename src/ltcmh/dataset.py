@@ -192,8 +192,7 @@ def primary_labels(labels: np.ndarray) -> np.ndarray:
 
 def split_query_retrieval(dataset: MultiModalDataset,
                           train_per_class: np.ndarray,
-                          queries_per_class: int = 50,
-                          seed: int = 0):
+                          queries_per_class: int, seed: int = 0):
     """Carve (train, query, retrieval) index sets out of the full pool.
 
     Per class (by primary label): train_per_class[k] samples go to training,

@@ -50,8 +50,8 @@ def check_net_backward(seed=0, eps=1e-6):
         out, _ = n.forward(batch)
         return float((R * out).sum())
 
-    out, cache = net.forward(batch)
-    analytic, _ = net.backward(cache, R)
+    _, acts = net.forward(batch)
+    analytic, _ = net.backward(acts, R)
     numeric = finite_diff_grad(loss_fn, net, eps)
     worst = 0.0
     for (adw, adb), (ndw, ndb) in zip(analytic, numeric):
@@ -112,7 +112,6 @@ def check_embed_backward(seed=0, eps=1e-6):
     """
     embedder, batch, bank, R = _tiny_embed_setup(seed)
     _, cache = meta_embed.embed_batch(embedder, batch, bank)
-    grads = meta_embed.embed_backward(embedder, cache, R)
 
     def loss_with(net):
         # eta is a stop-gradient constant: evaluate the embedding with eta
@@ -126,8 +125,7 @@ def check_embed_backward(seed=0, eps=1e-6):
         return float((R * v_meta).sum())
 
     worst = 0.0
-    for net, analytic in ((embedder.basic_net, grads.basic),
-                          (embedder.weight_net, grads.weight)):
+    for net, analytic in meta_embed.embed_backward(embedder, cache, R):
         numeric = finite_diff_grad(loss_with, net, eps)
         for (adw, adb), (ndw, ndb) in zip(analytic, numeric):
             worst = max(worst, rel_err(adw, ndw), rel_err(adb, ndb))

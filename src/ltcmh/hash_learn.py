@@ -131,7 +131,7 @@ def pairwise_phi(Vx: np.ndarray, Vy: np.ndarray) -> np.ndarray:
 def nll_loss(phi: np.ndarray, A: np.ndarray) -> float:
     """-sum_ij (a_ij phi_ij - softplus(phi_ij)), softplus evaluated stably."""
     phi = np.asarray(phi, dtype=np.float64)
-    A = np.asarray(A, dtype=np.float64)
+    A = np.asarray(A)   # a 0/1 uint8 A promotes exactly in A * phi
     if phi.shape != A.shape:
         raise ShapeError(f"phi shape {phi.shape} != affinity shape {A.shape}")
     t = A * phi
@@ -205,8 +205,7 @@ def _build_embedder(input_dim: int, num_classes: int, config: TrainConfig,
          LayerSpec(config.hidden_dim, c, "identity")], rng)
     weight = FeedForwardNet([LayerSpec(c, num_classes, "identity")], rng)
     return MetaEmbedder(basic_net=basic, weight_net=weight,
-                        eta_mode=config.eta_mode,
-                        use_memory=not config.no_memory,
+                        eta_mode=config.eta_mode, use_memory=False,
                         eta_max=config.eta_max)
 
 
@@ -226,39 +225,31 @@ def _clip_grads(grads):
     return [(dw * scale, db * scale) for dw, db in grads]
 
 
-def _apply_grads(embedder: MetaEmbedder, grads: meta_embed.EmbedGrads,
-                 learning_rate: float):
-    pairs = [(embedder.basic_net, grads.basic)]
-    if grads.weight is not None:
-        pairs.append((embedder.weight_net, grads.weight))
-    for net, g in pairs:
-        sgd_step(net, _clip_grads(g), learning_rate)
-
-
-def _switch_on_memory(embedder: MetaEmbedder, bank: PrototypeBank,
-                      features: np.ndarray, labels: np.ndarray,
-                      is_head: np.ndarray):
-    """End of memory warm-up: refresh the bank from current direct features
-    and initialize the attention weights to scaled nearest-centroid matching
-    (logits k·C·v − k‖C‖²/2 with k = ATTENTION_INIT_SCALE, the
-    log-posterior of an isotropic Gaussian mixture over the prototypes)."""
-    bank.centroids[:] = _refresh_bank(embedder, features, labels,
-                                      is_head).centroids
+def _switch_on_memory(embedder: MetaEmbedder, features: np.ndarray,
+                      labels: np.ndarray, is_head: np.ndarray) -> PrototypeBank:
+    """End of memory warm-up, the one place the memory path is enabled.
+    Fits a prototype bank on the current direct features, initializes the
+    attention weights to scaled nearest-centroid matching (logits
+    k·C·v − k‖C‖²/2 with k = ATTENTION_INIT_SCALE, the log-posterior of an
+    isotropic Gaussian mixture over the prototypes) and returns the bank."""
+    bank = _refresh_bank(embedder, features, labels, is_head)
     k = ATTENTION_INIT_SCALE
     embedder.weight_net.weights[0][:] = k * bank.centroids
     embedder.weight_net.biases[0][:] = \
         -0.5 * k * (bank.centroids ** 2).sum(axis=1)
     embedder.use_memory = True
+    return bank
 
 
 def train(dataset: MultiModalDataset, train_indices: np.ndarray,
           config: TrainConfig):
     """Alternating optimization over the training split.
 
-    The first min(warmup_epochs, epochs) epochs train the direct features
-    alone. At the switchover the prototype banks are rebuilt from the
-    current direct features, the attention weights are initialized to
-    nearest-centroid matching, and the memory path is enabled. With the
+    The embedders start with the memory off, and the first
+    min(warmup_epochs, epochs) epochs train the direct features alone; the
+    first banks and B come from one direct forward per side. At the
+    switchover _switch_on_memory fits new banks and turns the memory on,
+    its attention initialized to nearest-centroid matching. With the
     default warmup_epochs (= the default epochs) the whole run is warm-up:
     the basic nets, history and B steps equal those of the no_memory
     ablation, and the memory is fitted once after the last epoch. Only the
@@ -270,7 +261,8 @@ def train(dataset: MultiModalDataset, train_indices: np.ndarray,
     closed form. Returns (model, history) where history holds one record
     per epoch including the loss before and after the B step. Phi is
     computed once per side per epoch: the record's NLL is the sum of the
-    NLLs of the y pass's Phi blocks, not a separate objective() pass.
+    NLLs of the y pass's Phi blocks, not a separate objective() pass. The
+    affinity stays build_affinity's uint8 array; 0/1 promote exactly.
 
     With the memory on, eta needs a non-empty head and a non-empty tail
     class under head_threshold; a partition without both raises
@@ -283,7 +275,7 @@ def train(dataset: MultiModalDataset, train_indices: np.ndarray,
     Y = dataset.Y[train_indices]
     labels = dataset.labels[train_indices]
     n = train_indices.size
-    A = build_affinity(labels, labels).astype(np.float64)
+    A = build_affinity(labels, labels)
 
     rng = np.random.default_rng(config.seed)
     counts = labels.sum(axis=0).astype(np.int64)
@@ -296,23 +288,20 @@ def train(dataset: MultiModalDataset, train_indices: np.ndarray,
             f"no non-empty tail class, and eta needs both")
     ex = _build_embedder(X.shape[1], dataset.num_classes, config, rng)
     ey = _build_embedder(Y.shape[1], dataset.num_classes, config, rng)
-    if memory_on:
-        # warm-up: start with the memory path off
-        ex.use_memory = False
-        ey.use_memory = False
     switch_epoch = min(config.warmup_epochs, config.epochs)
 
-    bank_x = _refresh_bank(ex, X, labels, is_head)
-    bank_y = _refresh_bank(ey, Y, labels, is_head)
-    Vx, _ = meta_embed.embed_batch(ex, X, bank_x)
-    Vy, _ = meta_embed.embed_batch(ey, Y, bank_y)
-    B = update_B(Vx, Vy)
+    # the banks a no_memory model keeps; the memory switch replaces them
+    direct_x, _ = ex.basic_net.forward(X)
+    direct_y, _ = ey.basic_net.forward(Y)
+    bank_x = compute_prototypes(direct_x, labels, is_head)
+    bank_y = compute_prototypes(direct_y, labels, is_head)
+    B = update_B(direct_x.T, direct_y.T)
 
     history = []
     for epoch in range(config.epochs):
         if memory_on and epoch == switch_epoch:
-            _switch_on_memory(ex, bank_x, X, labels, is_head)
-            _switch_on_memory(ey, bank_y, Y, labels, is_head)
+            bank_x = _switch_on_memory(ex, X, labels, is_head)
+            bank_y = _switch_on_memory(ey, Y, labels, is_head)
         elif memory_on and epoch > switch_epoch:
             for embedder, bank, feats in ((ex, bank_x, X), (ey, bank_y, Y)):
                 fresh = _refresh_bank(embedder, feats, labels, is_head)
@@ -338,8 +327,9 @@ def train(dataset: MultiModalDataset, train_indices: np.ndarray,
                     raise TrainingError(
                         f"non-finite gradient at epoch {epoch}, side {side}, "
                         f"batch starting {start}")
-                grads = meta_embed.embed_backward(embedder, cache, g)
-                _apply_grads(embedder, grads, config.learning_rate)
+                pairs = meta_embed.embed_backward(embedder, cache, g)
+                for net, grads in pairs:
+                    sgd_step(net, _clip_grads(grads), config.learning_rate)
 
         # the y blocks are this epoch's final Phi (Vx fixed, each Vy column
         # final once used); only the quantization term depends on B
@@ -363,8 +353,8 @@ def train(dataset: MultiModalDataset, train_indices: np.ndarray,
     if memory_on and switch_epoch >= config.epochs:
         # the whole run was warm-up (the default): fit the memory once on
         # the final direct features so the model embeds meta features
-        _switch_on_memory(ex, bank_x, X, labels, is_head)
-        _switch_on_memory(ey, bank_y, Y, labels, is_head)
+        bank_x = _switch_on_memory(ex, X, labels, is_head)
+        bank_y = _switch_on_memory(ey, Y, labels, is_head)
         Vx, _ = meta_embed.embed_batch(ex, X, bank_x)
         Vy, _ = meta_embed.embed_batch(ey, Y, bank_y)
         B = update_B(Vx, Vy)
@@ -488,8 +478,9 @@ def _check_model(model: HashModel):
     """Cross-structure and finiteness checks of a loaded model. Each part
     can be read on its own, so without these a bank of the wrong width
     would broadcast silently at encode time, a bank of the wrong height
-    would fail there with a bare ValueError, and a NaN weight would reach
-    every code."""
+    would fail there with a bare ValueError, a NaN weight would reach
+    every code, and sides that disagree on classes or memory (which train
+    never writes) would be evaluated as one model."""
     c = model.embedder_x.code_length
     checks = [(model.embedder_y.code_length == c,
                f"text code length {model.embedder_y.code_length} != "
@@ -512,6 +503,15 @@ def _check_model(model: HashModel):
              f"{side} class counts {bank.counts.shape} and head flags "
              f"{bank.is_head.shape} do not have length {L}"),
         ]
+    ex, ey, bx, by = (model.embedder_x, model.embedder_y, model.bank_x,
+                      model.bank_y)
+    differ = [name for name, same in (
+        ("class counts", np.array_equal(bx.counts, by.counts)),
+        ("head flags", np.array_equal(bx.is_head, by.is_head)),
+        ("use_memory", ex.use_memory == ey.use_memory),
+        ("eta_mode", ex.eta_mode == ey.eta_mode),
+        ("eta_max", ex.eta_max == ey.eta_max)) if not same]
+    checks.append((not differ, f"image and text disagree on {differ}"))
     idx = model.train_indices
     checks.append((model.B.shape == (c, idx.size),
                    f"B is {model.B.shape}, expected ({c}, {idx.size}) for "

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import FeedForwardNet, ForwardCache
+from .tensor import FeedForwardNet
 
 ETA_MODES = ("intent_ratio", "as_printed")
 ETA_EPS = 1e-12
@@ -65,19 +65,14 @@ class MetaEmbedder:
 
 @dataclass
 class EmbedCache:
-    basic_cache: ForwardCache
+    basic_acts: list                # FeedForwardNet.forward's acts
     v_direct: np.ndarray            # samples x c
-    weight_cache: Optional[ForwardCache]
-    weights: Optional[np.ndarray]   # samples x L, zero at empty classes
-    v_memory: Optional[np.ndarray]  # samples x c
-    eta: Optional[np.ndarray]       # per-sample
-    centroids: Optional[np.ndarray]
-
-
-@dataclass
-class EmbedGrads:
-    basic: list
-    weight: Optional[list]
+    # the memory path's; None with the memory off
+    weight_acts: Optional[list] = None
+    weights: Optional[np.ndarray] = None    # samples x L, 0 at empty classes
+    v_memory: Optional[np.ndarray] = None   # samples x c
+    eta: Optional[np.ndarray] = None        # per-sample
+    centroids: Optional[np.ndarray] = None
 
 
 def compute_prototypes(direct_features: np.ndarray, labels: np.ndarray,
@@ -136,33 +131,31 @@ def _attention_weights(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
 def embed_batch(embedder: MetaEmbedder, batch: np.ndarray, bank: PrototypeBank):
     """Meta features for a batch, stacked column-wise (c x samples), plus the
     cache needed by embed_backward."""
-    v_direct, b_cache = embedder.basic_net.forward(batch)
+    v_direct, b_acts = embedder.basic_net.forward(batch)
     if not embedder.use_memory:
-        cache = EmbedCache(basic_cache=b_cache, v_direct=v_direct,
-                           weight_cache=None, weights=None, v_memory=None,
-                           eta=None, centroids=None)
-        return v_direct.T, cache
+        return v_direct.T, EmbedCache(basic_acts=b_acts, v_direct=v_direct)
 
     if not bank.nonempty.any():
         raise ConfigError("all prototype classes are empty")
-    logits, w_cache = embedder.weight_net.forward(v_direct)
+    logits, w_acts = embedder.weight_net.forward(v_direct)
     w = _attention_weights(logits, bank.nonempty[None, :])
     v_memory = w @ bank.centroids
     etas = eta_ratio(v_direct, bank, embedder.eta_mode, embedder.eta_max)
     v_meta = v_direct + etas[:, None] * v_memory
-    cache = EmbedCache(basic_cache=b_cache, v_direct=v_direct,
-                       weight_cache=w_cache, weights=w, v_memory=v_memory,
+    cache = EmbedCache(basic_acts=b_acts, v_direct=v_direct,
+                       weight_acts=w_acts, weights=w, v_memory=v_memory,
                        eta=etas, centroids=bank.centroids)
     return v_meta.T, cache
 
 
 def embed_backward(embedder: MetaEmbedder, cache: EmbedCache,
-                   meta_grad: np.ndarray) -> EmbedGrads:
+                   meta_grad: np.ndarray) -> list:
     """Backpropagate dL/dV_meta (c x samples) into network parameters.
 
-    Prototypes are frozen within an epoch, and eta is treated as a
-    constant; gradient reaches v_direct both directly and through the
-    weight net.
+    Returns (net, [(dW, db) per layer]) pairs: the basic net first, then
+    the weight net when the memory is on. Prototypes are frozen within an
+    epoch, and eta is treated as a constant; gradient reaches v_direct both
+    directly and through the weight net.
     """
     g = np.asarray(meta_grad, dtype=np.float64).T   # samples x c
     if g.shape != cache.v_direct.shape:
@@ -171,15 +164,16 @@ def embed_backward(embedder: MetaEmbedder, cache: EmbedCache,
             f"features {cache.v_direct.shape}"
         )
     if not embedder.use_memory:
-        basic_grads, _ = embedder.basic_net.backward(cache.basic_cache, g)
-        return EmbedGrads(basic=basic_grads, weight=None)
+        basic_grads, _ = embedder.basic_net.backward(cache.basic_acts, g)
+        return [(embedder.basic_net, basic_grads)]
 
     d_vmem = cache.eta[:, None] * g
     d_w = d_vmem @ cache.centroids.T
     w = cache.weights
     d_logits = w * (d_w - (d_w * w).sum(axis=1, keepdims=True))
     weight_grads, d_vdirect_w = embedder.weight_net.backward(
-        cache.weight_cache, d_logits)
-    basic_grads, _ = embedder.basic_net.backward(cache.basic_cache,
+        cache.weight_acts, d_logits)
+    basic_grads, _ = embedder.basic_net.backward(cache.basic_acts,
                                                  g + d_vdirect_w)
-    return EmbedGrads(basic=basic_grads, weight=weight_grads)
+    return [(embedder.basic_net, basic_grads),
+            (embedder.weight_net, weight_grads)]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
@@ -84,14 +84,6 @@ class LayerSpec:
             raise ValueError(f"unknown activation {self.activation!r}")
 
 
-@dataclass
-class ForwardCache:
-    """Per-layer intermediates from one forward pass."""
-
-    inputs: np.ndarray
-    post_acts: list = field(default_factory=list)
-
-
 def _check_chain(specs: Sequence[LayerSpec]):
     """Raise ShapeError unless specs is a non-empty chain of layers whose
     dims meet."""
@@ -132,7 +124,7 @@ class FeedForwardNet:
     def forward(self, batch: np.ndarray):
         """Run the net on a (samples x input_dim) batch.
 
-        Returns (output, cache); the cache holds everything backward needs.
+        Returns (output, acts), acts = [batch, each layer's output].
         """
         batch = np.asarray(batch, dtype=np.float64)
         if batch.ndim != 2 or batch.shape[1] != self.input_dim:
@@ -140,15 +132,14 @@ class FeedForwardNet:
                 f"batch shape {batch.shape} does not match net input "
                 f"(*, {self.input_dim})"
             )
-        cache = ForwardCache(inputs=batch)
-        a = batch
+        acts = [batch]
         for spec, w, b in zip(self.specs, self.weights, self.biases):
-            a = _activate(spec.activation, a @ w.T + b)
-            cache.post_acts.append(a)
-        return a, cache
+            acts.append(_activate(spec.activation, acts[-1] @ w.T + b))
+        return acts[-1], acts
 
-    def backward(self, cache: ForwardCache, output_grad: np.ndarray):
-        """Backpropagate d(loss)/d(output) through the cached pass.
+    def backward(self, acts: list, output_grad: np.ndarray):
+        """Backpropagate d(loss)/d(output) through the pass that gave acts;
+        layer k reads its input acts[k] and its output acts[k + 1].
 
         Returns (param_grads, input_grad) where param_grads is a list of
         (dW, db) pairs, one per layer.
@@ -156,18 +147,16 @@ class FeedForwardNet:
         # C order: on a transposed view (embed_backward passes one) the
         # column sums and products below would round differently
         output_grad = np.ascontiguousarray(output_grad, dtype=np.float64)
-        if output_grad.shape != cache.post_acts[-1].shape:
+        if output_grad.shape != acts[-1].shape:
             raise ShapeError(
                 f"output_grad shape {output_grad.shape} != forward output "
-                f"shape {cache.post_acts[-1].shape}"
+                f"shape {acts[-1].shape}"
             )
         param_grads = [None] * len(self.specs)
         g = output_grad
         for k in range(len(self.specs) - 1, -1, -1):
-            gz = _activate_grad(self.specs[k].activation,
-                                cache.post_acts[k], g)
-            prev = cache.inputs if k == 0 else cache.post_acts[k - 1]
-            dw = gz.T @ prev
+            gz = _activate_grad(self.specs[k].activation, acts[k + 1], g)
+            dw = gz.T @ acts[k]
             db = gz.sum(axis=0)
             param_grads[k] = (dw, db)
             g = gz @ self.weights[k]

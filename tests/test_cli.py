@@ -337,6 +337,24 @@ def test_encode_inconsistent_model_io_error(pipeline, tmp_path, capsys):
     assert "inconsistent model" in capsys.readouterr().err
 
 
+def test_eval_sides_disagree_io_error(pipeline, tmp_path, capsys):
+    # train fits both sides on one label matrix with one config
+    model = hash_learn.load_model(pipeline / "run" / "model.lcmh")
+    bank, e = model.bank_y, model.embedder_y
+    assert not np.array_equal(bank.counts, bank.counts[::-1])
+    bank.is_head, bank.counts = ~bank.is_head, bank.counts[::-1].copy()
+    e.use_memory, e.eta_mode, e.eta_max = False, "as_printed", 7.0
+    bad = tmp_path / "sides.lcmh"
+    hash_learn.save_model(bad, model)
+    assert main(["eval", "--model", str(bad), "--dataset",
+                 str(pipeline / "data" / "dataset.lcmd"), "--direction",
+                 "t2i", "--out", str(tmp_path / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert ("inconsistent model: image and text disagree on ['class counts', "
+            "'head flags', 'use_memory', 'eta_mode', 'eta_max']") in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def _break_chain(model):
     # the image basic net's second layer reads 7 of the first layer's outputs
     net = model.embedder_x.basic_net

@@ -220,6 +220,30 @@ def test_grad_vy_transposed_symmetric_affinity_bit_identical(rng):
                               grad_Vy(Vx, Vy, A.T, B, 0.7, 0.3, cols))
 
 
+def test_uint8_affinity_bit_identical_to_float64(rng):
+    # train keeps build_affinity's uint8 array; 0/1 entries promote exactly
+    labels = rng.integers(0, 2, size=(30, 5))
+    A8 = build_affinity(labels, labels)
+    A64 = A8.astype(np.float64)
+    assert A8.dtype == np.uint8 and np.array_equal(A8, A8.T)
+    Vx, Vy = rng.normal(size=(6, 30)) * 2, rng.normal(size=(6, 30)) * 2
+    B = update_B(Vx, Vy)
+    phi = pairwise_phi(Vx, Vy)
+    assert nll_loss(phi, A8) == nll_loss(phi, A64)
+    for a8, a64 in ((A8, A64), (A8.T, A64.T)):
+        for cols in [slice(None), *_column_partition(rng, 30, 7)]:
+            assert nll_loss(phi[:, cols], a8[:, cols]) == \
+                nll_loss(phi[:, cols], a64[:, cols])
+            for grad in (grad_Vx, grad_Vy):
+                assert np.array_equal(grad(Vx, Vy, a8, B, 0.7, 0.3, cols),
+                                      grad(Vx, Vy, a64, B, 0.7, 0.3, cols))
+            nll8, nll64 = [], []
+            assert np.array_equal(
+                grad_Vy(Vx, Vy, a8, B, 0.7, 0.3, cols, nll=nll8),
+                grad_Vy(Vx, Vy, a64, B, 0.7, 0.3, cols, nll=nll64))
+            assert nll8 == nll64
+
+
 # --- B update ---------------------------------------------------------------------
 
 def test_update_B_tie_rule():
@@ -347,6 +371,19 @@ def test_train_one_phi_pass_per_epoch_side(monkeypatch):
     for rec, (_, Vx, Vy, _) in zip(history, snaps, strict=True):
         assert rec["nll"] == pytest.approx(nll_loss(real_phi(Vx, Vy), A),
                                            rel=1e-12, abs=0)
+
+
+def test_train_affinity_stays_uint8(monkeypatch):
+    # no n x n float64 copy of the 0/1 affinity is made for training
+    dtypes = []
+    for name in ("grad_Vx", "grad_Vy"):
+        def spy(Vx, Vy, A, *args, real=getattr(hash_learn, name), **kw):
+            dtypes.append(A.dtype)
+            return real(Vx, Vy, A, *args, **kw)
+        monkeypatch.setattr(hash_learn, name, spy)
+    data = _separable_dataset()
+    train(data, np.arange(data.n), _fast_config(epochs=2))
+    assert dtypes and set(dtypes) == {np.dtype(np.uint8)}
 
 
 def test_train_deterministic():
@@ -604,6 +641,16 @@ INCONSISTENT = {
     "inf_eta_max": lambda m: setattr(m.embedder_x, "eta_max", np.inf),
     "nan_alpha": lambda m: setattr(m, "alpha", np.nan),
     "inf_beta": lambda m: setattr(m, "beta", -np.inf),
+    # train fits both sides on one label matrix with one config
+    "text_head_flags_inverted": lambda m: setattr(m.bank_y, "is_head",
+                                                  ~m.bank_y.is_head),
+    "text_counts_reversed": lambda m: setattr(m.bank_y, "counts",
+                                              m.bank_y.counts[::-1].copy()),
+    "text_without_memory": lambda m: setattr(m.embedder_y, "use_memory",
+                                             False),
+    "text_eta_mode_differs": lambda m: setattr(m.embedder_y, "eta_mode",
+                                               "as_printed"),
+    "text_eta_max_differs": lambda m: setattr(m.embedder_y, "eta_max", 7.0),
 }
 
 

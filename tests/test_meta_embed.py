@@ -313,6 +313,21 @@ def test_embed_batch_no_memory_is_direct(rng):
     assert cache.weights is None
 
 
+def test_embed_backward_no_memory_is_plain_backward(rng):
+    # with the memory off only the basic net gets gradients
+    emb = _batch_embedder(rng, use_memory=False)
+    bank = _bank(rng.normal(size=(4, 3)), [True, True, False, False])
+    batch = rng.normal(size=(6, 5))
+    V, cache = embed_batch(emb, batch, bank)
+    R = rng.normal(size=V.shape)
+    [(net, grads)] = embed_backward(emb, cache, R)
+    _, acts = emb.basic_net.forward(batch)
+    plain, _ = emb.basic_net.backward(acts, R.T)
+    assert net is emb.basic_net
+    for (gw, gb), (pw, pb) in zip(grads, plain, strict=True):
+        assert np.array_equal(gw, pw) and np.array_equal(gb, pb)
+
+
 def test_eta_ordering_head_vs_tail(rng):
     # Gaussian clusters: head near origin, tail far; intent ratio makes eta
     # small for head samples, the printed ratio reverses the ordering
@@ -340,13 +355,14 @@ def test_backward_eta_zero_equals_plain_backward(rng):
     batch = rng.normal(size=(5, 5))
     V, cache = embed_batch(emb, batch, bank)
     R = rng.normal(size=V.shape)
-    grads = embed_backward(emb, cache, R)
+    (basic_net, basic), (weight_net, weight) = embed_backward(emb, cache, R)
+    assert basic_net is emb.basic_net and weight_net is emb.weight_net
     _, plain_cache = emb.basic_net.forward(batch)
     plain, _ = emb.basic_net.backward(plain_cache, R.T)
-    for (gw, gb), (pw, pb) in zip(grads.basic, plain):
+    for (gw, gb), (pw, pb) in zip(basic, plain, strict=True):
         assert np.allclose(gw, pw)
         assert np.allclose(gb, pb)
-    for gw, gb in grads.weight:
+    for gw, gb in weight:
         assert np.all(gw == 0) and np.all(gb == 0)
 
 

@@ -167,6 +167,16 @@ def test_glorot_init_bounds_and_determinism():
 
 # --- backward -----------------------------------------------------------------
 
+def test_forward_acts_are_batch_then_layer_outputs(rng):
+    # backward reads layer k's input as acts[k] and its output as acts[k + 1]
+    net = FeedForwardNet([LayerSpec(3, 4, "relu"), LayerSpec(4, 2, "identity")],
+                         rng)
+    batch = rng.normal(size=(5, 3))
+    out, acts = net.forward(batch)
+    hidden = np.maximum(batch @ net.weights[0].T + net.biases[0], 0.0)
+    assert len(acts) == 3 and acts[-1] is out
+    assert np.array_equal(acts[0], batch) and np.array_equal(acts[1], hidden)
+
 def test_backward_linear_net_weight_grad_is_input_sum(rng):
     net = FeedForwardNet([LayerSpec(3, 2, "identity")], rng)
     batch = rng.normal(size=(6, 3))
