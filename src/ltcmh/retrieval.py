@@ -56,12 +56,15 @@ def binarize(V: np.ndarray) -> BinaryCodeMatrix:
 
 def hamming_matrix(queries: BinaryCodeMatrix, db: BinaryCodeMatrix) -> np.ndarray:
     """All-pairs Hamming distances (n_query x n_db) in the narrowest unsigned
-    dtype that holds c: uint8 for c <= 255, uint16 for c <= 65535."""
+    dtype that holds c: uint8 for c <= 255, uint16 for c <= 65535. Summed
+    one 64-bit word at a time (each adds at most 64, the total at most c),
+    so the largest temporary is one n_query x n_db uint64 xor."""
     if queries.c != db.c:
         raise ShapeError(f"code lengths differ: {queries.c} vs {db.c}")
-    xored = queries.words[:, None, :] ^ db.words[None, :, :]
-    return np.bitwise_count(xored).sum(axis=2,
-                                       dtype=np.min_scalar_type(queries.c))
+    D = np.zeros((queries.n, db.n), dtype=np.min_scalar_type(queries.c))
+    for q_word, db_word in zip(queries.words.T, db.words.T):
+        D += np.bitwise_count(q_word[:, None] ^ db_word[None, :])
+    return D
 
 
 def average_precision(relevance: np.ndarray) -> float:
@@ -113,13 +116,20 @@ def evaluate(query_codes: BinaryCodeMatrix, query_labels: np.ndarray,
     breakdown. Relevance = sharing at least one label.
 
     Queries are ranked EVAL_CHUNK rows at a time (a stable sort by distance,
-    ties in database order), so memory is O(EVAL_CHUNK * n_db)."""
+    ties in database order), so memory is O(EVAL_CHUNK * n_db); each query
+    gathers its own relevance row in ranked order. Empty inputs raise
+    EvaluationError and mismatched shapes ShapeError, before any ranking."""
     if query_codes.n == 0:
         raise EvaluationError("empty query set")
+    if db_codes.n == 0:
+        raise EvaluationError("empty database")
     if query_labels.shape[1] != db_labels.shape[1]:
         raise ShapeError(
             f"label widths differ: {query_labels.shape} vs {db_labels.shape}"
         )
+    if np.shape(is_head) != (query_labels.shape[1],):
+        raise ShapeError(f"is_head shape {np.shape(is_head)} != "
+                         f"({query_labels.shape[1]},) label columns")
     if (query_labels.shape[0], db_labels.shape[0]) != (query_codes.n, db_codes.n):
         raise ShapeError(
             f"label rows {query_labels.shape[0]}, {db_labels.shape[0]} != "
@@ -132,9 +142,8 @@ def evaluate(query_codes: BinaryCodeMatrix, query_labels: np.ndarray,
         relevant = build_affinity(query_labels[rows], db_labels)
         rankings = np.argsort(hamming_matrix(chunk, db_codes), axis=1,
                               kind="stable")
-        ranked = np.take_along_axis(relevant, rankings, axis=1)
-        for i, rel in enumerate(ranked, start):
-            ap[i] = average_precision(rel)
+        for i, (rel, order) in enumerate(zip(relevant, rankings), start):
+            ap[i] = average_precision(rel[order])
     head_mask, tail_mask = query_groups(query_labels, is_head)
     return RetrievalResult(
         direction=direction,

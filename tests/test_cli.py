@@ -511,6 +511,22 @@ def test_eval_one_codes_file_usage_error(pipeline, codes, tmp_path, capsys,
     assert not (tmp_path / "r.csv").exists()
 
 
+def test_eval_empty_database_numerical_error(pipeline, tmp_path, capsys):
+    # 50 queries per class take every spare sample, so the retrieval
+    # split is empty
+    run = tmp_path / "run"
+    assert main(["train", "--dataset", str(pipeline / "data" / "dataset.lcmd"),
+                 "--out", str(run), *_sets(["queries_per_class=50",
+                                            "epochs=1", "warmup_epochs=1"])]) == 0
+    assert hash_learn.load_model(run / "model.lcmh").retrieval_indices.size == 0
+    out = tmp_path / "r.csv"
+    assert main(["eval", "--model", str(run / "model.lcmh"),
+                 "--dataset", str(pipeline / "data" / "dataset.lcmd"),
+                 "--direction", "i2t", "--out", str(out)]) == 3
+    assert "empty database" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_bad_direction_usage_error(pipeline, tmp_path):
     assert main(["eval", "--model", str(pipeline / "run" / "model.lcmh"),
                  "--dataset", str(pipeline / "data" / "dataset.lcmd"),

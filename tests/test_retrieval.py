@@ -109,6 +109,30 @@ def test_hamming_matrix_dtype(c, dtype, rng):
     assert D.max() == c
 
 
+@pytest.mark.parametrize("c", [63, 64, 65, 128])
+def test_hamming_matrix_word_edges(c, rng):
+    # one word short of full, exactly full, one bit into a second word,
+    # and two full words
+    q, db = _random_codes(rng, 6, c), _random_codes(rng, 9, c)
+    D = hamming_matrix(q, db)
+    assert D.dtype == np.uint8
+    assert np.array_equal(D, _unpacked_distances(q, db))
+
+
+def test_hamming_matrix_memory_per_pair(rng):
+    # summing word by word keeps one uint64 xor of the pairs alive; an
+    # n_q x n_db x words xor tensor would take 40 B per pair here
+    n_q, n_db, c = 32, 20_000, 300
+    q, db = _random_codes(rng, n_q, c), _random_codes(rng, n_db, c)
+    tracemalloc.start()
+    try:
+        hamming_matrix(q, db)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * n_q * n_db
+
+
 def test_hamming_triangle_inequality(rng):
     codes = _random_codes(rng, 30, 40)
     D = hamming_matrix(codes, codes)
@@ -179,6 +203,22 @@ def test_evaluate_bit_identical_to_full_matrix(n_q, c, rng):
     # c = 300: five words per code and uint16 distances
     q, db = _random_codes(rng, n_q, c), _random_codes(rng, 150, c)
     ql, dl = _random_labels(rng, n_q, 5), _random_labels(rng, 150, 5)
+    part = np.array([True, True, False, False, False])
+    result = evaluate(q, ql, db, dl, part, "i2t")
+    ap, map_all, map_head, map_tail = _full_matrix_evaluate(q, ql, db, dl, part)
+    assert np.array_equal(result.ap, ap)
+    assert (result.map_all, result.map_head, result.map_tail) == \
+        (map_all, map_head, map_tail)
+
+
+@pytest.mark.parametrize("c, n_db", [(64, 150), (128, 150), (16, 5_000)])
+def test_evaluate_bit_identical_to_full_matrix_wide_and_tied(c, n_db, rng):
+    # c = 64 and 128: one and two full words; n_db = 5,000 at c = 16 puts
+    # hundreds of database items at every distance, so the stable
+    # tie-break decides most of each ranking
+    n_q = 2 * EVAL_CHUNK + 5
+    q, db = _random_codes(rng, n_q, c), _random_codes(rng, n_db, c)
+    ql, dl = _random_labels(rng, n_q, 5), _random_labels(rng, n_db, 5)
     part = np.array([True, True, False, False, False])
     result = evaluate(q, ql, db, dl, part, "i2t")
     ap, map_all, map_head, map_tail = _full_matrix_evaluate(q, ql, db, dl, part)
@@ -286,6 +326,25 @@ def test_evaluate_empty_queries_raises(rng):
     with pytest.raises(EvaluationError):
         evaluate(empty, np.empty((0, 1), np.uint8), db,
                  np.ones((3, 1), np.uint8), np.array([True]), "i2t")
+
+
+def test_evaluate_empty_database_raises(rng, monkeypatch):
+    q = _random_codes(rng, 3, 8)
+    empty = BinaryCodeMatrix(c=8, words=np.empty((0, 1), np.uint64))
+    monkeypatch.setattr("ltcmh.retrieval.hamming_matrix", None)  # no ranking
+    with pytest.raises(EvaluationError, match="empty database"):
+        evaluate(q, np.ones((3, 2), np.uint8), empty,
+                 np.empty((0, 2), np.uint8), np.array([True, False]), "i2t")
+
+
+@pytest.mark.parametrize("is_head", [[True], [True, False, False],
+                                     [[True, False]]])
+def test_evaluate_head_flags_not_one_per_label(rng, monkeypatch, is_head):
+    q, db = _random_codes(rng, 3, 8), _random_codes(rng, 4, 8)
+    monkeypatch.setattr("ltcmh.retrieval.hamming_matrix", None)  # no ranking
+    with pytest.raises(ShapeError, match="is_head"):
+        evaluate(q, np.ones((3, 2), np.uint8), db, np.ones((4, 2), np.uint8),
+                 np.array(is_head), "i2t")
 
 
 def test_evaluate_label_width_mismatch(rng):
