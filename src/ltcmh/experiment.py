@@ -160,7 +160,8 @@ def split_indices(model: HashModel, name: str) -> np.ndarray:
     if name == "retrieval":
         return model.retrieval_indices
     if name == "all":
-        # a model file may hold overlapping splits, so take the union
+        # train writes disjoint splits, but a hand-made model file may
+        # hold overlapping ones, so take the union
         return np.unique(np.concatenate([
             model.train_indices, model.query_indices,
             model.retrieval_indices]))

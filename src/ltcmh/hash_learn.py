@@ -307,8 +307,8 @@ def train(dataset: MultiModalDataset, train_indices: np.ndarray,
                 fresh = _refresh_bank(embedder, feats, labels, is_head)
                 bank.centroids[:] = (BANK_EMA * bank.centroids
                                      + (1.0 - BANK_EMA) * fresh.centroids)
-        Vx, _ = meta_embed.embed_batch(ex, X, bank_x)
-        Vy, _ = meta_embed.embed_batch(ey, Y, bank_y)
+        Vx = meta_embed.embed_chunked(ex, X, bank_x)
+        Vy = meta_embed.embed_chunked(ey, Y, bank_y)
 
         order = rng.permutation(n)
         nll = []
@@ -355,8 +355,8 @@ def train(dataset: MultiModalDataset, train_indices: np.ndarray,
         # the final direct features so the model embeds meta features
         bank_x = _switch_on_memory(ex, X, labels, is_head)
         bank_y = _switch_on_memory(ey, Y, labels, is_head)
-        Vx, _ = meta_embed.embed_batch(ex, X, bank_x)
-        Vy, _ = meta_embed.embed_batch(ey, Y, bank_y)
+        Vx = meta_embed.embed_chunked(ex, X, bank_x)
+        Vy = meta_embed.embed_chunked(ey, Y, bank_y)
         B = update_B(Vx, Vy)
 
     model = HashModel(embedder_x=ex, embedder_y=ey, bank_x=bank_x,
@@ -366,14 +366,13 @@ def train(dataset: MultiModalDataset, train_indices: np.ndarray,
 
 
 def encode_features(model: HashModel, features: np.ndarray, modality: str):
-    """Meta features (c x samples) for new data using the stored banks."""
+    """Meta features (c x samples) for new data using the stored banks,
+    computed in chunks by meta_embed.embed_chunked."""
     if modality == "image":
-        V, _ = meta_embed.embed_batch(model.embedder_x, features, model.bank_x)
-    elif modality == "text":
-        V, _ = meta_embed.embed_batch(model.embedder_y, features, model.bank_y)
-    else:
-        raise ConfigError(f"unknown modality {modality!r}")
-    return V
+        return meta_embed.embed_chunked(model.embedder_x, features, model.bank_x)
+    if modality == "text":
+        return meta_embed.embed_chunked(model.embedder_y, features, model.bank_y)
+    raise ConfigError(f"unknown modality {modality!r}")
 
 
 # --- persistence --------------------------------------------------------------

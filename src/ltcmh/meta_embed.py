@@ -24,6 +24,7 @@ from .tensor import FeedForwardNet
 
 ETA_MODES = ("intent_ratio", "as_printed")
 ETA_EPS = 1e-12
+ENCODE_CHUNK = 1024   # fewest rows embed_chunked passes to embed_batch at once
 
 
 @dataclass
@@ -146,6 +147,30 @@ def embed_batch(embedder: MetaEmbedder, batch: np.ndarray, bank: PrototypeBank):
                        weight_acts=w_acts, weights=w, v_memory=v_memory,
                        eta=etas, centroids=bank.centroids)
     return v_meta.T, cache
+
+
+def embed_chunked(embedder: MetaEmbedder, batch: np.ndarray,
+                  bank: PrototypeBank) -> np.ndarray:
+    """embed_batch's meta features (c x samples), without its cache.
+
+    The rows go through embed_batch in k = max(1, n // ENCODE_CHUNK)
+    contiguous near-equal chunks, so temporaries are
+    O(ENCODE_CHUNK x (hidden + L + c)) beside the c x n output. No chunk is
+    shorter than ENCODE_CHUNK rows unless the batch is: OpenBLAS computes
+    the GEMMs of a few rows (up to 75 at the default sizes) with another
+    kernel, and a short chunk would round differently from one forward
+    over the whole batch.
+    """
+    batch = np.asarray(batch)
+    embedder.basic_net.check_batch(batch)
+    n = batch.shape[0]
+    k = max(1, n // ENCODE_CHUNK)
+    # samples x c storage, the layout of embed_batch's transposed result
+    out = np.empty((n, embedder.code_length)).T
+    for i in range(k):
+        rows = slice(i * n // k, (i + 1) * n // k)
+        out[:, rows], _ = embed_batch(embedder, batch[rows], bank)
+    return out
 
 
 def embed_backward(embedder: MetaEmbedder, cache: EmbedCache,

@@ -121,17 +121,21 @@ class FeedForwardNet:
     def output_dim(self):
         return self.specs[-1].output_dim
 
+    def check_batch(self, batch: np.ndarray):
+        """Raise ShapeError unless batch is samples x input_dim."""
+        if batch.ndim != 2 or batch.shape[1] != self.input_dim:
+            raise ShapeError(
+                f"batch shape {batch.shape} does not match net input "
+                f"(*, {self.input_dim})"
+            )
+
     def forward(self, batch: np.ndarray):
         """Run the net on a (samples x input_dim) batch.
 
         Returns (output, acts), acts = [batch, each layer's output].
         """
         batch = np.asarray(batch, dtype=np.float64)
-        if batch.ndim != 2 or batch.shape[1] != self.input_dim:
-            raise ShapeError(
-                f"batch shape {batch.shape} does not match net input "
-                f"(*, {self.input_dim})"
-            )
+        self.check_batch(batch)
         acts = [batch]
         for spec, w, b in zip(self.specs, self.weights, self.biases):
             acts.append(_activate(spec.activation, acts[-1] @ w.T + b))

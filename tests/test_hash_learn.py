@@ -1,11 +1,12 @@
 import io
 import itertools
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ltcmh import gradcheck, hash_learn
+from ltcmh import experiment, gradcheck, hash_learn
 from ltcmh.dataset import LongTailSpec, build_affinity, synthesize_long_tailed
 from ltcmh.errors import ConfigError, FormatError, ShapeError, TrainingError
 from ltcmh.hash_learn import (HashModel, LossBreakdown, TrainConfig,
@@ -459,6 +460,44 @@ def test_encode_features_unknown_modality():
     model, _ = train(data, np.arange(data.n), _fast_config(epochs=1))
     with pytest.raises(ConfigError):
         encode_features(model, data.X, "audio")
+
+
+@pytest.fixture(scope="module")
+def default_shape_model():
+    """A model of the default shape with the memory on (epochs=0: the banks
+    are fitted on the initial direct features)."""
+    cfg = experiment.load_config(overrides=["epochs=0"])
+    data = synthesize_long_tailed(experiment.longtail_spec(cfg), seed=0)
+    _, model, _ = experiment.run_train(data, cfg)
+    return model
+
+
+@pytest.mark.parametrize("modality,dim", [("image", LongTailSpec.d_x),
+                                          ("text", LongTailSpec.d_y)])
+def test_encode_features_memory_bound(default_shape_model, modality, dim):
+    # encoding peaks at its c x n output plus one chunk's temporaries,
+    # whatever the number of rows
+    features = np.random.default_rng(0).normal(size=(30_000, dim))
+    tracemalloc.start()
+    try:
+        V = encode_features(default_shape_model, features, modality)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < V.nbytes + 8 * 2**20
+
+
+def test_encode_features_empty_and_misshapen_batches(default_shape_model):
+    model = default_shape_model
+    d = LongTailSpec.d_x
+    V = encode_features(model, np.zeros((0, d)), "image")
+    assert V.shape == (model.code_length, 0)
+    # the error names the whole batch's shape, not one chunk's
+    for shape in [(d,), (0, d - 1), (3000, d - 1)]:
+        with pytest.raises(ShapeError) as err:
+            encode_features(model, np.zeros(shape), "image")
+        assert str(err.value) == (f"batch shape {shape} does not match net "
+                                  f"input (*, {d})")
 
 
 # --- persistence -------------------------------------------------------------------

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from ltcmh import gradcheck
+from ltcmh import gradcheck, meta_embed
+from ltcmh.dataset import LongTailSpec
 from ltcmh.errors import ConfigError, ShapeError
-from ltcmh.meta_embed import (MetaEmbedder, PrototypeBank, _attention_weights,
-                              compute_prototypes, embed_backward, embed_batch,
+from ltcmh.hash_learn import TrainConfig
+from ltcmh.meta_embed import (ENCODE_CHUNK, MetaEmbedder, PrototypeBank,
+                              _attention_weights, compute_prototypes,
+                              embed_backward, embed_batch, embed_chunked,
                               eta_ratio)
 from ltcmh.tensor import FeedForwardNet, LayerSpec
 
@@ -387,6 +390,60 @@ def test_backward_shape_mismatch(rng):
 
 def test_backward_finite_difference_suites():
     assert gradcheck.check_embed_backward(seed=0) < 1e-4
+
+
+# --- embed_chunked ----------------------------------------------------------------
+
+CHUNKED_SIZES = [0, 1, 75, ENCODE_CHUNK - 1, ENCODE_CHUNK, ENCODE_CHUNK + 1,
+                 2 * ENCODE_CHUNK - 1, 2 * ENCODE_CHUNK, 3 * ENCODE_CHUNK + 7]
+
+
+def _default_embedder(input_dim, eta_mode, use_memory, rng):
+    """An embedder of the default training shape (hidden_dim, code_length,
+    24 classes) and a bank fitted on its direct features, 4 classes head."""
+    cfg = TrainConfig(eta_mode=eta_mode)
+    L, c = 24, cfg.code_length
+    basic = FeedForwardNet([LayerSpec(input_dim, cfg.hidden_dim, "relu"),
+                            LayerSpec(cfg.hidden_dim, c, "identity")], rng)
+    weight = FeedForwardNet([LayerSpec(c, L, "identity")], rng)
+    emb = MetaEmbedder(basic_net=basic, weight_net=weight, eta_max=cfg.eta_max,
+                       eta_mode=eta_mode, use_memory=use_memory)
+    direct, _ = basic.forward(rng.normal(size=(400, input_dim)))
+    labels = np.eye(L, dtype=np.uint8)[rng.integers(0, L, size=400)]
+    return emb, compute_prototypes(direct, labels, np.arange(L) < 4)
+
+
+@pytest.mark.parametrize("eta_mode", ["intent_ratio", "as_printed"])
+@pytest.mark.parametrize("use_memory", [True, False])
+@pytest.mark.parametrize("input_dim", [LongTailSpec.d_x, LongTailSpec.d_y])
+def test_embed_chunked_equals_one_embed_batch(input_dim, use_memory, eta_mode,
+                                              rng, monkeypatch):
+    emb, bank = _default_embedder(input_dim, eta_mode, use_memory, rng)
+    chunks = []
+
+    def spy(embedder, batch, bank):
+        chunks.append(batch)
+        return embed_batch(embedder, batch, bank)
+
+    for n in CHUNKED_SIZES:
+        batch = rng.normal(size=(n, input_dim))
+        ref, _ = embed_batch(emb, batch, bank)
+        chunks.clear()
+        with monkeypatch.context() as m:
+            m.setattr(meta_embed, "embed_batch", spy)
+            V = embed_chunked(emb, batch, bank)
+        # byte for byte, in embed_batch's memory layout
+        assert V.shape == ref.shape == (emb.code_length, n)
+        assert V.tobytes() == ref.tobytes() and V.strides == ref.strides
+        # contiguous chunks that tile 0..n in order, none short
+        start = 0
+        for chunk in chunks:
+            assert np.array_equal(chunk, batch[start:start + len(chunk)])
+            start += len(chunk)
+            if n >= ENCODE_CHUNK:
+                assert len(chunk) >= ENCODE_CHUNK
+        assert start == n
+        assert len(chunks) == max(1, n // ENCODE_CHUNK)
 
 
 # --- embedder validation ----------------------------------------------------------
