@@ -166,9 +166,7 @@ def cmd_sweep(args):
     data = ds.load_dataset(args.dataset)
     rows = []
     for v in values:
-        run_cfg = dict(cfg)
-        run_cfg[args.param] = v
-        _, model, _ = experiment.run_train(data, run_cfg)
+        _, model, _ = experiment.run_train(data, {**cfg, args.param: v})
         i2t = experiment.evaluate_direction(model, data, "i2t")
         t2i = experiment.evaluate_direction(model, data, "t2i")
         rows.append((v, i2t.map_all, t2i.map_all))
@@ -213,7 +211,7 @@ def build_parser():
     p = sub.add_parser("eval", help="evaluate cross-modal retrieval MAP")
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--direction", choices=("i2t", "t2i"), required=True)
+    p.add_argument("--direction", choices=experiment.DIRECTIONS, required=True)
     p.add_argument("--query-codes", help="precomputed query code file")
     p.add_argument("--db-codes", help="precomputed database code file")
     p.add_argument("--query-split", default="query")

@@ -36,6 +36,9 @@ DEFAULTS = {
     **{f.name: f.default for f in fields(TrainConfig)},
 }
 
+# (query modality, database modality) of each retrieval direction
+DIRECTIONS = {"i2t": ("image", "text"), "t2i": ("text", "image")}
+
 
 def _parse_value(key, raw, default):
     raw = raw.strip()
@@ -56,7 +59,7 @@ def _parse_value(key, raw, default):
 
 def load_config(path=None, overrides=()):
     """Merged config: defaults, then file, then key=value overrides."""
-    cfg = dict(DEFAULTS)
+    items = []   # (where, "key = value"): where is path:lineno or "override"
     if path is not None:
         try:
             text = Path(path).read_text(encoding="utf-8")
@@ -64,20 +67,15 @@ def load_config(path=None, overrides=()):
             raise ConfigError(f"{path}: not UTF-8 at byte {e.start}") from None
         for lineno, line in enumerate(text.splitlines(), 1):
             line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, raw = (s.strip() for s in line.split("=", 1))
-            if key not in DEFAULTS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            cfg[key] = _parse_value(key, raw, DEFAULTS[key])
-    for item in overrides:
+            if line:
+                items.append((f"{path}:{lineno}", line))
+    cfg = dict(DEFAULTS)
+    for where, item in items + [("override", item) for item in overrides]:
         if "=" not in item:
-            raise ConfigError(f"override {item!r} is not key=value")
+            raise ConfigError(f"{where}: expected 'key = value', got {item!r}")
         key, raw = (s.strip() for s in item.split("=", 1))
         if key not in DEFAULTS:
-            raise ConfigError(f"unknown config key {key!r}")
+            raise ConfigError(f"{where}: unknown config key {key!r}")
         cfg[key] = _parse_value(key, raw, DEFAULTS[key])
     if cfg["seed"] < 0:   # NumPy's generators take no negative seed
         raise ConfigError(f"seed must be >= 0, got {cfg['seed']}")
@@ -179,14 +177,10 @@ def encode_split(model: HashModel, dataset: MultiModalDataset,
 def evaluate_direction(model: HashModel, dataset: MultiModalDataset,
                        direction: str, query_split="query",
                        db_split="retrieval"):
-    """direction 'i2t': image queries against the text database; 't2i' the
-    reverse."""
-    if direction == "i2t":
-        q_mod, db_mod = "image", "text"
-    elif direction == "t2i":
-        q_mod, db_mod = "text", "image"
-    else:
+    """Retrieval MAP in one of the DIRECTIONS."""
+    if direction not in DIRECTIONS:
         raise ConfigError(f"unknown direction {direction!r}")
+    q_mod, db_mod = DIRECTIONS[direction]
     q_idx = split_indices(model, query_split)
     db_idx = split_indices(model, db_split)
     q_codes = encode_split(model, dataset, q_mod, query_split)

@@ -209,19 +209,13 @@ def _build_embedder(input_dim: int, num_classes: int, config: TrainConfig,
                         eta_max=config.eta_max)
 
 
-def _refresh_bank(embedder: MetaEmbedder, features: np.ndarray,
-                  labels: np.ndarray, is_head: np.ndarray) -> PrototypeBank:
-    direct, _ = embedder.basic_net.forward(features)
-    return compute_prototypes(direct, labels, is_head)
-
-
 def _clip_grads(grads):
     """Scale a per-net gradient list so its global L2 norm is <= CLIP_NORM."""
     total = np.sqrt(sum(float((dw * dw).sum() + (db * db).sum())
                         for dw, db in grads))
-    scale = min(1.0, CLIP_NORM / max(total, 1e-12))
-    if scale >= 1.0:
+    if not total > CLIP_NORM:   # a NaN total is passed through unscaled
         return grads
+    scale = CLIP_NORM / total
     return [(dw * scale, db * scale) for dw, db in grads]
 
 
@@ -232,7 +226,8 @@ def _switch_on_memory(embedder: MetaEmbedder, features: np.ndarray,
     attention weights to scaled nearest-centroid matching (logits
     k·C·v − k‖C‖²/2 with k = ATTENTION_INIT_SCALE, the log-posterior of an
     isotropic Gaussian mixture over the prototypes) and returns the bank."""
-    bank = _refresh_bank(embedder, features, labels, is_head)
+    direct, _ = embedder.basic_net.forward(features)
+    bank = compute_prototypes(direct, labels, is_head)
     k = ATTENTION_INIT_SCALE
     embedder.weight_net.weights[0][:] = k * bank.centroids
     embedder.weight_net.biases[0][:] = \
@@ -245,24 +240,22 @@ def train(dataset: MultiModalDataset, train_indices: np.ndarray,
           config: TrainConfig):
     """Alternating optimization over the training split.
 
-    The embedders start with the memory off, and the first
-    min(warmup_epochs, epochs) epochs train the direct features alone; the
-    first banks and B come from one direct forward per side. At the
-    switchover _switch_on_memory fits new banks and turns the memory on,
-    its attention initialized to nearest-centroid matching. With the
-    default warmup_epochs (= the default epochs) the whole run is warm-up:
-    the basic nets, history and B steps equal those of the no_memory
-    ablation, and the memory is fitted once after the last epoch. Only the
-    epochs - warmup_epochs epochs past the warm-up train through the
-    memory, with the banks tracking the moving direct features by an
-    exponential average (BANK_EMA). Per epoch: SGD passes over column
+    The embedders start with the memory off, and the first warmup_epochs
+    epochs train the direct features alone; the first banks and B come
+    from one direct forward per side. At the switchover _switch_on_memory
+    fits new banks and turns the memory on, its attention initialized to
+    nearest-centroid matching. With the default warmup_epochs (= the
+    default epochs) the whole run is warm-up: the basic nets, history and
+    B steps equal those of the no_memory ablation, and the memory is
+    fitted once after the last epoch. Epochs past the warm-up train
+    through the memory, the banks tracking the moving direct features by
+    an exponential average (BANK_EMA). Per epoch: SGD passes over column
     minibatches of each modality against the full cross-modal objective
     (gradients averaged over the training set), then B is recomputed in
-    closed form. Returns (model, history) where history holds one record
-    per epoch including the loss before and after the B step. Phi is
-    computed once per side per epoch: the record's NLL is the sum of the
-    NLLs of the y pass's Phi blocks, not a separate objective() pass. The
-    affinity stays build_affinity's uint8 array; 0/1 promote exactly.
+    closed form. Returns (model, history), one history record per epoch
+    with the loss before and after the B step. Phi is computed once per
+    side per epoch; the record's NLL sums the y pass's Phi-block NLLs.
+    The affinity is build_affinity's uint8 array; 0/1 promote exactly.
 
     With the memory on, eta needs a non-empty head and a non-empty tail
     class under head_threshold; a partition without both raises
@@ -288,7 +281,6 @@ def train(dataset: MultiModalDataset, train_indices: np.ndarray,
             f"no non-empty tail class, and eta needs both")
     ex = _build_embedder(X.shape[1], dataset.num_classes, config, rng)
     ey = _build_embedder(Y.shape[1], dataset.num_classes, config, rng)
-    switch_epoch = min(config.warmup_epochs, config.epochs)
 
     # the banks a no_memory model keeps; the memory switch replaces them
     direct_x, _ = ex.basic_net.forward(X)
@@ -299,12 +291,13 @@ def train(dataset: MultiModalDataset, train_indices: np.ndarray,
 
     history = []
     for epoch in range(config.epochs):
-        if memory_on and epoch == switch_epoch:
+        if memory_on and epoch == config.warmup_epochs:
             bank_x = _switch_on_memory(ex, X, labels, is_head)
             bank_y = _switch_on_memory(ey, Y, labels, is_head)
-        elif memory_on and epoch > switch_epoch:
+        elif memory_on and epoch > config.warmup_epochs:
             for embedder, bank, feats in ((ex, bank_x, X), (ey, bank_y, Y)):
-                fresh = _refresh_bank(embedder, feats, labels, is_head)
+                direct, _ = embedder.basic_net.forward(feats)
+                fresh = compute_prototypes(direct, labels, is_head)
                 bank.centroids[:] = (BANK_EMA * bank.centroids
                                      + (1.0 - BANK_EMA) * fresh.centroids)
         Vx = meta_embed.embed_chunked(ex, X, bank_x)
@@ -350,7 +343,7 @@ def train(dataset: MultiModalDataset, train_indices: np.ndarray,
             "post_b_total": post.total,
         })
 
-    if memory_on and switch_epoch >= config.epochs:
+    if memory_on and config.warmup_epochs >= config.epochs:
         # the whole run was warm-up (the default): fit the memory once on
         # the final direct features so the model embeds meta features
         bank_x = _switch_on_memory(ex, X, labels, is_head)
@@ -479,7 +472,8 @@ def _check_model(model: HashModel):
     would broadcast silently at encode time, a bank of the wrong height
     would fail there with a bare ValueError, a NaN weight would reach
     every code, and sides that disagree on classes or memory (which train
-    never writes) would be evaluated as one model."""
+    never writes) would be evaluated as one model. eta needs eta_max >= 0
+    and, with the memory on, a non-empty head and a non-empty tail class."""
     c = model.embedder_x.code_length
     checks = [(model.embedder_y.code_length == c,
                f"text code length {model.embedder_y.code_length} != "
@@ -492,9 +486,10 @@ def _check_model(model: HashModel):
         params = [p for net in (e.basic_net, e.weight_net)
                   for p in net.weights + net.biases]
         checks += [
-            (all(np.isfinite(p).all() for p in params + [bank.centroids])
-             and np.isfinite(e.eta_max),
-             f"{side} weights, biases, centroids or eta_max are not finite"),
+            (all(np.isfinite(p).all() for p in params + [bank.centroids]),
+             f"{side} weights, biases or centroids are not finite"),
+            (0 <= e.eta_max < np.inf,
+             f"{side} eta_max {e.eta_max} is not finite and >= 0"),
             (bank.centroids.shape == (L, c),
              f"{side} centroids are {bank.centroids.shape}, expected "
              f"({L}, {c}) for {L} weight-net outputs and code length {c}"),
@@ -518,3 +513,8 @@ def _check_model(model: HashModel):
     for ok, message in checks:
         if not ok:
             raise FormatError(f"inconsistent model: {message}")
+    # the sides agree on counts and head flags, of lengths checked above
+    if ex.use_memory and not ((bx.nonempty & bx.is_head).any()
+                              and (bx.nonempty & ~bx.is_head).any()):
+        raise FormatError("inconsistent model: the memory is on without a "
+                          "non-empty head and a non-empty tail class")

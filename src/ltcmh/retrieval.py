@@ -45,13 +45,10 @@ def binarize(V: np.ndarray) -> BinaryCodeMatrix:
     if not np.all(np.isfinite(V)):
         raise EvaluationError("features must be finite")
     c, n = V.shape
-    bits = (V.T >= 0.0).astype(np.uint8)          # n x c
-    n_words = (c + 63) // 64
-    padded = np.zeros((n, n_words * 64), dtype=np.uint8)
-    padded[:, :c] = bits
+    padded = np.zeros((n, (c + 63) // 64 * 64), dtype=np.uint8)
+    padded[:, :c] = V.T >= 0.0
     packed = np.packbits(padded, axis=1, bitorder="little")
-    words = packed.view("<u8").reshape(n, n_words)
-    return BinaryCodeMatrix(c=c, words=np.ascontiguousarray(words))
+    return BinaryCodeMatrix(c=c, words=packed.view("<u8"))
 
 
 def hamming_matrix(queries: BinaryCodeMatrix, db: BinaryCodeMatrix) -> np.ndarray:

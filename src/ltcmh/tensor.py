@@ -51,11 +51,9 @@ def softplus(x):
 
 
 def _activate(name, z):
-    if name == "identity":
-        return z
     if name == "relu":
         return np.maximum(z, 0.0)
-    raise ValueError(f"unknown activation {name!r}")
+    return z   # identity: LayerSpec and read_net admit no other name
 
 
 def _activate_grad(name, a, g):
@@ -64,11 +62,9 @@ def _activate_grad(name, a, g):
     relu's derivative is taken from the output: a > 0 exactly where z > 0,
     since z <= 0, -0.0 and NaN all give an a = max(z, 0) that is not > 0.
     """
-    if name == "identity":
-        return g
     if name == "relu":
         return g * (a > 0)
-    raise ValueError(f"unknown activation {name!r}")
+    return g
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from ltcmh import experiment, hash_learn, retrieval
 from ltcmh.cli import main
 from ltcmh.dataset import (LongTailSpec, MultiModalDataset, load_dataset,
                            save_dataset)
-from ltcmh.errors import FormatError, LtcmhError
+from ltcmh.errors import ConfigError, FormatError, LtcmhError
 from ltcmh.tensor import FeedForwardNet, LayerSpec
 
 FAST = [
@@ -115,6 +115,30 @@ def test_non_utf8_config_usage_error(tmp_path, capsys):
     assert f"{path}: not UTF-8 at byte 13" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, lineno, message", [
+    ("seed = 1\nno equals sign\n", 2, "expected 'key = value'"),
+    # blank and comment lines are skipped but counted
+    ("\n# a comment\n  # indented\nseed = 2  # trailing\nbogus = 1\n", 5,
+     "'bogus'"),
+])
+def test_bad_config_file_usage_error(tmp_path, capsys, text, lineno, message):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    assert main(["synth", "--out", str(tmp_path / "out"),
+                 "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert message in err and f"{path}:{lineno}: " in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_file_skips_blank_and_comment_lines(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("\n# seed = 5\n   \nseed = 2  # trailing\n"
+                    "no_memory = yes\n")
+    assert experiment.load_config(path, ["epochs=3"]) == {
+        **experiment.DEFAULTS, "seed": 2, "no_memory": True, "epochs": 3}
+
+
 @pytest.mark.parametrize("command, setting, message", [
     ("synth", "epochs=abc", "'epochs'"),
     ("synth", "alpha=x", "'alpha'"),
@@ -130,6 +154,9 @@ def test_non_utf8_config_usage_error(tmp_path, capsys):
     ("synth", "extra_per_class=-50", "extra_per_class"),
     ("synth", "noise_std=-1", "noise_std"),
     ("synth", "noise_std=nan", "noise_std"),
+    ("synth", "no_memory=maybe", "expected boolean for 'no_memory'"),
+    ("synth", "groups=,,", "groups must be non-empty"),
+    ("synth", "not_a_key", "'not_a_key'"),
 ])
 def test_bad_config_value_usage_error(pipeline, tmp_path, capsys, command,
                                       setting, message):
@@ -293,6 +320,19 @@ def test_encode_matches_in_process_oracle(pipeline, tmp_path):
     assert codes.n == model.query_indices.size
 
 
+def test_encode_train_split(pipeline, tmp_path):
+    model = hash_learn.load_model(pipeline / "run" / "model.lcmh")
+    data = load_dataset(pipeline / "data" / "dataset.lcmd")
+    out = tmp_path / "train.lcmb"
+    assert main(["encode", "--model", str(pipeline / "run" / "model.lcmh"),
+                 "--dataset", str(pipeline / "data" / "dataset.lcmd"),
+                 "--modality", "text", "--split", "train",
+                 "--out", str(out)]) == 0
+    ref = retrieval.binarize(hash_learn.encode_features(
+        model, data.Y[model.train_indices], "text"))
+    assert np.array_equal(retrieval.load_codes(out).words, ref.words)
+
+
 def test_encode_deterministic(pipeline, tmp_path):
     args = ["encode", "--model", str(pipeline / "run" / "model.lcmh"),
             "--dataset", str(pipeline / "data" / "dataset.lcmd"),
@@ -366,7 +406,23 @@ def _nan_weight(model):
     model.embedder_x.basic_net.weights[0][0, 0] = np.nan
 
 
-@pytest.mark.parametrize("mutate", [_break_chain, _nan_weight])
+# the next three change both sides alike, so the sides still agree
+def _all_head(model):
+    for bank in (model.bank_x, model.bank_y):
+        bank.is_head = np.ones_like(bank.is_head)
+
+
+def _all_tail(model):
+    for bank in (model.bank_x, model.bank_y):
+        bank.is_head = np.zeros_like(bank.is_head)
+
+
+def _negative_eta_max(model):
+    model.embedder_x.eta_max = model.embedder_y.eta_max = -2.0
+
+
+@pytest.mark.parametrize("mutate", [_break_chain, _nan_weight, _all_head,
+                                    _all_tail, _negative_eta_max])
 def test_broken_model_io_error(pipeline, tmp_path, capsys, mutate):
     model = hash_learn.load_model(pipeline / "run" / "model.lcmh")
     mutate(model)
@@ -525,6 +581,23 @@ def test_eval_empty_database_numerical_error(pipeline, tmp_path, capsys):
                  "--direction", "i2t", "--out", str(out)]) == 3
     assert "empty database" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_eval_unknown_split_usage_error(pipeline, tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    assert main(["eval", "--model", str(pipeline / "run" / "model.lcmh"),
+                 "--dataset", str(pipeline / "data" / "dataset.lcmd"),
+                 "--direction", "t2i", "--query-split", "queries",
+                 "--out", str(out)]) == 1
+    assert "unknown split 'queries'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_direction_unknown_direction(pipeline):
+    model = hash_learn.load_model(pipeline / "run" / "model.lcmh")
+    data = load_dataset(pipeline / "data" / "dataset.lcmd")
+    with pytest.raises(ConfigError, match="unknown direction 'sideways'"):
+        experiment.evaluate_direction(model, data, "sideways")
 
 
 def test_eval_bad_direction_usage_error(pipeline, tmp_path):
@@ -694,6 +767,15 @@ def test_sweep_bad_param_usage_error(pipeline, tmp_path, capsys, param,
                  "--param", param, "--values", values,
                  "--out", str(tmp_path / "s")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_sweep_without_values_usage_error(pipeline, tmp_path, capsys):
+    assert main(["sweep", "--dataset",
+                 str(pipeline / "data" / "dataset.lcmd"),
+                 "--param", "beta", "--values", " , ,",
+                 "--out", str(tmp_path / "s")]) == 1
+    assert "sweep needs at least one value" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 @pytest.mark.parametrize("command", [

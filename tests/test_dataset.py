@@ -312,6 +312,14 @@ def test_split_errors_when_class_has_no_spare_samples():
         split_query_retrieval(data, np.array([4]), queries_per_class=1, seed=0)
 
 
+def test_split_train_counts_not_one_per_class(tiny_dataset):
+    L = tiny_dataset.num_classes
+    with pytest.raises(ShapeError, match=rf"train_per_class shape "
+                                         rf"\({L + 1},\) != \({L},\)"):
+        split_query_retrieval(tiny_dataset, np.ones(L + 1, np.int64),
+                              queries_per_class=1, seed=0)
+
+
 # --- file I/O --------------------------------------------------------------------
 
 def test_dataset_roundtrip(tmp_path, tiny_dataset):

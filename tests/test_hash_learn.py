@@ -59,6 +59,12 @@ def test_phi_shape_mismatch():
 
 # --- loss terms -------------------------------------------------------------------
 
+def test_nll_shape_mismatch():
+    with pytest.raises(ShapeError, match=r"phi shape \(2, 3\) != affinity "
+                                         r"shape \(3, 2\)"):
+        nll_loss(np.zeros((2, 3)), np.zeros((3, 2), np.uint8))
+
+
 def test_nll_zero_phi_is_log2_per_pair():
     phi = np.zeros((3, 3))
     A = np.eye(3)
@@ -661,6 +667,16 @@ def _set_nan(arrays):
     arrays[0].flat[0] = np.nan
 
 
+def _on_both_sides(part, name, value):
+    """A mutation setting `name` on the image and the text `part` to
+    value(that part), so the two sides still agree."""
+    def mutate(model):
+        for side in "xy":
+            obj = getattr(model, f"{part}_{side}")
+            setattr(obj, name, value(obj))
+    return mutate
+
+
 INCONSISTENT = {
     "centroids_one_column": lambda m: setattr(
         m, "bank_x", _shrink_bank(m.bank_x, cols=slice(0, 1))),
@@ -690,6 +706,15 @@ INCONSISTENT = {
     "text_eta_mode_differs": lambda m: setattr(m.embedder_y, "eta_mode",
                                                "as_printed"),
     "text_eta_max_differs": lambda m: setattr(m.embedder_y, "eta_max", 7.0),
+    # eta, which these memory-on models use, needs an eta_max >= 0 and a
+    # non-empty head and a non-empty tail class
+    "no_tail_class": _on_both_sides(
+        "bank", "is_head", lambda b: np.ones_like(b.is_head)),
+    "no_head_class": _on_both_sides(
+        "bank", "is_head", lambda b: np.zeros_like(b.is_head)),
+    "tail_classes_empty": _on_both_sides(
+        "bank", "counts", lambda b: np.where(b.is_head, b.counts, 0)),
+    "negative_eta_max": _on_both_sides("embedder", "eta_max", lambda e: -2.0),
 }
 
 

@@ -1,5 +1,5 @@
-"""The demos run, and the README's configuration table matches the code:
-its keys and the eta modes it lists."""
+"""The demos run, and the README matches the code: the keys and eta modes
+of its configuration table and the values it gives the fixed constants."""
 
 import os
 import re
@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ltcmh import experiment, meta_embed
+from ltcmh import experiment, hash_learn, meta_embed, retrieval
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -42,3 +42,15 @@ def test_readme_eta_mode_row_names_every_mode_in_tag_order():
     (meaning,) = [m for key, _, m in _config_table()
                   if key.strip() == "`eta_mode`"]
     assert re.findall(r"`(\w+)`", meaning) == list(meta_embed.ETA_MODES)
+
+
+@pytest.mark.parametrize("module, name", [
+    (hash_learn, "CLIP_NORM"), (hash_learn, "BANK_EMA"),
+    (hash_learn, "ATTENTION_INIT_SCALE"), (meta_embed, "ENCODE_CHUNK"),
+    (retrieval, "EVAL_CHUNK")])
+def test_readme_states_constants_at_code_values(module, name):
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    stated = re.findall(rf"`{name}` =\s+(\d[\d,]*(?:\.\d+)?)", text)
+    assert stated, f"README does not state `{name}` = <value>"
+    assert {float(v.replace(",", "")) for v in stated} == {
+        float(getattr(module, name))}
