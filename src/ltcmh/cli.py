@@ -34,10 +34,8 @@ def _common_config(p):
 
 
 def _load_cfg(args):
-    overrides = list(args.overrides)
-    if getattr(args, "seed", None) is not None:
-        overrides.append(f"seed={args.seed}")
-    return experiment.load_config(args.config, overrides)
+    seed = [] if args.seed is None else [f"seed={args.seed}"]
+    return experiment.load_config(args.config, args.overrides + seed)
 
 
 def _outdir(args, cfg):
@@ -155,9 +153,8 @@ def cmd_gradcheck(args):
 
 def cmd_sweep(args):
     cfg = _load_cfg(args)
-    if args.param not in ("alpha", "beta"):
-        raise ConfigError(f"sweep param must be alpha or beta, got {args.param!r}")
-    values = [experiment._parse_value(args.param, v, 1.0)
+    values = [experiment._parse_value("--values", args.param, v,
+                                      experiment.DEFAULTS[args.param])
               for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("sweep needs at least one value")
@@ -203,8 +200,7 @@ def build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--modality", choices=("image", "text"), required=True)
-    p.add_argument("--split", choices=("train", "query", "retrieval", "all"),
-                   default="all")
+    p.add_argument("--split", choices=experiment.SPLITS, default="all")
     p.add_argument("--out", required=True, help="output code file (.lcmb)")
     p.set_defaults(func=cmd_encode)
 
@@ -214,8 +210,10 @@ def build_parser():
     p.add_argument("--direction", choices=experiment.DIRECTIONS, required=True)
     p.add_argument("--query-codes", help="precomputed query code file")
     p.add_argument("--db-codes", help="precomputed database code file")
-    p.add_argument("--query-split", default="query")
-    p.add_argument("--db-split", default="retrieval")
+    p.add_argument("--query-split", choices=experiment.SPLITS,
+                   default="query")
+    p.add_argument("--db-split", choices=experiment.SPLITS,
+                   default="retrieval")
     p.add_argument("--out", default="results.csv")
     p.set_defaults(func=cmd_eval)
 
@@ -227,7 +225,7 @@ def build_parser():
     p = sub.add_parser("sweep", help="hyperparameter sensitivity sweep")
     _common_config(p)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--param", required=True, help="alpha or beta")
+    p.add_argument("--param", choices=("alpha", "beta"), required=True)
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_sweep)

@@ -38,23 +38,24 @@ DEFAULTS = {
 
 # (query modality, database modality) of each retrieval direction
 DIRECTIONS = {"i2t": ("image", "text"), "t2i": ("text", "image")}
+# the index sets a model file holds, and their union
+SPLITS = ("train", "query", "retrieval", "all")
 
 
-def _parse_value(key, raw, default):
+def _parse_value(where, key, raw, default):
     raw = raw.strip()
     if isinstance(default, bool):
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"expected boolean for {key!r}, got {raw!r}")
-    if isinstance(default, (int, float)):
+        if raw.lower() in ("true", "1", "yes", "false", "0", "no"):
+            return raw.lower() in ("true", "1", "yes")
+        kind = "boolean"
+    elif isinstance(default, (int, float)):
         try:
             return type(default)(raw)
         except ValueError:
-            raise ConfigError(f"expected {type(default).__name__} for "
-                              f"{key!r}, got {raw!r}") from None
-    return raw
+            kind = type(default).__name__
+    else:
+        return raw
+    raise ConfigError(f"{where}: expected {kind} for {key!r}, got {raw!r}")
 
 
 def load_config(path=None, overrides=()):
@@ -76,7 +77,7 @@ def load_config(path=None, overrides=()):
         key, raw = (s.strip() for s in item.split("=", 1))
         if key not in DEFAULTS:
             raise ConfigError(f"{where}: unknown config key {key!r}")
-        cfg[key] = _parse_value(key, raw, DEFAULTS[key])
+        cfg[key] = _parse_value(where, key, raw, DEFAULTS[key])
     if cfg["seed"] < 0:   # NumPy's generators take no negative seed
         raise ConfigError(f"seed must be >= 0, got {cfg['seed']}")
     return cfg
@@ -151,19 +152,15 @@ def write_loss_csv(path, history):
 
 
 def split_indices(model: HashModel, name: str) -> np.ndarray:
-    if name == "train":
-        return model.train_indices
-    if name == "query":
-        return model.query_indices
-    if name == "retrieval":
-        return model.retrieval_indices
+    if name not in SPLITS:
+        raise ConfigError(f"unknown split {name!r}")
     if name == "all":
         # train writes disjoint splits, but a hand-made model file may
         # hold overlapping ones, so take the union
         return np.unique(np.concatenate([
             model.train_indices, model.query_indices,
             model.retrieval_indices]))
-    raise ConfigError(f"unknown split {name!r}")
+    return getattr(model, f"{name}_indices")
 
 
 def encode_split(model: HashModel, dataset: MultiModalDataset,

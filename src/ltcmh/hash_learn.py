@@ -71,9 +71,10 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be finite and >= 0")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
-        if min(self.code_length, self.hidden_dim, self.batch_columns) < 1:
-            raise ConfigError(
-                "code_length, hidden_dim and batch_columns must be >= 1")
+        if min(self.code_length, self.hidden_dim, self.batch_columns,
+               self.head_threshold) < 1:
+            raise ConfigError("code_length, hidden_dim, batch_columns and "
+                              "head_threshold must be >= 1")
         if self.warmup_epochs < 0:
             raise ConfigError("warmup_epochs must be >= 0")
         if self.eta_mode not in meta_embed.ETA_MODES:

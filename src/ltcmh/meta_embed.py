@@ -136,12 +136,11 @@ def embed_batch(embedder: MetaEmbedder, batch: np.ndarray, bank: PrototypeBank):
     if not embedder.use_memory:
         return v_direct.T, EmbedCache(basic_acts=b_acts, v_direct=v_direct)
 
-    if not bank.nonempty.any():
-        raise ConfigError("all prototype classes are empty")
+    # eta first: it rejects a bank without a non-empty head and tail class
+    etas = eta_ratio(v_direct, bank, embedder.eta_mode, embedder.eta_max)
     logits, w_acts = embedder.weight_net.forward(v_direct)
     w = _attention_weights(logits, bank.nonempty[None, :])
     v_memory = w @ bank.centroids
-    etas = eta_ratio(v_direct, bank, embedder.eta_mode, embedder.eta_max)
     v_meta = v_direct + etas[:, None] * v_memory
     cache = EmbedCache(basic_acts=b_acts, v_direct=v_direct,
                        weight_acts=w_acts, weights=w, v_memory=v_memory,

@@ -589,8 +589,14 @@ def test_eval_unknown_split_usage_error(pipeline, tmp_path, capsys):
                  "--dataset", str(pipeline / "data" / "dataset.lcmd"),
                  "--direction", "t2i", "--query-split", "queries",
                  "--out", str(out)]) == 1
-    assert "unknown split 'queries'" in capsys.readouterr().err
+    assert "invalid choice: 'queries'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_split_indices_unknown_split(pipeline):
+    model = hash_learn.load_model(pipeline / "run" / "model.lcmh")
+    with pytest.raises(ConfigError, match="unknown split 'queries'"):
+        experiment.split_indices(model, "queries")
 
 
 def test_evaluate_direction_unknown_direction(pipeline):
@@ -802,3 +808,39 @@ def test_missing_subcommand_usage_error(capsys):
 def test_unknown_flag_usage_error(capsys):
     assert main(["synth", "--frobnicate"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["eval", "--direction", "i2t", "--query-split", "queries"],
+     "invalid choice: 'queries'"),
+    (["eval", "--direction", "i2t", "--db-split", "db"],
+     "invalid choice: 'db'"),
+    (["encode", "--modality", "image", "--split", "bogus"],
+     "invalid choice: 'bogus'"),
+    (["sweep", "--param", "gamma", "--values", "1"],
+     "invalid choice: 'gamma'"),
+    (["sweep", "--param", "alpha", "--values", "0.5,abc"],
+     "--values: expected float for 'alpha', got 'abc'"),
+    (["train", "--set", "head_threshold=0"], "head_threshold must be >= 1"),
+    (["train", "--set", "no_memory=perhaps"],
+     "override: expected boolean for 'no_memory', got 'perhaps'"),
+    (["train", "--config", "{cfg}"],
+     "{cfg}:2: expected boolean for 'no_memory', got 'perhaps'"),
+], ids=["eval-query-split", "eval-db-split", "encode-split", "sweep-param",
+        "sweep-values", "head-threshold", "override-value", "config-value"])
+def test_bad_name_rejected_before_reading_files(tmp_path, capsys, argv,
+                                                named):
+    # the model and dataset paths do not exist: each rule is checked
+    # before any file is read, so the exit is 1 (usage), not 2 (I/O)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("seed = 1\nno_memory = perhaps\n")
+    out = tmp_path / "out"
+    argv = [a.format(cfg=cfg) for a in argv]
+    paths = {"eval": ["--model", "--dataset"],
+             "encode": ["--model", "--dataset"],
+             "sweep": ["--dataset"], "train": ["--dataset"]}[argv[0]]
+    for flag in paths:
+        argv += [flag, str(tmp_path / "missing" / flag.strip("-"))]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert named.format(cfg=cfg) in capsys.readouterr().err
+    assert not out.exists()

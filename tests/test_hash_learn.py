@@ -298,6 +298,7 @@ def test_update_B_shape_mismatch():
     dict(alpha=float("nan")), dict(beta=float("inf")), dict(alpha=-1.0),
     dict(eta_max=float("nan")), dict(eta_max=-1.0),
     dict(learning_rate=float("nan")), dict(eta_mode="learned"),
+    dict(head_threshold=0),
 ])
 def test_train_config_rejects(kw):
     with pytest.raises(ConfigError):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -124,8 +126,11 @@ def test_memory_matches_weighted_sum_oracle(rng):
 
 def test_memory_all_empty_raises(rng):
     bank = _bank([[1.0, 0.0], [0.0, 1.0]], [True, False], counts=[0, 0])
-    with pytest.raises(ConfigError, match="all prototype classes are empty"):
-        _embed(np.zeros(2), bank, _net((2, 2), rng))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(ConfigError, match="non-empty head"):
+            _embed(np.zeros(2), bank, _net((2, 2), rng))
+    assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
 
 
 def test_memory_simplex_property(rng):
