@@ -62,7 +62,6 @@ def cmd_synth(args):
 
 def cmd_train(args):
     cfg = _load_cfg(args)
-    experiment.train_config(cfg)   # reject bad keys before writing anything
     data = ds.load_dataset(args.dataset)
     # some config errors need the dataset: write nothing before training
     _, model, history = experiment.run_train(data, cfg)

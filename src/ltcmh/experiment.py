@@ -49,11 +49,14 @@ def _parse_value(where, key, raw, default):
             return raw.lower() in ("true", "1", "yes")
         kind = "boolean"
     elif isinstance(default, (int, float)):
-        try:
-            return type(default)(raw)
-        except ValueError:
-            kind = type(default).__name__
+        parse = float if isinstance(default, float) else np.int64
+        try:   # NumPy takes sizes and seeds as 64-bit ints
+            return type(default)(parse(raw))
+        except (ValueError, OverflowError):
+            kind = "float" if parse is float else "64-bit int"
     else:
+        if key == "groups":   # check it where its location is known
+            parse_groups(raw, where)
         return raw
     raise ConfigError(f"{where}: expected {kind} for {key!r}, got {raw!r}")
 
@@ -80,6 +83,8 @@ def load_config(path=None, overrides=()):
         cfg[key] = _parse_value(where, key, raw, DEFAULTS[key])
     if cfg["seed"] < 0:   # NumPy's generators take no negative seed
         raise ConfigError(f"seed must be >= 0, got {cfg['seed']}")
+    longtail_spec(cfg)   # check the synthesis and training keys before
+    train_config(cfg)    # any command reads or writes a file
     return cfg
 
 
@@ -88,7 +93,7 @@ def save_config(cfg, path):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def parse_groups(text):
+def parse_groups(text, where="groups"):
     """'4x2000,10x200,10x50' -> [(4, 2000), (10, 200), (10, 50)]."""
     groups = []
     for part in text.split(","):
@@ -97,11 +102,12 @@ def parse_groups(text):
             continue
         k, _, c = part.partition("x")
         try:
-            groups.append((int(k), int(c)))
-        except ValueError:
-            raise ConfigError(f"bad group {part!r}, expected COUNTxSIZE")
+            groups.append((int(np.int64(k)), int(np.int64(c))))
+        except (ValueError, OverflowError):
+            raise ConfigError(f"{where}: bad group {part!r}, expected "
+                              f"COUNTxSIZE of 64-bit ints") from None
     if not groups:
-        raise ConfigError("groups must be non-empty")
+        raise ConfigError(f"{where}: groups must be non-empty")
     return groups
 
 

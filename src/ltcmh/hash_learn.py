@@ -372,20 +372,23 @@ def encode_features(model: HashModel, features: np.ndarray, modality: str):
 # --- persistence --------------------------------------------------------------
 
 def _write_array(f: BinaryIO, arr: np.ndarray, dtype: str):
-    f.write(struct.pack("<I", arr.ndim))
-    for d in arr.shape:
-        f.write(struct.pack("<Q", d))
+    f.write(struct.pack(f"<I{arr.ndim}Q", arr.ndim, *arr.shape))
     f.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
 
 
-def _read_array(f: BinaryIO, dtype: str, ndim: int) -> np.ndarray:
-    """Read an array written by _write_array, which must have ndim dims."""
+def _read_array(f: BinaryIO, dtype: str, what: str, *dims) -> np.ndarray:
+    """Read an array written by _write_array whose shape must be dims
+    (a None dim matches any size) and whose entries must be finite."""
+    at = f.tell()
     (got,) = struct.unpack("<I", read_exact(f, 4, "array header"))
-    if got != ndim:
-        raise FormatError(f"array of {got} dims at offset {f.tell() - 4}, "
-                          f"expected {ndim}")
-    shape = struct.unpack(f"<{ndim}Q", read_exact(f, 8 * ndim, "array shape"))
-    return read_array(f, dtype, shape, "array data")
+    if got != len(dims):
+        raise FormatError(f"array of {got} dims at offset {at}, "
+                          f"expected {len(dims)}")
+    shape = struct.unpack(f"<{got}Q", read_exact(f, 8 * got, "array shape"))
+    if any(d not in (None, n) for n, d in zip(shape, dims)):
+        raise FormatError(f"inconsistent model: {what} at offset {at} of "
+                          f"shape {shape}, expected {dims}")
+    return read_array(f, dtype, shape, what, finite=True)
 
 
 def _write_embedder(f: BinaryIO, e: MetaEmbedder):
@@ -398,25 +401,37 @@ def _write_embedder(f: BinaryIO, e: MetaEmbedder):
 
 
 def _read_embedder(f: BinaryIO) -> MetaEmbedder:
+    at = f.tell()
     mode, use_memory, attention, eta_max = struct.unpack(
         "<BBBd", read_exact(f, 11, "embedder header"))
     if mode >= len(meta_embed.ETA_MODES):
-        raise FormatError(f"bad eta-mode tag {mode} at offset {f.tell() - 11}")
+        raise FormatError(f"bad eta-mode tag {mode} at offset {at}")
     if attention != 1:
         raise FormatError(f"bad attention tag {attention} at offset "
-                          f"{f.tell() - 9}, expected 1 (softmax)")
-    try:
-        basic = read_net(f)
-        weight = read_net(f)
-        (has_eta,) = read_exact(f, 1, "eta-net flag")
-        if has_eta != 0:
-            raise FormatError(f"bad eta-net flag {has_eta} at offset "
-                              f"{f.tell() - 1}, expected 0")
-        return MetaEmbedder(basic_net=basic, weight_net=weight,
-                            eta_mode=meta_embed.ETA_MODES[mode],
-                            use_memory=bool(use_memory), eta_max=eta_max)
-    except (ConfigError, ShapeError) as e:
-        raise FormatError(f"inconsistent embedder before offset {f.tell()}: {e}")
+                          f"{at + 2}, expected 1 (softmax)")
+    if not 0 <= eta_max < np.inf:   # eta's clamp
+        raise FormatError(f"inconsistent model: eta_max {eta_max} at offset "
+                          f"{at + 3} is not finite and >= 0")
+    nets = []
+    for what in ("basic net", "weight net"):
+        at = f.tell()
+        try:
+            nets.append(read_net(f))
+        except ShapeError as e:
+            raise FormatError(f"inconsistent model: {what} at offset {at}: "
+                              f"{e}") from None
+    basic, weight = nets
+    if weight.input_dim != basic.output_dim:
+        raise FormatError(f"inconsistent model: weight net input "
+                          f"{weight.input_dim} at offset {at + 4}, expected "
+                          f"code length {basic.output_dim}")
+    (has_eta,) = read_exact(f, 1, "eta-net flag")
+    if has_eta != 0:
+        raise FormatError(f"bad eta-net flag {has_eta} at offset "
+                          f"{f.tell() - 1}, expected 0")
+    return MetaEmbedder(basic_net=basic, weight_net=weight,
+                        eta_mode=meta_embed.ETA_MODES[mode],
+                        use_memory=bool(use_memory), eta_max=eta_max)
 
 
 def _write_bank(f: BinaryIO, bank: PrototypeBank):
@@ -425,10 +440,10 @@ def _write_bank(f: BinaryIO, bank: PrototypeBank):
     _write_array(f, bank.is_head.astype(np.uint8), "<u1")
 
 
-def _read_bank(f: BinaryIO) -> PrototypeBank:
-    centroids = _read_array(f, "<f8", 2)
-    counts = _read_array(f, "<i8", 1)
-    is_head = _read_array(f, "<u1", 1).astype(bool)
+def _read_bank(f: BinaryIO, side: str, L: int, c: int) -> PrototypeBank:
+    centroids = _read_array(f, "<f8", f"{side} centroids", L, c)
+    counts = _read_array(f, "<i8", f"{side} class counts", L)
+    is_head = _read_array(f, "<u1", f"{side} head flags", L).astype(bool)
     return PrototypeBank(centroids=centroids, counts=counts, is_head=is_head)
 
 
@@ -447,75 +462,47 @@ def save_model(path, model: HashModel):
 
 
 def load_model(path) -> HashModel:
+    """Read a model written by save_model, checking each part as it is
+    read: every rejection is a FormatError that names a byte offset."""
     with open(path, "rb") as f:
         read_header(f, MODEL_MAGIC, MODEL_FORMAT_VERSION, "model")
         alpha, beta = struct.unpack("<dd", read_exact(f, 16, "alpha, beta"))
+        if not np.isfinite([alpha, beta]).all():
+            raise FormatError(f"inconsistent model: alpha {alpha} or beta "
+                              f"{beta} at offset 8 is not finite")
         ex = _read_embedder(f)
+        L, c = ex.weight_net.output_dim, ex.code_length
+        text_at = f.tell()
         ey = _read_embedder(f)
-        bank_x = _read_bank(f)
-        bank_y = _read_bank(f)
-        B = _read_array(f, "<f8", 2)
-        train_idx = _read_array(f, "<i8", 1)
-        query_idx = _read_array(f, "<i8", 1)
-        retrieval_idx = _read_array(f, "<i8", 1)
+        if (got := (ey.weight_net.output_dim, ey.code_length)) != (L, c):
+            raise FormatError(f"inconsistent model: text embedder at offset "
+                              f"{text_at} has (L, c) = {got}, not {(L, c)}")
+        image_bank_at = f.tell()
+        bank_x = _read_bank(f, "image", L, c)
+        text_bank_at = f.tell()
+        bank_y = _read_bank(f, "text", L, c)
+        B = _read_array(f, "<f8", "B", c, None)
+        train_idx = _read_array(f, "<i8", "training indices", B.shape[1])
+        query_idx = _read_array(f, "<i8", "query indices", None)
+        retrieval_idx = _read_array(f, "<i8", "retrieval indices", None)
         read_end(f)
-    model = HashModel(embedder_x=ex, embedder_y=ey, bank_x=bank_x,
-                      bank_y=bank_y, B=B, alpha=alpha, beta=beta,
-                      train_indices=train_idx, query_indices=query_idx,
-                      retrieval_indices=retrieval_idx)
-    _check_model(model)
-    return model
-
-
-def _check_model(model: HashModel):
-    """Cross-structure and finiteness checks of a loaded model. Each part
-    can be read on its own, so without these a bank of the wrong width
-    would broadcast silently at encode time, a bank of the wrong height
-    would fail there with a bare ValueError, a NaN weight would reach
-    every code, and sides that disagree on classes or memory (which train
-    never writes) would be evaluated as one model. eta needs eta_max >= 0
-    and, with the memory on, a non-empty head and a non-empty tail class."""
-    c = model.embedder_x.code_length
-    checks = [(model.embedder_y.code_length == c,
-               f"text code length {model.embedder_y.code_length} != "
-               f"image code length {c}"),
-              (np.isfinite([model.alpha, model.beta]).all(),
-               f"alpha {model.alpha} or beta {model.beta} is not finite")]
-    for side, e, bank in (("image", model.embedder_x, model.bank_x),
-                          ("text", model.embedder_y, model.bank_y)):
-        L = e.weight_net.output_dim
-        params = [p for net in (e.basic_net, e.weight_net)
-                  for p in net.weights + net.biases]
-        checks += [
-            (all(np.isfinite(p).all() for p in params + [bank.centroids]),
-             f"{side} weights, biases or centroids are not finite"),
-            (0 <= e.eta_max < np.inf,
-             f"{side} eta_max {e.eta_max} is not finite and >= 0"),
-            (bank.centroids.shape == (L, c),
-             f"{side} centroids are {bank.centroids.shape}, expected "
-             f"({L}, {c}) for {L} weight-net outputs and code length {c}"),
-            (bank.counts.shape == bank.is_head.shape == (L,),
-             f"{side} class counts {bank.counts.shape} and head flags "
-             f"{bank.is_head.shape} do not have length {L}"),
-        ]
-    ex, ey, bx, by = (model.embedder_x, model.embedder_y, model.bank_x,
-                      model.bank_y)
+    # train fits both sides on one label matrix with one config
     differ = [name for name, same in (
-        ("class counts", np.array_equal(bx.counts, by.counts)),
-        ("head flags", np.array_equal(bx.is_head, by.is_head)),
+        ("class counts", np.array_equal(bank_x.counts, bank_y.counts)),
+        ("head flags", np.array_equal(bank_x.is_head, bank_y.is_head)),
         ("use_memory", ex.use_memory == ey.use_memory),
         ("eta_mode", ex.eta_mode == ey.eta_mode),
         ("eta_max", ex.eta_max == ey.eta_max)) if not same]
-    checks.append((not differ, f"image and text disagree on {differ}"))
-    idx = model.train_indices
-    checks.append((model.B.shape == (c, idx.size),
-                   f"B is {model.B.shape}, expected ({c}, {idx.size}) for "
-                   f"code length {c} and {idx.shape} training indices"))
-    for ok, message in checks:
-        if not ok:
-            raise FormatError(f"inconsistent model: {message}")
-    # the sides agree on counts and head flags, of lengths checked above
-    if ex.use_memory and not ((bx.nonempty & bx.is_head).any()
-                              and (bx.nonempty & ~bx.is_head).any()):
-        raise FormatError("inconsistent model: the memory is on without a "
-                          "non-empty head and a non-empty tail class")
+    if differ:
+        raise FormatError(f"inconsistent model: image and text disagree on "
+                          f"{differ} (text embedder at offset {text_at}, "
+                          f"text bank at offset {text_bank_at})")
+    if ex.use_memory and not ((bank_x.nonempty & bank_x.is_head).any()
+                              and (bank_x.nonempty & ~bank_x.is_head).any()):
+        raise FormatError(f"inconsistent model: the memory is on, and eta "
+                          f"needs a non-empty head and a non-empty tail "
+                          f"class (image bank at offset {image_bank_at})")
+    return HashModel(embedder_x=ex, embedder_y=ey, bank_x=bank_x,
+                     bank_y=bank_y, B=B, alpha=alpha, beta=beta,
+                     train_indices=train_idx, query_indices=query_idx,
+                     retrieval_indices=retrieval_idx)

@@ -239,16 +239,21 @@ def read_end(f: BinaryIO):
         raise FormatError(f"trailing bytes at offset {f.tell() - 1}")
 
 
-def read_array(f: BinaryIO, dtype, shape, what: str) -> np.ndarray:
+def read_array(f: BinaryIO, dtype, shape, what: str,
+               finite=False) -> np.ndarray:
     """Read a C-order array of `shape` through read_exact, or raise
-    FormatError."""
+    FormatError; with `finite`, also if an entry is NaN or infinite."""
     dtype = np.dtype(dtype)
     pos = f.tell()
     buf = read_exact(f, math.prod(shape) * dtype.itemsize, what)
     try:
-        return np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
+        arr = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
     except ValueError:  # an empty array whose other dims overflow
         raise FormatError(f"bad {what} shape {shape} at offset {pos}") from None
+    if finite and not np.isfinite(arr).all():
+        raise FormatError(f"inconsistent model: {what} at offset {pos} "
+                          f"are not finite")
+    return arr
 
 
 def write_header(f: BinaryIO, magic: bytes, version: int):
@@ -268,22 +273,24 @@ def read_header(f: BinaryIO, magic: bytes, version: int, what: str):
 
 
 def read_net(f: BinaryIO) -> FeedForwardNet:
+    """Read a net written by write_net; a FormatError names the offset of
+    the field it rejects, a broken chain is _check_chain's ShapeError."""
     (n_layers,) = struct.unpack("<I", read_exact(f, 4, "layer count"))
     specs = []
     for _ in range(n_layers):
+        at = f.tell()
         din, dout, act = struct.unpack("<IIB", read_exact(f, 9, "layer spec"))
         if act >= len(ACTIVATIONS):
-            raise FormatError(f"bad activation tag {act} at offset {f.tell()}")
+            raise FormatError(f"bad activation tag {act} at offset {at + 8}")
         if din < 1 or dout < 1:
-            raise FormatError(f"bad layer dims {din}x{dout} at offset {f.tell()}")
+            raise FormatError(f"bad layer dims {din}x{dout} at offset {at}")
         specs.append(LayerSpec(din, dout, ACTIVATIONS[act]))
     _check_chain(specs)
     net = object.__new__(FeedForwardNet)
-    net.specs = specs
-    net.weights = []
-    net.biases = []
+    net.specs, net.weights, net.biases = specs, [], []
     for s in specs:
         net.weights.append(read_array(f, "<f8", (s.output_dim, s.input_dim),
-                                      "weights"))
-        net.biases.append(read_array(f, "<f8", (s.output_dim,), "biases"))
+                                      "weights", finite=True))
+        net.biases.append(read_array(f, "<f8", (s.output_dim,), "biases",
+                                     finite=True))
     return net

@@ -844,3 +844,57 @@ def test_bad_name_rejected_before_reading_files(tmp_path, capsys, argv,
     assert main([*argv, "--out", str(out)]) == 1
     assert named.format(cfg=cfg) in capsys.readouterr().err
     assert not out.exists()
+
+
+BIG = "100000000000000000000"   # 10**20: beyond any 64-bit integer
+
+
+@pytest.mark.parametrize("command, setting, named", [
+    ("synth", "learning_rate=-1", "learning_rate must be finite and positive"),
+    ("synth", "eta_mode=bogus", "eta_mode 'bogus' is not one of"),
+    ("train", "groups=bogus", "override: bad group 'bogus'"),
+    ("train", "d_x=0", "d_x, d_y and latent_dim must be >= 1"),
+    ("synth", f"extra_per_class={BIG}",
+     f"override: expected 64-bit int for 'extra_per_class', got '{BIG}'"),
+    ("synth", f"groups={BIG}x2", f"override: bad group '{BIG}x2'"),
+    ("synth", f"d_x={BIG}",
+     f"override: expected 64-bit int for 'd_x', got '{BIG}'"),
+    ("train", f"code_length={BIG}",
+     f"override: expected 64-bit int for 'code_length', got '{BIG}'"),
+    ("sweep", f"seed=-{BIG}",
+     f"override: expected 64-bit int for 'seed', got '-{BIG}'"),
+    ("synth", "{cfg}", f"{{cfg}}:2: expected 64-bit int for 'epochs', "
+                       f"got '{BIG}'"),
+    ("train", "{cfg}", f"{{cfg}}:2: expected 64-bit int for 'epochs', "
+                       f"got '{BIG}'"),
+])
+def test_config_rejected_before_any_file(tmp_path, capsys, command, setting,
+                                         named):
+    # every config command checks its synthesis and training keys, and that
+    # each integer fits in 64 bits, before it reads or writes a file: the
+    # dataset path does not exist, so the exit is 1 (usage), not 2 (I/O)
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(f"seed = 1\nepochs = {BIG}\n")
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out)]
+    argv += (["--config", str(cfg)] if setting == "{cfg}"
+             else ["--set", setting])
+    if command != "synth":
+        argv += ["--dataset", str(tmp_path / "missing" / "dataset.lcmd")]
+    if command == "sweep":
+        argv += ["--param", "alpha", "--values", "1"]
+    assert main(argv) == 1
+    assert named.format(cfg=cfg) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_int64_bounds_accepted(tmp_path):
+    # the 64-bit limits themselves parse; one past them does not
+    cfg = experiment.load_config(overrides=[f"seed={2**63 - 1}"])
+    assert cfg["seed"] == 2**63 - 1 and type(cfg["seed"]) is int
+    for value in (2**63, -2**63 - 1):
+        with pytest.raises(ConfigError, match="expected 64-bit int"):
+            experiment.load_config(overrides=[f"extra_per_class={value}"])
+    assert experiment.parse_groups(f"1x{2**63 - 1}") == [(1, 2**63 - 1)]
+    with pytest.raises(ConfigError, match="^groups: bad group"):
+        experiment.parse_groups(f"1x{2**63}")

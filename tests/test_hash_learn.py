@@ -629,6 +629,9 @@ def test_model_bad_layer_dim(tmp_path):
     path = _corrupt_model(tmp_path, 39, (0).to_bytes(4, "little"))
     with pytest.raises(FormatError, match="layer dims 0x"):
         load_model(path)
+    # the offset named is the layer spec's first byte
+    with pytest.raises(FormatError, match=r"layer dims 0x16 at offset 39$"):
+        load_model(path)
 
 
 def _shrink_bank(bank, rows=slice(None), cols=slice(None)):
@@ -743,4 +746,67 @@ def test_model_inconsistent_parts_rejected(tmp_path, mutate):
     path = tmp_path / "m.lcmh"
     save_model(path, model)
     with pytest.raises(FormatError, match="inconsistent"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("mutate", INCONSISTENT.values(), ids=INCONSISTENT)
+def test_model_inconsistency_names_an_offset(tmp_path, mutate):
+    model = _trained_model()
+    mutate(model)
+    path = tmp_path / "m.lcmh"
+    save_model(path, model)
+    with pytest.raises(FormatError, match=r"at offset \d+"):
+        load_model(path)
+
+
+def _part_offsets(model):
+    """Byte offsets of the text embedder and the image bank in a saved
+    model: 24 bytes of magic, version, alpha and beta, then the image
+    embedder, then the text one."""
+    sizes = []
+    for e in (model.embedder_x, model.embedder_y):
+        buf = io.BytesIO()
+        hash_learn._write_embedder(buf, e)
+        sizes.append(len(buf.getvalue()))
+    return 24 + sizes[0], 24 + sum(sizes)
+
+
+def test_model_centroids_one_column_short_names_their_offset(tmp_path):
+    model = _trained_model()
+    L, c = model.bank_x.centroids.shape
+    model.bank_x.centroids = model.bank_x.centroids[:, :-1]
+    path = tmp_path / "m.lcmh"
+    save_model(path, model)
+    _, bank_at = _part_offsets(model)
+    with pytest.raises(FormatError, match=(
+            rf"^inconsistent model: image centroids at offset {bank_at} of "
+            rf"shape \({L}, {c - 1}\), expected \({L}, {c}\)$")):
+        load_model(path)
+
+
+def test_model_nan_in_B_rejected(tmp_path):
+    # no float in a model file may be NaN or infinite, B's included
+    for bad in (np.nan, np.inf):
+        model = _trained_model()
+        model.B[3, 2] = bad
+        path = tmp_path / "m.lcmh"
+        save_model(path, model)
+        # the offset named is that of B's data, after its rank and dims
+        at = path.read_bytes().index(struct.pack("<I2Q", 2, *model.B.shape))
+        with pytest.raises(FormatError, match=(
+                rf"^inconsistent model: B at offset {at + 20} are not "
+                rf"finite$")):
+            load_model(path)
+
+
+def test_model_text_code_length_differs_names_text_embedder(tmp_path):
+    model = _trained_model()
+    _narrow_text_embedder(model)
+    path = tmp_path / "m.lcmh"
+    save_model(path, model)
+    text_at, _ = _part_offsets(model)
+    L = model.bank_x.num_classes
+    with pytest.raises(FormatError, match=(
+            rf"^inconsistent model: text embedder at offset {text_at} has "
+            rf"\(L, c\) = \({L}, 4\), not \({L}, 8\)$")):
         load_model(path)

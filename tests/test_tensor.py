@@ -390,6 +390,32 @@ def test_read_net_bad_activation_tag_raises(rng):
         raw[12] = tag
         with pytest.raises(FormatError, match=f"bad activation tag {tag}"):
             read_net(io.BytesIO(bytes(raw)))
+        # the offset named is the tag's own byte
+        with pytest.raises(FormatError,
+                           match=f"bad activation tag {tag} at offset 12$"):
+            read_net(io.BytesIO(bytes(raw)))
+
+
+def test_read_net_bad_layer_dims_names_spec_offset(rng):
+    net = FeedForwardNet([LayerSpec(3, 5)], rng)
+    raw = bytearray(_net_bytes(net))
+    raw[4:8] = (0).to_bytes(4, "little")   # the first layer's input dim
+    with pytest.raises(FormatError, match=r"bad layer dims 0x5 at offset 4$"):
+        read_net(io.BytesIO(bytes(raw)))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_read_net_rejects_non_finite_parameter_at_its_offset(rng, value):
+    # 4 bytes of layer count and 9 of layer spec, then W (1x2) and b (1)
+    net = FeedForwardNet([LayerSpec(2, 1)], rng)
+    for param, at in ((net.weights[0], 13), (net.biases[0], 29)):
+        kept = param.flat[0]
+        param.flat[0] = value
+        with pytest.raises(FormatError,
+                           match=f"at offset {at} are not finite$"):
+            read_net(io.BytesIO(_net_bytes(net)))
+        param.flat[0] = kept
+    assert read_net(io.BytesIO(_net_bytes(net))).specs == net.specs
 
 
 # --- properties -----------------------------------------------------------------
