@@ -4,9 +4,9 @@ Run from the repository root:
 
     python demos/02_gradient_check.py
 
-Covers activation derivatives, full-network backprop, the analytic
-objective gradient, and the meta-embedding backward pass (with eta held
-constant, as training holds it). A gradient broken on purpose shows the check actually
+Covers full-network backprop, the analytic objective gradient, and the
+meta-embedding backward pass (with eta held constant, as training holds
+it), each on nets built as `train` builds them. A gradient broken on purpose shows the check actually
 catches broken gradients.
 """
 

@@ -47,9 +47,9 @@ def _outdir(args, cfg):
 
 def cmd_synth(args):
     cfg = _load_cfg(args)
-    spec = experiment.longtail_spec(cfg)
+    data = ds.synthesize_long_tailed(experiment.longtail_spec(cfg),
+                                     seed=cfg["seed"])
     out = _outdir(args, cfg)
-    data = ds.synthesize_long_tailed(spec, seed=cfg["seed"])
     path = out / "dataset.lcmd"
     ds.save_dataset(data, path)
     counts = data.labels.sum(axis=0)
@@ -246,7 +246,10 @@ def main(argv=None):
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
     except (TrainingError, EvaluationError, FloatingPointError,
-            MemoryError) as e:
+            MemoryError, ValueError) as e:
+        # NumPy's "array is too big" fails an allocation, as MemoryError does
+        if isinstance(e, ValueError) and "array is too big" not in str(e):
+            raise
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
 

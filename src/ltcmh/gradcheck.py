@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import hash_learn, meta_embed
-from .meta_embed import MetaEmbedder, compute_prototypes
-from .tensor import (ACTIVATIONS, FeedForwardNet, LayerSpec, _activate,
-                     _activate_grad, central_diff, finite_diff_grad)
+from .hash_learn import TrainConfig, _build_embedder
+from .meta_embed import compute_prototypes
+from .tensor import central_diff, finite_diff_grad
 
 
 def rel_err(analytic, numeric):
@@ -19,30 +19,13 @@ def rel_err(analytic, numeric):
     return np.inf if np.isnan(err) else err
 
 
-def check_activations(seed=0, points=100, eps=1e-6):
-    """Activation derivatives vs central differences at random points."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for name in ACTIVATIONS:
-        x = rng.uniform(-4, 4, size=points)
-        if name == "relu":
-            # keep away from the kink, where FD is undefined
-            x = x[np.abs(x) > 1e-3]
-        a = _activate(name, x)
-        analytic = _activate_grad(name, a, np.ones_like(x))
-        numeric = (_activate(name, x + eps) - _activate(name, x - eps)) / (2 * eps)
-        worst = max(worst, rel_err(analytic, numeric))
-    return worst
-
-
 def check_net_backward(seed=0, eps=1e-6):
     """Full-net parameter gradients vs finite_diff_grad for a random scalar
-    loss (weighted sum of outputs), on the relu -> identity shape of the
-    basic nets. (A relu -> relu chain would put samples whose first-layer
-    units are all off exactly at the second kink, with zero biases.)"""
+    loss (weighted sum of outputs), on a basic net as train builds it
+    (relu -> identity, so both layer activations are checked)."""
     rng = np.random.default_rng(seed)
-    net = FeedForwardNet([LayerSpec(4, 5, "relu"), LayerSpec(5, 2, "identity")],
-                         rng)
+    net = _build_embedder(4, 3, TrainConfig(code_length=2, hidden_dim=5),
+                          rng).basic_net
     batch = rng.normal(size=(6, 4))
     R = rng.normal(size=(6, 2))
 
@@ -91,15 +74,14 @@ def check_objective_grad(instances=50, seed=0, eps=1e-6, max_n=8, max_c=8):
 def _tiny_embed_setup(seed):
     rng = np.random.default_rng(seed)
     c, L, d, n = 3, 4, 5, 6
-    basic = FeedForwardNet([LayerSpec(d, 4, "relu"), LayerSpec(4, c, "identity")], rng)
-    weight = FeedForwardNet([LayerSpec(c, L, "identity")], rng)
-    embedder = MetaEmbedder(basic_net=basic, weight_net=weight,
-                            eta_max=hash_learn.TrainConfig().eta_max)
+    embedder = _build_embedder(d, L, TrainConfig(code_length=c, hidden_dim=4),
+                               rng)
+    embedder.use_memory = True
     batch = rng.normal(size=(n, d))
     # every class gets a sample, so eta has a head and a tail class
     labels = np.zeros((n, L), dtype=np.uint8)
     labels[np.arange(n), np.r_[np.arange(L), rng.integers(0, L, size=n - L)]] = 1
-    direct, _ = basic.forward(batch)
+    direct, _ = embedder.basic_net.forward(batch)
     bank = compute_prototypes(direct, labels,
                               np.array([True, True, False, False]))
     R = rng.normal(size=(c, n))
@@ -135,7 +117,6 @@ def check_embed_backward(seed=0, eps=1e-6):
 def run_all(seed=0):
     """All suites; returns {suite name: max relative error}."""
     return {
-        "activations": check_activations(seed),
         "net_backward": check_net_backward(seed),
         "objective_grad": check_objective_grad(instances=10, seed=seed,
                                                max_n=5, max_c=5),

@@ -406,6 +406,9 @@ def _read_embedder(f: BinaryIO) -> MetaEmbedder:
         "<BBBd", read_exact(f, 11, "embedder header"))
     if mode >= len(meta_embed.ETA_MODES):
         raise FormatError(f"bad eta-mode tag {mode} at offset {at}")
+    if use_memory > 1:
+        raise FormatError(f"bad use_memory flag {use_memory} at offset "
+                          f"{at + 1}, expected 0 or 1")
     if attention != 1:
         raise FormatError(f"bad attention tag {attention} at offset "
                           f"{at + 2}, expected 1 (softmax)")
@@ -443,8 +446,13 @@ def _write_bank(f: BinaryIO, bank: PrototypeBank):
 def _read_bank(f: BinaryIO, side: str, L: int, c: int) -> PrototypeBank:
     centroids = _read_array(f, "<f8", f"{side} centroids", L, c)
     counts = _read_array(f, "<i8", f"{side} class counts", L)
-    is_head = _read_array(f, "<u1", f"{side} head flags", L).astype(bool)
-    return PrototypeBank(centroids=centroids, counts=counts, is_head=is_head)
+    at = f.tell() + 12   # the flags' first byte, after a 1-dim header
+    flags = _read_array(f, "<u1", f"{side} head flags", L)
+    if (bad := np.flatnonzero(flags > 1)).size:
+        raise FormatError(f"bad {side} head flag {flags[bad[0]]} at offset "
+                          f"{at + bad[0]}, expected 0 or 1")
+    return PrototypeBank(centroids=centroids, counts=counts,
+                         is_head=flags.astype(bool))
 
 
 def save_model(path, model: HashModel):

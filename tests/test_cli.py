@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltcmh import experiment, hash_learn, retrieval
+from ltcmh import experiment, hash_learn, retrieval, tensor
 from ltcmh.cli import main
 from ltcmh.dataset import (LongTailSpec, MultiModalDataset, load_dataset,
                            save_dataset)
@@ -196,6 +196,39 @@ def test_memory_error_numerical_exit(pipeline, tmp_path, capsys, monkeypatch):
     assert main(["train", "--dataset", str(pipeline / "data" / "dataset.lcmd"),
                  "--out", str(tmp_path / "out"), *_sets()]) == 3
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, settings", [
+    ("synth", ["d_x=4611686018427387904"]),
+    ("synth", ["groups=1x1", "d_x=9223372036854775807"]),
+    ("train", [*FAST, "hidden_dim=4611686018427387904"]),
+    ("train", [*FAST, "code_length=4611686018427387904"]),
+])
+def test_array_too_big_numerical_exit(pipeline, tmp_path, capsys, command,
+                                      settings):
+    # a size inside 64 bits whose array NumPy cannot count in bytes is a
+    # failed allocation: exit 3, one error line, and no output at all
+    args = [command, "--out", str(tmp_path / "out")]
+    for kv in settings:
+        args += ["--set", kv]
+    if command == "train":
+        args += ["--dataset", str(pipeline / "data" / "dataset.lcmd")]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: array is too big") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_other_value_error_propagates(pipeline, tmp_path, monkeypatch):
+    # only NumPy's size overflow is an exit code; any other ValueError is
+    # a bug and keeps its traceback
+    def run_train(data, cfg):
+        raise ValueError("setting an array element with a sequence")
+
+    monkeypatch.setattr(experiment, "run_train", run_train)
+    with pytest.raises(ValueError, match="with a sequence"):
+        main(["train", "--dataset", str(pipeline / "data" / "dataset.lcmd"),
+              "--out", str(tmp_path / "out"), *_sets()])
 
 
 @pytest.mark.parametrize("command, seed", [
@@ -686,7 +719,11 @@ def test_damaged_files_fail_cleanly(pipeline, codes, kind, mutation):
 
 def test_gradcheck_passes(capsys):
     assert main(["gradcheck"]) == 0
-    assert "PASS" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "PASS" in out
+    # three suites: the activations are checked inside the net suites
+    assert [line.split()[0] for line in out.splitlines()[:-2]] == [
+        "net_backward", "objective_grad", "embed_backward"]
 
 
 def test_gradcheck_passes_seeds_0_to_80(capsys):
@@ -705,6 +742,22 @@ def test_gradcheck_corrupt_negative_control(monkeypatch, capsys):
         return [(dw + 0.05, db), *rest], input_grad
 
     monkeypatch.setattr(FeedForwardNet, "backward", broken)
+    assert main(["gradcheck"]) == 3
+    assert "FAIL" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("activation", ["relu", "identity"])
+def test_gradcheck_scaled_activation_derivative_fails(monkeypatch, capsys,
+                                                      activation):
+    # the activations have no suite of their own: the net suites must
+    # catch a wrong derivative of either layer activation
+    activate_grad = tensor._activate_grad
+
+    def scaled(name, a, g):
+        out = activate_grad(name, a, g)
+        return out * 1.05 if name == activation else out
+
+    monkeypatch.setattr(tensor, "_activate_grad", scaled)
     assert main(["gradcheck"]) == 3
     assert "FAIL" in capsys.readouterr().err
 

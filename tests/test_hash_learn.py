@@ -810,3 +810,52 @@ def test_model_text_code_length_differs_names_text_embedder(tmp_path):
             rf"^inconsistent model: text embedder at offset {text_at} has "
             rf"\(L, c\) = \({L}, 4\), not \({L}, 8\)$")):
         load_model(path)
+
+
+def test_model_flag_byte_not_0_or_1_names_its_offset(tmp_path):
+    # use_memory and each head flag is 0 or 1: any other value would load
+    # as True and save back as 1, so the file would not read back exactly
+    model = _trained_model()
+    text_at, bank_at = _part_offsets(model)
+    L = model.bank_x.num_classes
+    buf = io.BytesIO()
+    hash_learn._write_bank(buf, model.bank_x)
+    image_flags_at = bank_at + len(buf.getvalue()) - L   # the bank's last L
+    text_flags_at = image_flags_at + len(buf.getvalue())
+    for name, at in (("use_memory", 25), ("use_memory", text_at + 1),
+                     ("image head", image_flags_at),
+                     ("text head", text_flags_at + L - 1)):
+        for value in (7, 2, 255):
+            path = _corrupt_model(tmp_path, at, bytes([value]))
+            with pytest.raises(FormatError, match=(
+                    rf"^bad {name} flag {value} at offset {at}, "
+                    rf"expected 0 or 1$")):
+                load_model(path)
+
+
+def test_model_every_cut_and_bit_flip(tmp_path):
+    from conftest import cuts_and_flips
+    # a two-class model with the memory on: each damaged file is rejected
+    # or loads as a model that saves back to the same bytes
+    spec = LongTailSpec(groups=[(1, 6), (1, 2)], d_x=2, d_y=2, latent_dim=2,
+                        mixed_fraction=0.0)
+    data = synthesize_long_tailed(spec, seed=0)
+    model, _ = train(data, np.arange(data.n), TrainConfig(
+        code_length=2, hidden_dim=2, batch_columns=4, head_threshold=4,
+        epochs=1, seed=0))
+    path = tmp_path / "m.lcmh"
+    save_model(path, model)
+    raw = path.read_bytes()
+    assert len(raw) == 842 and model.embedder_x.use_memory
+    bad, back = tmp_path / "bad.lcmh", tmp_path / "back.lcmh"
+    loaded = 0
+    for case in cuts_and_flips(raw):
+        bad.write_bytes(case)
+        try:
+            damaged = load_model(bad)
+        except FormatError:
+            continue
+        save_model(back, damaged)
+        assert back.read_bytes() == case
+        loaded += 1
+    assert 0 < loaded < 2 * len(raw)
