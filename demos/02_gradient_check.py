@@ -4,10 +4,11 @@ Run from the repository root:
 
     python demos/02_gradient_check.py
 
-Covers full-network backprop, the analytic objective gradient, and the
-meta-embedding backward pass (with eta held constant, as training holds
-it), each on nets built as `train` builds them. A gradient broken on purpose shows the check actually
-catches broken gradients.
+Covers the analytic objective gradient and the batch step `train` runs
+(embed, objective gradient, backprop through the meta embedding and both
+nets), with the memory off and on and eta held constant, as training holds
+it, on nets built as `train` builds them. A gradient broken on purpose
+shows the check actually catches broken gradients.
 """
 
 import numpy as np

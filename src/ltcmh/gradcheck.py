@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import hash_learn, meta_embed
+from .dataset import build_affinity
 from .hash_learn import TrainConfig, _build_embedder
 from .meta_embed import compute_prototypes
 from .tensor import central_diff, finite_diff_grad
@@ -17,29 +18,6 @@ def rel_err(analytic, numeric):
     f = np.asarray(numeric, dtype=np.float64)
     err = float((np.abs(a - f) / (1e-8 + np.abs(a) + np.abs(f))).max())
     return np.inf if np.isnan(err) else err
-
-
-def check_net_backward(seed=0, eps=1e-6):
-    """Full-net parameter gradients vs finite_diff_grad for a random scalar
-    loss (weighted sum of outputs), on a basic net as train builds it
-    (relu -> identity, so both layer activations are checked)."""
-    rng = np.random.default_rng(seed)
-    net = _build_embedder(4, 3, TrainConfig(code_length=2, hidden_dim=5),
-                          rng).basic_net
-    batch = rng.normal(size=(6, 4))
-    R = rng.normal(size=(6, 2))
-
-    def loss_fn(n):
-        out, _ = n.forward(batch)
-        return float((R * out).sum())
-
-    _, acts = net.forward(batch)
-    analytic, _ = net.backward(acts, R)
-    numeric = finite_diff_grad(loss_fn, net, eps)
-    worst = 0.0
-    for (adw, adb), (ndw, ndb) in zip(analytic, numeric):
-        worst = max(worst, rel_err(adw, ndw), rel_err(adb, ndb))
-    return worst
 
 
 def check_objective_grad(instances=50, seed=0, eps=1e-6, max_n=8, max_c=8):
@@ -71,54 +49,57 @@ def check_objective_grad(instances=50, seed=0, eps=1e-6, max_n=8, max_c=8):
     return worst
 
 
-def _tiny_embed_setup(seed):
+def check_train_step(seed=0, eps=1e-5):
+    """hash_learn._batch_grads, the batch step train runs, vs central
+    differences of objective(...).total / n in every net parameter, where
+    embed_batch recomputes V[:, cols] at the eta the step froze (the bank
+    is held fixed too). Both sides, with the memory off and on; the basic
+    nets are relu -> identity, so both layer activations are checked."""
     rng = np.random.default_rng(seed)
-    c, L, d, n = 3, 4, 5, 6
-    embedder = _build_embedder(d, L, TrainConfig(code_length=c, hidden_dim=4),
-                               rng)
-    embedder.use_memory = True
-    batch = rng.normal(size=(n, d))
+    c, L, n = 3, 4, 6
+    config = TrainConfig(code_length=c, hidden_dim=4)
     # every class gets a sample, so eta has a head and a tail class
     labels = np.zeros((n, L), dtype=np.uint8)
     labels[np.arange(n), np.r_[np.arange(L), rng.integers(0, L, size=n - L)]] = 1
-    direct, _ = embedder.basic_net.forward(batch)
-    bank = compute_prototypes(direct, labels,
-                              np.array([True, True, False, False]))
-    R = rng.normal(size=(c, n))
-    return embedder, batch, bank, R
-
-
-def check_embed_backward(seed=0, eps=1e-6):
-    """embed_backward vs finite differences through the full meta embedding
-    (bank held fixed, matching the stop-gradient on prototypes and eta).
-    """
-    embedder, batch, bank, R = _tiny_embed_setup(seed)
-    _, cache = meta_embed.embed_batch(embedder, batch, bank)
-
-    def loss_with(net):
-        # eta is a stop-gradient constant: evaluate the embedding with eta
-        # frozen at its cached values so the oracle matches the defined
-        # derivative
-        direct, _ = embedder.basic_net.forward(batch)
-        logits, _ = embedder.weight_net.forward(direct)
-        w = meta_embed._attention_weights(logits, bank.nonempty[None, :])
-        v_memory = w @ bank.centroids
-        v_meta = (direct + cache.eta[:, None] * v_memory).T
-        return float((R * v_meta).sum())
-
+    A = build_affinity(labels, labels)
+    B = np.where(rng.normal(size=(c, n)) >= 0, 1.0, -1.0)
     worst = 0.0
-    for net, analytic in meta_embed.embed_backward(embedder, cache, R):
-        numeric = finite_diff_grad(loss_with, net, eps)
-        for (adw, adb), (ndw, ndb) in zip(analytic, numeric):
-            worst = max(worst, rel_err(adw, ndw), rel_err(adb, ndb))
+    for use_memory in (False, True):
+        for side, d, grad, aff in (("x", 5, hash_learn.grad_Vx, A),
+                                   ("y", 4, hash_learn.grad_Vy, A.T)):
+            embedder = _build_embedder(d, L, config, rng)
+            embedder.use_memory = use_memory
+            feats = rng.normal(size=(n, d))
+            direct, _ = embedder.basic_net.forward(feats)
+            bank = compute_prototypes(direct, labels,
+                                      np.array([True, True, False, False]))
+            # stale columns, as if embedded before this step
+            V = meta_embed.embed_chunked(embedder, rng.normal(size=(n, d)), bank)
+            other = rng.normal(size=(c, n))
+            Vx, Vy = (V, other) if side == "x" else (other, V)
+            cols = rng.permutation(n)[:4]
+            _, cache = meta_embed.embed_batch(embedder, feats[cols], bank)
+            pairs = hash_learn._batch_grads(embedder, bank, feats, cols, V,
+                                            grad, Vx, Vy, aff, B, config,
+                                            "gradcheck")
+
+            def loss(_net):
+                V[:, cols], _ = meta_embed.embed_batch(
+                    embedder, feats[cols], bank, eta=cache.eta)
+                return hash_learn.objective(Vx, Vy, A, B, config.alpha,
+                                            config.beta).total / n
+
+            for net, analytic in pairs:
+                numeric = finite_diff_grad(loss, net, eps)
+                for (adw, adb), (ndw, ndb) in zip(analytic, numeric):
+                    worst = max(worst, rel_err(adw, ndw), rel_err(adb, ndb))
     return worst
 
 
 def run_all(seed=0):
     """All suites; returns {suite name: max relative error}."""
     return {
-        "net_backward": check_net_backward(seed),
         "objective_grad": check_objective_grad(instances=10, seed=seed,
                                                max_n=5, max_c=5),
-        "embed_backward": check_embed_backward(seed),
+        "train_step": check_train_step(seed),
     }

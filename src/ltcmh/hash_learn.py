@@ -220,6 +220,21 @@ def _clip_grads(grads):
     return [(dw * scale, db * scale) for dw, db in grads]
 
 
+def _batch_grads(embedder, bank, feats, cols, V, grad, Vx, Vy, A, B, config,
+                 where, **extra):
+    """One minibatch step of train before clipping: embed feats[cols] into
+    V[:, cols] (V is Vx or Vy), take grad at those columns averaged over the
+    n training samples and backpropagate it. Returns embed_backward's
+    (net, grads) pairs; a non-finite gradient raises TrainingError naming
+    `where`."""
+    V[:, cols], cache = meta_embed.embed_batch(embedder, feats[cols], bank)
+    g = grad(Vx, Vy, A, B, config.alpha, config.beta, cols, **extra)
+    g /= V.shape[1]
+    if not np.all(np.isfinite(g)):
+        raise TrainingError(f"non-finite gradient at {where}")
+    return meta_embed.embed_backward(embedder, cache, g)
+
+
 def _switch_on_memory(embedder: MetaEmbedder, features: np.ndarray,
                       labels: np.ndarray, is_head: np.ndarray) -> PrototypeBank:
     """End of memory warm-up, the one place the memory path is enabled.
@@ -312,16 +327,10 @@ def train(dataset: MultiModalDataset, train_indices: np.ndarray,
                 ("y", ey, bank_y, Y, Vy, grad_Vy, A.T, {"nll": nll})):
             for start in range(0, n, config.batch_columns):
                 cols = order[start:start + config.batch_columns]
-                v_batch, cache = meta_embed.embed_batch(embedder, feats[cols], bank)
-                V[:, cols] = v_batch
-                g = grad(Vx, Vy, aff, B, config.alpha, config.beta, cols,
-                         **extra)
-                g /= n
-                if not np.all(np.isfinite(g)):
-                    raise TrainingError(
-                        f"non-finite gradient at epoch {epoch}, side {side}, "
-                        f"batch starting {start}")
-                pairs = meta_embed.embed_backward(embedder, cache, g)
+                pairs = _batch_grads(
+                    embedder, bank, feats, cols, V, grad, Vx, Vy, aff, B,
+                    config, f"epoch {epoch}, side {side}, batch starting "
+                    f"{start}", **extra)
                 for net, grads in pairs:
                     sgd_step(net, _clip_grads(grads), config.learning_rate)
 

@@ -129,15 +129,19 @@ def _attention_weights(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.divide(z, z.sum(axis=1, keepdims=True), out=z)
 
 
-def embed_batch(embedder: MetaEmbedder, batch: np.ndarray, bank: PrototypeBank):
+def embed_batch(embedder: MetaEmbedder, batch: np.ndarray, bank: PrototypeBank,
+                eta=None):
     """Meta features for a batch, stacked column-wise (c x samples), plus the
-    cache needed by embed_backward."""
+    cache needed by embed_backward. A per-sample `eta` replaces eta_ratio's,
+    so eta can be held fixed as embed_backward holds it; with the memory
+    off it is ignored."""
     v_direct, b_acts = embedder.basic_net.forward(batch)
     if not embedder.use_memory:
         return v_direct.T, EmbedCache(basic_acts=b_acts, v_direct=v_direct)
 
     # eta first: it rejects a bank without a non-empty head and tail class
-    etas = eta_ratio(v_direct, bank, embedder.eta_mode, embedder.eta_max)
+    etas = (eta_ratio(v_direct, bank, embedder.eta_mode, embedder.eta_max)
+            if eta is None else eta)
     logits, w_acts = embedder.weight_net.forward(v_direct)
     w = _attention_weights(logits, bank.nonempty[None, :])
     v_memory = w @ bank.centroids

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltcmh import experiment, hash_learn, retrieval, tensor
+from ltcmh import experiment, hash_learn, meta_embed, retrieval, tensor
 from ltcmh.cli import main
 from ltcmh.dataset import (LongTailSpec, MultiModalDataset, load_dataset,
                            save_dataset)
@@ -721,9 +721,9 @@ def test_gradcheck_passes(capsys):
     assert main(["gradcheck"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out
-    # three suites: the activations are checked inside the net suites
+    # two suites: the activations are checked inside train_step
     assert [line.split()[0] for line in out.splitlines()[:-2]] == [
-        "net_backward", "objective_grad", "embed_backward"]
+        "objective_grad", "train_step"]
 
 
 def test_gradcheck_passes_seeds_0_to_80(capsys):
@@ -758,6 +758,22 @@ def test_gradcheck_scaled_activation_derivative_fails(monkeypatch, capsys,
         return out * 1.05 if name == activation else out
 
     monkeypatch.setattr(tensor, "_activate_grad", scaled)
+    assert main(["gradcheck"]) == 3
+    assert "FAIL" in capsys.readouterr().err
+
+
+def test_gradcheck_doubled_eta_fails(monkeypatch, capsys):
+    # train_step's oracle is embed_batch itself, so an embedding whose
+    # forward no longer matches embed_backward must fail the check
+    embed_batch = meta_embed.embed_batch
+
+    def doubled_eta(*args, **kwargs):
+        v, cache = embed_batch(*args, **kwargs)
+        if cache.eta is not None:
+            v = v + (cache.eta[:, None] * cache.v_memory).T
+        return v, cache
+
+    monkeypatch.setattr(meta_embed, "embed_batch", doubled_eta)
     assert main(["gradcheck"]) == 3
     assert "FAIL" in capsys.readouterr().err
 

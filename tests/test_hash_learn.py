@@ -1,5 +1,6 @@
 import io
 import itertools
+import re
 import struct
 import tracemalloc
 
@@ -410,6 +411,17 @@ def test_train_divergence_raises():
     with np.errstate(all="ignore"):
         with pytest.raises(TrainingError):
             train(data, np.arange(data.n), cfg)
+
+
+def test_train_non_finite_gradient_names_its_batch(monkeypatch):
+    # the guard on the objective gradient, before any backward pass
+    grad_Vy = hash_learn.grad_Vy
+    monkeypatch.setattr(hash_learn, "grad_Vy",
+                        lambda *a, **k: grad_Vy(*a, **k) * np.nan)
+    data = _separable_dataset()
+    with pytest.raises(TrainingError, match=re.escape(
+            "non-finite gradient at epoch 0, side y, batch starting 0")):
+        train(data, np.arange(data.n), _fast_config(epochs=2))
 
 
 def test_train_no_memory_ablation():

@@ -394,7 +394,23 @@ def test_backward_shape_mismatch(rng):
 
 
 def test_backward_finite_difference_suites():
-    assert gradcheck.check_embed_backward(seed=0) < 1e-4
+    assert gradcheck.check_train_step(seed=0) < 1e-4
+
+
+def test_embed_batch_given_eta(rng):
+    # the cached eta passed back reproduces the plain call bit for bit;
+    # with the memory off there is no eta and a given one is ignored
+    bank = _bank(rng.normal(size=(4, 3)), [True, True, False, False])
+    batch = rng.normal(size=(6, 5))
+    emb = _batch_embedder(rng)
+    V, cache = embed_batch(emb, batch, bank)
+    V_eta, cache_eta = embed_batch(emb, batch, bank, eta=cache.eta)
+    assert np.array_equal(V, V_eta)
+    assert np.array_equal(cache.eta, cache_eta.eta)
+    emb.use_memory = False
+    V, _ = embed_batch(emb, batch, bank)
+    V_eta, cache_eta = embed_batch(emb, batch, bank, eta=np.full(6, 7.0))
+    assert np.array_equal(V, V_eta) and cache_eta.eta is None
 
 
 # --- embed_chunked ----------------------------------------------------------------
