@@ -22,6 +22,7 @@ from .tensor import (read_array, read_end, read_exact, read_header,
 
 DATASET_MAGIC = b"LCMD"
 DATASET_FORMAT_VERSION = 1
+AFFINITY_BLOCK = 1024   # rows of labels_a multiplied at a time by build_affinity
 
 
 @dataclass
@@ -162,18 +163,27 @@ def trim_labels(labels: np.ndarray, min_keep: int = 2, max_keep: int = 3,
 
 
 def build_affinity(labels_a: np.ndarray, labels_b: np.ndarray) -> np.ndarray:
-    """a_ij = 1 iff rows i (of labels_a) and j (of labels_b) share a label.
+    """a_ij = 1 iff rows i (of labels_a) and j (of labels_b) share a label,
+    as a uint8 array.
 
     Labels are 0/1, so each dot product counts shared labels; float32 holds
-    such counts exactly for L < 2**24 and the matmul runs through BLAS."""
+    such counts exactly for L < 2**24 and the matmul runs through BLAS.
+    float32 labels are used without a copy. The products are taken
+    AFFINITY_BLOCK rows of labels_a at a time into the result, so beside it
+    only one AFFINITY_BLOCK x n_b float32 block exists at once."""
     labels_a = np.asarray(labels_a)
     labels_b = np.asarray(labels_b)
     if labels_a.shape[1] != labels_b.shape[1]:
         raise ShapeError(
             f"label widths differ: {labels_a.shape} vs {labels_b.shape}"
         )
-    shared = labels_a.astype(np.float32) @ labels_b.astype(np.float32).T
-    return (shared > 0).astype(np.uint8)
+    a = labels_a.astype(np.float32, copy=False)
+    b_t = labels_b.astype(np.float32, copy=False).T
+    out = np.empty((a.shape[0], b_t.shape[1]), dtype=np.uint8)
+    for s in range(0, a.shape[0], AFFINITY_BLOCK):
+        rows = slice(s, s + AFFINITY_BLOCK)
+        np.greater(a[rows] @ b_t, 0, out=out[rows])
+    return out
 
 
 def split_head_tail(class_counts: np.ndarray, threshold: int) -> np.ndarray:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,7 @@ from .tensor import (read_array, read_end, read_exact, read_header,
 
 CODES_MAGIC = b"LCMB"
 CODES_FORMAT_VERSION = 1
-EVAL_CHUNK = 32   # query rows ranked at a time by evaluate
+EVAL_PAIRS = 2**21   # (query, database item) pairs ranked at a time by evaluate
 
 
 @dataclass
@@ -54,13 +55,17 @@ def binarize(V: np.ndarray) -> BinaryCodeMatrix:
 def hamming_matrix(queries: BinaryCodeMatrix, db: BinaryCodeMatrix) -> np.ndarray:
     """All-pairs Hamming distances (n_query x n_db) in the narrowest unsigned
     dtype that holds c: uint8 for c <= 255, uint16 for c <= 65535. Summed
-    one 64-bit word at a time (each adds at most 64, the total at most c),
-    so the largest temporary is one n_query x n_db uint64 xor."""
+    one 64-bit word at a time (each adds at most 64, the total at most c).
+    A word whose bits (pad bits are zero) fit in 32 is xored as uint32,
+    whose popcount NumPy runs faster than uint64's or uint16's, so the
+    largest temporary is one n_query x n_db xor of 4 or 8 bytes a pair."""
     if queries.c != db.c:
         raise ShapeError(f"code lengths differ: {queries.c} vs {db.c}")
     D = np.zeros((queries.n, db.n), dtype=np.min_scalar_type(queries.c))
-    for q_word, db_word in zip(queries.words.T, db.words.T):
-        D += np.bitwise_count(q_word[:, None] ^ db_word[None, :])
+    for k, (q_word, db_word) in enumerate(zip(queries.words.T, db.words.T)):
+        word = np.uint32 if queries.c - 64 * k <= 32 else np.uint64
+        D += np.bitwise_count(q_word.astype(word, copy=False)[:, None]
+                              ^ db_word.astype(word, copy=False)[None, :])
     return D
 
 
@@ -106,16 +111,31 @@ def query_groups(query_labels: np.ndarray, is_head: np.ndarray):
     return ~is_tail, is_tail
 
 
+def _rank_relevance(keys):
+    """Sort each row of packed keys in place, then keep only each key's
+    relevance bit: row i becomes query i's ranked 0/1 relevance."""
+    keys.sort(axis=1)
+    np.bitwise_and(keys, 1, out=keys)
+    return keys
+
+
 def evaluate(query_codes: BinaryCodeMatrix, query_labels: np.ndarray,
              db_codes: BinaryCodeMatrix, db_labels: np.ndarray,
              is_head: np.ndarray, direction: str) -> RetrievalResult:
     """Rank the database for every query and compute MAP with head/tail
     breakdown. Relevance = sharing at least one label.
 
-    Queries are ranked EVAL_CHUNK rows at a time (a stable sort by distance,
-    ties in database order), so memory is O(EVAL_CHUNK * n_db); each query
-    gathers its own relevance row in ranked order. Empty inputs raise
-    EvaluationError and mismatched shapes ShapeError, before any ranking."""
+    Each (query, database item) pair gets one unique unsigned key,
+    distance << s | index << 1 | relevant, in the narrowest dtype that
+    holds the largest key. Sorting a query's keys is then a stable sort by
+    distance with ties in database order, and the low bit of the sorted
+    keys is its ranked relevance. Queries are ranked max(1, EVAL_PAIRS //
+    n_db) rows at a time, so beside a float32 copy of the database labels
+    memory is O(EVAL_PAIRS) for any database. With more than one chunk,
+    one worker thread sorts a chunk's keys while this thread keys the next
+    chunk and scores the previous one; the affinity, distances and AP all
+    run on the calling thread. Empty inputs raise EvaluationError and
+    mismatched shapes ShapeError, before any ranking."""
     if query_codes.n == 0:
         raise EvaluationError("empty query set")
     if db_codes.n == 0:
@@ -132,15 +152,40 @@ def evaluate(query_codes: BinaryCodeMatrix, query_labels: np.ndarray,
             f"label rows {query_labels.shape[0]}, {db_labels.shape[0]} != "
             f"code rows {query_codes.n}, {db_codes.n}"
         )
+    shift = 1 + (db_codes.n - 1).bit_length()
+    key_dtype = np.min_scalar_type(
+        query_codes.c << shift | (db_codes.n - 1) << 1 | 1)
+    index_bits = np.arange(db_codes.n, dtype=key_dtype) << 1
+    db_labels_f32 = db_labels.astype(np.float32)
+    step = max(1, EVAL_PAIRS // db_codes.n)
     ap = np.empty(query_codes.n)
-    for start in range(0, query_codes.n, EVAL_CHUNK):
-        rows = slice(start, start + EVAL_CHUNK)
+
+    def keyed(start):
+        rows = slice(start, start + step)
         chunk = BinaryCodeMatrix(c=query_codes.c, words=query_codes.words[rows])
-        relevant = build_affinity(query_labels[rows], db_labels)
-        rankings = np.argsort(hamming_matrix(chunk, db_codes), axis=1,
-                              kind="stable")
-        for i, (rel, order) in enumerate(zip(relevant, rankings), start):
-            ap[i] = average_precision(rel[order])
+        relevant = build_affinity(query_labels[rows], db_labels_f32)
+        keys = np.left_shift(hamming_matrix(chunk, db_codes), shift,
+                             dtype=key_dtype)
+        keys |= index_bits
+        keys |= relevant
+        return keys
+
+    def score(start, relevance):
+        for i, rel in enumerate(relevance, start):
+            ap[i] = average_precision(rel)
+
+    starts = range(0, query_codes.n, step)
+    if len(starts) == 1:
+        score(0, _rank_relevance(keyed(0)))
+    else:
+        with ThreadPoolExecutor(1) as worker:
+            ranked = None
+            for start in starts:
+                ranking = worker.submit(_rank_relevance, keyed(start))
+                if ranked is not None:
+                    score(start - step, ranked.result())
+                ranked = ranking
+            score(starts[-1], ranked.result())
     head_mask, tail_mask = query_groups(query_labels, is_head)
     return RetrievalResult(
         direction=direction,

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ltcmh import dataset
 from ltcmh.dataset import (LongTailSpec, MultiModalDataset, build_affinity,
                            load_dataset, primary_labels,
                            save_dataset, split_head_tail,
@@ -232,16 +233,21 @@ def test_affinity_disjoint_rows_zero():
     assert build_affinity(a, b)[0, 0] == 0
 
 
-def test_affinity_matches_brute_force(rng):
+def test_affinity_matches_brute_force(rng, monkeypatch):
     labels_a = (rng.random((10, 6)) < 0.4).astype(np.uint8)
     labels_b = (rng.random((10, 6)) < 0.4).astype(np.uint8)
     labels_a[labels_a.sum(1) == 0, 0] = 1
     labels_b[labels_b.sum(1) == 0, 0] = 1
-    A = build_affinity(labels_a, labels_b)
-    for i in range(10):
-        for j in range(10):
-            share = any(labels_a[i, k] and labels_b[j, k] for k in range(6))
-            assert A[i, j] == int(share)
+    expected = np.array([[int(any(labels_a[i, k] and labels_b[j, k]
+                                  for k in range(6))) for j in range(10)]
+                         for i in range(10)], dtype=np.uint8)
+    # 3-row blocks and a remainder, then one block; uint8 and float32 labels
+    for block in (3, dataset.AFFINITY_BLOCK):
+        monkeypatch.setattr(dataset, "AFFINITY_BLOCK", block)
+        for dtype in (np.uint8, np.float32):
+            A = build_affinity(labels_a.astype(dtype), labels_b.astype(dtype))
+            assert A.dtype == np.uint8
+            assert np.array_equal(A, expected)
 
 
 def test_affinity_width_mismatch_raises():

@@ -47,7 +47,7 @@ def test_readme_eta_mode_row_names_every_mode_in_tag_order():
 @pytest.mark.parametrize("module, name", [
     (hash_learn, "CLIP_NORM"), (hash_learn, "BANK_EMA"),
     (hash_learn, "ATTENTION_INIT_SCALE"), (meta_embed, "ENCODE_CHUNK"),
-    (retrieval, "EVAL_CHUNK")])
+    (retrieval, "EVAL_PAIRS")])
 def test_readme_states_constants_at_code_values(module, name):
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     stated = re.findall(rf"`{name}` =\s+(\d[\d,]*(?:\.\d+)?)", text)

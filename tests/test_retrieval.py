@@ -1,4 +1,5 @@
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ltcmh import retrieval
 from ltcmh.errors import EvaluationError, FormatError, ShapeError
-from ltcmh.retrieval import (EVAL_CHUNK, BinaryCodeMatrix, average_precision,
+from ltcmh.retrieval import (BinaryCodeMatrix, average_precision,
                              binarize, evaluate, hamming_matrix, load_codes,
                              query_groups, save_codes, write_result_csv)
 
@@ -109,10 +111,11 @@ def test_hamming_matrix_dtype(c, dtype, rng):
     assert D.max() == c
 
 
-@pytest.mark.parametrize("c", [63, 64, 65, 128])
+@pytest.mark.parametrize("c", [32, 33, 63, 64, 65, 96, 97, 128])
 def test_hamming_matrix_word_edges(c, rng):
-    # one word short of full, exactly full, one bit into a second word,
-    # and two full words
+    # a word xored as uint32 at its widest and one bit past it, one word
+    # short of full, exactly full, one bit into a second word, a second
+    # word at and past 32 bits, and two full words
     q, db = _random_codes(rng, 6, c), _random_codes(rng, 9, c)
     D = hamming_matrix(q, db)
     assert D.dtype == np.uint8
@@ -196,35 +199,73 @@ def _full_matrix_evaluate(q, ql, db, dl, is_head):
             float(ap[tail].mean()) if tail.any() else 0.0)
 
 
-@pytest.mark.parametrize("n_q", [EVAL_CHUNK // 2, 2 * EVAL_CHUNK + 5])
-@pytest.mark.parametrize("c", [4, 300])
-def test_evaluate_bit_identical_to_full_matrix(n_q, c, rng):
-    # c = 4: most distances tie and the index tie-break decides;
-    # c = 300: five words per code and uint16 distances
-    q, db = _random_codes(rng, n_q, c), _random_codes(rng, 150, c)
-    ql, dl = _random_labels(rng, n_q, 5), _random_labels(rng, 150, 5)
-    part = np.array([True, True, False, False, False])
-    result = evaluate(q, ql, db, dl, part, "i2t")
-    ap, map_all, map_head, map_tail = _full_matrix_evaluate(q, ql, db, dl, part)
-    assert np.array_equal(result.ap, ap)
-    assert (result.map_all, result.map_head, result.map_tail) == \
-        (map_all, map_head, map_tail)
-
-
-@pytest.mark.parametrize("c, n_db", [(64, 150), (128, 150), (16, 5_000)])
-def test_evaluate_bit_identical_to_full_matrix_wide_and_tied(c, n_db, rng):
-    # c = 64 and 128: one and two full words; n_db = 5,000 at c = 16 puts
-    # hundreds of database items at every distance, so the stable
-    # tie-break decides most of each ranking
-    n_q = 2 * EVAL_CHUNK + 5
+def _assert_every_chunking_matches_full_matrix(monkeypatch, n_q, c, n_db,
+                                               rng):
     q, db = _random_codes(rng, n_q, c), _random_codes(rng, n_db, c)
     ql, dl = _random_labels(rng, n_q, 5), _random_labels(rng, n_db, 5)
     part = np.array([True, True, False, False, False])
-    result = evaluate(q, ql, db, dl, part, "i2t")
-    ap, map_all, map_head, map_tail = _full_matrix_evaluate(q, ql, db, dl, part)
-    assert np.array_equal(result.ap, ap)
-    assert (result.map_all, result.map_head, result.map_tail) == \
-        (map_all, map_head, map_tail)
+    ap, *maps = _full_matrix_evaluate(q, ql, db, dl, part)
+    # one-row chunks (fewer pairs than one row), 16-row chunks and a
+    # remainder (on the worker thread), then one chunk ranked inline
+    for pairs in (n_db - 1, 16 * n_db, n_q * n_db):
+        monkeypatch.setattr(retrieval, "EVAL_PAIRS", pairs)
+        result = evaluate(q, ql, db, dl, part, "i2t")
+        assert np.array_equal(result.ap, ap)
+        assert [result.map_all, result.map_head, result.map_tail] == maps
+
+
+@pytest.mark.parametrize("n_q", [16, 69])
+@pytest.mark.parametrize("c", [4, 300])
+def test_evaluate_bit_identical_to_full_matrix(n_q, c, rng, monkeypatch):
+    # c = 4: most distances tie and the index tie-break decides (uint16
+    # keys); c = 300: five words per code, uint16 distances, uint32 keys
+    _assert_every_chunking_matches_full_matrix(monkeypatch, n_q, c, 150, rng)
+
+
+@pytest.mark.parametrize("c, n_db", [(64, 150), (128, 150), (16, 5_000),
+                                     (4, 5_000), (64, 5_000), (128, 5_000),
+                                     (300, 5_000)])
+def test_evaluate_bit_identical_to_full_matrix_wide_and_tied(c, n_db, rng,
+                                                             monkeypatch):
+    # c = 64 and 128: one and two full words (uint16 and uint32 keys at
+    # n_db = 150); n_db = 5,000 puts up to hundreds of database items at
+    # every distance, so the stable tie-break decides most of each ranking
+    _assert_every_chunking_matches_full_matrix(monkeypatch, 69, c, n_db, rng)
+
+
+@pytest.mark.parametrize("fail_at", [None, 40])
+def test_evaluate_layers_run_on_the_calling_thread(fail_at, rng, monkeypatch):
+    # the worker only sorts; the affinity, distances and AP stay on the
+    # caller's thread, and no thread outlives evaluate, even when AP raises
+    caller, seen, calls = threading.get_ident(), set(), []
+    error = RuntimeError("AP failed")
+
+    def recorder(fn):
+        def recorded(*args):
+            seen.add(threading.get_ident())
+            calls.append(fn.__name__)
+            if fn is average_precision and calls.count(fn.__name__) == fail_at:
+                raise error
+            return fn(*args)
+        return recorded
+
+    for name in ("build_affinity", "hamming_matrix", "average_precision"):
+        monkeypatch.setattr(retrieval, name, recorder(getattr(retrieval, name)))
+    monkeypatch.setattr(retrieval, "EVAL_PAIRS", 8 * 500)
+    q, db = _random_codes(rng, 69, 16), _random_codes(rng, 500, 16)
+    ql, dl = _random_labels(rng, 69, 5), _random_labels(rng, 500, 5)
+    part = np.array([True, True, False, False, False])
+    before = threading.enumerate()
+    if fail_at is None:
+        evaluate(q, ql, db, dl, part, "i2t")
+        assert calls.count("average_precision") == 69
+    else:
+        with pytest.raises(RuntimeError) as raised:
+            evaluate(q, ql, db, dl, part, "i2t")
+        assert raised.value is error
+    assert calls.count("hamming_matrix") > 1
+    assert seen == {caller}
+    assert threading.enumerate() == before
 
 
 def test_evaluate_memory_bounded(rng):
