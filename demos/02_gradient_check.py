@@ -14,7 +14,7 @@ shows the check actually catches broken gradients.
 import numpy as np
 
 from ltcmh import gradcheck
-from ltcmh.tensor import FeedForwardNet, LayerSpec, finite_diff_grad
+from ltcmh.tensor import FeedForwardNet, finite_diff_grad
 
 print("== gradient suites (max relative error vs central differences) ==")
 errors = gradcheck.run_all(seed=0)
@@ -24,8 +24,7 @@ print(f"overall: {max(errors.values()):.3e} (threshold 1e-3)")
 
 print("\n== negative control: a backprop gradient broken by +0.05 ==")
 rng = np.random.default_rng(0)
-net = FeedForwardNet([LayerSpec(4, 5, "relu"), LayerSpec(5, 2, "identity")],
-                     rng)
+net = FeedForwardNet([4, 5, 2], rng)
 batch = rng.normal(size=(6, 4))
 R = rng.normal(size=(6, 2))
 _, acts = net.forward(batch)

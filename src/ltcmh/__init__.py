@@ -21,7 +21,7 @@ from .meta_embed import (MetaEmbedder, PrototypeBank, compute_prototypes,
 from .retrieval import (BinaryCodeMatrix, RetrievalResult, average_precision,
                         binarize, evaluate, hamming_matrix, load_codes,
                         save_codes)
-from .tensor import (FeedForwardNet, LayerSpec, finite_diff_grad, sgd_step,
-                     sigmoid, softplus)
+from .tensor import (FeedForwardNet, finite_diff_grad, sgd_step, sigmoid,
+                     softplus)
 
 __version__ = "0.1.0"

@@ -34,8 +34,15 @@ def _common_config(p):
 
 
 def _load_cfg(args):
+    """The config of a command that makes its --out directory after the
+    work (see _outdir); an --out that is, or is under, a file fails first."""
     seed = [] if args.seed is None else [f"seed={args.seed}"]
-    return experiment.load_config(args.config, args.overrides + seed)
+    cfg = experiment.load_config(args.config, args.overrides + seed)
+    out = Path(args.out)
+    found = next(p for p in (out, *out.parents) if p.exists())
+    if not found.is_dir():
+        raise NotADirectoryError(f"--out {out}: {found} is not a directory")
+    return cfg
 
 
 def _outdir(args, cfg):

@@ -54,7 +54,7 @@ def check_train_step(seed=0, eps=1e-5):
     differences of objective(...).total / n in every net parameter, where
     embed_batch recomputes V[:, cols] at the eta the step froze (the bank
     is held fixed too). Both sides, with the memory off and on; the basic
-    nets are relu -> identity, so both layer activations are checked."""
+    nets have a relu and a linear layer, so both derivatives are checked."""
     rng = np.random.default_rng(seed)
     c, L, n = 3, 4, 6
     config = TrainConfig(code_length=c, hidden_dim=4)

@@ -25,9 +25,9 @@ from . import meta_embed
 from .dataset import MultiModalDataset, build_affinity, split_head_tail
 from .errors import ConfigError, FormatError, ShapeError, TrainingError
 from .meta_embed import MetaEmbedder, PrototypeBank, compute_prototypes
-from .tensor import (FeedForwardNet, LayerSpec, read_array, read_end,
-                     read_exact, read_header, read_net, sgd_step, sigmoid,
-                     softplus, write_header, write_net)
+from .tensor import (FeedForwardNet, read_array, read_end, read_exact,
+                     read_header, read_net, sgd_step, sigmoid, softplus,
+                     write_header, write_net)
 
 MODEL_MAGIC = b"LCMH"
 MODEL_FORMAT_VERSION = 2
@@ -201,10 +201,8 @@ def update_B(Vx: np.ndarray, Vy: np.ndarray) -> np.ndarray:
 def _build_embedder(input_dim: int, num_classes: int, config: TrainConfig,
                     rng: np.random.Generator) -> MetaEmbedder:
     c = config.code_length
-    basic = FeedForwardNet(
-        [LayerSpec(input_dim, config.hidden_dim, "relu"),
-         LayerSpec(config.hidden_dim, c, "identity")], rng)
-    weight = FeedForwardNet([LayerSpec(c, num_classes, "identity")], rng)
+    basic = FeedForwardNet([input_dim, config.hidden_dim, c], rng)
+    weight = FeedForwardNet([c, num_classes], rng)
     return MetaEmbedder(basic_net=basic, weight_net=weight,
                         eta_mode=config.eta_mode, use_memory=False,
                         eta_max=config.eta_max)

@@ -11,14 +11,11 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
 
 from .errors import FormatError, ShapeError, TrainingError
-
-ACTIVATIONS = ("identity", "relu")
 
 
 def sigmoid(x):
@@ -50,72 +47,36 @@ def softplus(x):
     return out
 
 
-def _activate(name, z):
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    return z   # identity: LayerSpec and read_net admit no other name
-
-
-def _activate_grad(name, a, g):
-    """The gradient g at a layer's output a = act(z), carried back to z.
-
-    relu's derivative is taken from the output: a > 0 exactly where z > 0,
-    since z <= 0, -0.0 and NaN all give an a = max(z, 0) that is not > 0.
-    """
-    if name == "relu":
-        return g * (a > 0)
-    return g
-
-
-@dataclass(frozen=True)
-class LayerSpec:
-    input_dim: int
-    output_dim: int
-    activation: str = "identity"
-
-    def __post_init__(self):
-        if self.input_dim < 1 or self.output_dim < 1:
-            raise ValueError("layer dims must be >= 1")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-
-
-def _check_chain(specs: Sequence[LayerSpec]):
-    """Raise ShapeError unless specs is a non-empty chain of layers whose
-    dims meet."""
-    if not specs:
-        raise ShapeError("a net needs at least one layer")
-    for a, b in zip(specs, specs[1:]):
-        if a.output_dim != b.input_dim:
-            raise ShapeError(
-                f"layer chain broken: output_dim {a.output_dim} "
-                f"!= next input_dim {b.input_dim}"
-            )
+def _relu_grad(a, g):
+    """The gradient g at a relu layer's output a = max(z, 0), carried back
+    to z. The derivative is taken from the output: a > 0 exactly where
+    z > 0, since z <= 0, -0.0 and NaN all give an a that is not > 0."""
+    return g * (a > 0)
 
 
 class FeedForwardNet:
-    """A stack of dense layers with per-layer activations."""
+    """Dense layers of widths [input, hidden..., output]: relu on every
+    layer but the last, which is linear."""
 
-    def __init__(self, specs: Sequence[LayerSpec], rng: np.random.Generator):
-        specs = list(specs)
-        _check_chain(specs)
-        self.specs = specs
+    def __init__(self, dims: Sequence[int], rng: np.random.Generator):
+        if len(dims) < 2:
+            raise ShapeError("a net needs at least one layer")
+        if min(dims) < 1:
+            raise ValueError("layer dims must be >= 1")
         self.weights = []
         self.biases = []
-        for s in specs:
-            limit = np.sqrt(6.0 / (s.input_dim + s.output_dim))
-            self.weights.append(
-                rng.uniform(-limit, limit, size=(s.output_dim, s.input_dim))
-            )
-            self.biases.append(np.zeros(s.output_dim))
+        for din, dout in zip(dims, dims[1:]):
+            limit = np.sqrt(6.0 / (din + dout))
+            self.weights.append(rng.uniform(-limit, limit, size=(dout, din)))
+            self.biases.append(np.zeros(dout))
 
     @property
     def input_dim(self):
-        return self.specs[0].input_dim
+        return self.weights[0].shape[1]
 
     @property
     def output_dim(self):
-        return self.specs[-1].output_dim
+        return self.weights[-1].shape[0]
 
     def check_batch(self, batch: np.ndarray):
         """Raise ShapeError unless batch is samples x input_dim."""
@@ -133,8 +94,9 @@ class FeedForwardNet:
         batch = np.asarray(batch, dtype=np.float64)
         self.check_batch(batch)
         acts = [batch]
-        for spec, w, b in zip(self.specs, self.weights, self.biases):
-            acts.append(_activate(spec.activation, acts[-1] @ w.T + b))
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            acts.append(np.maximum(acts[-1] @ w.T + b, 0.0))
+        acts.append(acts[-1] @ self.weights[-1].T + self.biases[-1])
         return acts[-1], acts
 
     def backward(self, acts: list, output_grad: np.ndarray):
@@ -152,14 +114,13 @@ class FeedForwardNet:
                 f"output_grad shape {output_grad.shape} != forward output "
                 f"shape {acts[-1].shape}"
             )
-        param_grads = [None] * len(self.specs)
-        g = output_grad
-        for k in range(len(self.specs) - 1, -1, -1):
-            gz = _activate_grad(self.specs[k].activation, acts[k + 1], g)
-            dw = gz.T @ acts[k]
-            db = gz.sum(axis=0)
-            param_grads[k] = (dw, db)
-            g = gz @ self.weights[k]
+        param_grads = [None] * len(self.weights)
+        g = output_grad   # the linear output layer passes it through
+        for k in range(len(self.weights) - 1, -1, -1):
+            param_grads[k] = (g.T @ acts[k], g.sum(axis=0))
+            g = g @ self.weights[k]
+            if k:   # layer k's input acts[k] is a relu output
+                g = _relu_grad(acts[k], g)
         return param_grads, g
 
 
@@ -208,11 +169,13 @@ def finite_diff_grad(loss_fn: Callable[[FeedForwardNet], float],
 # --- persistence ------------------------------------------------------------
 
 def write_net(f: BinaryIO, net: FeedForwardNet):
-    """Write layer specs and parameters (little-endian f64) to a stream."""
-    f.write(struct.pack("<I", len(net.specs)))
-    for s in net.specs:
-        f.write(struct.pack("<IIB", s.input_dim, s.output_dim,
-                            ACTIVATIONS.index(s.activation)))
+    """Write layer specs, each read off its weight's shape with activation
+    tag 1 (relu) or, on the last layer, 0 (linear), then the parameters
+    (little-endian f64) to a stream."""
+    f.write(struct.pack("<I", len(net.weights)))
+    for k, w in enumerate(net.weights, 1):
+        f.write(struct.pack("<IIB", w.shape[1], w.shape[0],
+                            k < len(net.weights)))
     for w, b in zip(net.weights, net.biases):
         f.write(w.astype("<f8").tobytes())
         f.write(b.astype("<f8").tobytes())
@@ -274,23 +237,28 @@ def read_header(f: BinaryIO, magic: bytes, version: int, what: str):
 
 def read_net(f: BinaryIO) -> FeedForwardNet:
     """Read a net written by write_net; a FormatError names the offset of
-    the field it rejects, a broken chain is _check_chain's ShapeError."""
+    the field it rejects, and an empty or broken chain is a ShapeError."""
     (n_layers,) = struct.unpack("<I", read_exact(f, 4, "layer count"))
-    specs = []
-    for _ in range(n_layers):
+    dims = []
+    for k in range(1, n_layers + 1):
         at = f.tell()
         din, dout, act = struct.unpack("<IIB", read_exact(f, 9, "layer spec"))
-        if act >= len(ACTIVATIONS):
+        if act != (k < n_layers):
             raise FormatError(f"bad activation tag {act} at offset {at + 8}")
         if din < 1 or dout < 1:
             raise FormatError(f"bad layer dims {din}x{dout} at offset {at}")
-        specs.append(LayerSpec(din, dout, ACTIVATIONS[act]))
-    _check_chain(specs)
+        dims.append((din, dout))
+    if not dims:
+        raise ShapeError("a net needs at least one layer")
+    for (_, out), (din, _) in zip(dims, dims[1:]):
+        if out != din:
+            raise ShapeError(f"layer chain broken: output_dim {out} "
+                             f"!= next input_dim {din}")
     net = object.__new__(FeedForwardNet)
-    net.specs, net.weights, net.biases = specs, [], []
-    for s in specs:
-        net.weights.append(read_array(f, "<f8", (s.output_dim, s.input_dim),
-                                      "weights", finite=True))
-        net.biases.append(read_array(f, "<f8", (s.output_dim,), "biases",
+    net.weights, net.biases = [], []
+    for din, dout in dims:
+        net.weights.append(read_array(f, "<f8", (dout, din), "weights",
+                                      finite=True))
+        net.biases.append(read_array(f, "<f8", (dout,), "biases",
                                      finite=True))
     return net

@@ -10,7 +10,7 @@ from ltcmh.cli import main
 from ltcmh.dataset import (LongTailSpec, MultiModalDataset, load_dataset,
                            save_dataset)
 from ltcmh.errors import ConfigError, FormatError, LtcmhError
-from ltcmh.tensor import FeedForwardNet, LayerSpec
+from ltcmh.tensor import FeedForwardNet
 
 FAST = [
     "groups=2x12,2x5", "d_x=8", "d_y=6", "extra_per_class=4",
@@ -308,6 +308,32 @@ def test_train_missing_dataset_io_error(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("under", ["", "sub"], ids=["is_file", "under_file"])
+@pytest.mark.parametrize("command", ["synth", "train", "sweep"])
+def test_out_file_rejected_before_the_work(pipeline, tmp_path, capsys,
+                                           monkeypatch, command, under):
+    # an --out that is, or is under, a file is found before the dataset is
+    # read or made and before any training; the file is left as it was and
+    # nothing is written
+    def work(*args, **kwargs):
+        raise AssertionError("the work started")
+
+    for name in ("synthesize_long_tailed", "load_dataset"):
+        monkeypatch.setattr(f"ltcmh.dataset.{name}", work)
+    monkeypatch.setattr(hash_learn, "train", work)
+    out = tmp_path / "taken"
+    out.write_bytes(b"keep")
+    args = [command, "--out", str(out / under), *_sets()]
+    if command != "synth":
+        args += ["--dataset", str(pipeline / "data" / "dataset.lcmd")]
+    if command == "sweep":
+        args += ["--param", "alpha", "--values", "1"]
+    assert main(args) == 2
+    assert (f"--out {out / under}: {out} is not a directory"
+            in capsys.readouterr().err)
+    assert out.read_bytes() == b"keep" and list(tmp_path.iterdir()) == [out]
+
+
 def test_effective_config_roundtrip(pipeline, tmp_path):
     # rerunning from the persisted effective config reproduces the run
     effective = pipeline / "run" / "config.effective"
@@ -431,7 +457,6 @@ def test_eval_sides_disagree_io_error(pipeline, tmp_path, capsys):
 def _break_chain(model):
     # the image basic net's second layer reads 7 of the first layer's outputs
     net = model.embedder_x.basic_net
-    net.specs[1] = LayerSpec(7, net.output_dim)
     net.weights[1] = np.zeros((net.output_dim, 7))
 
 
@@ -472,9 +497,8 @@ def test_encode_bad_activation_tag_io_error(pipeline, tmp_path, capsys, tag):
     raw = bytearray((pipeline / "run" / "model.lcmh").read_bytes())
     net = hash_learn.load_model(pipeline / "run" / "model.lcmh"
                                 ).embedder_x.basic_net
-    spec = net.specs[0]
-    at = raw.find(struct.pack("<IIIB", len(net.specs), spec.input_dim,
-                              spec.output_dim, 1)) + 12
+    dout, din = net.weights[0].shape
+    at = raw.find(struct.pack("<IIIB", len(net.weights), din, dout, 1)) + 12
     assert at > 12 and raw[at] == 1
     raw[at] = tag
     bad = tmp_path / "tag.lcmh"
@@ -484,6 +508,40 @@ def test_encode_bad_activation_tag_io_error(pipeline, tmp_path, capsys, tag):
                  "--modality", "image", "--out",
                  str(tmp_path / "c.lcmb")]) == 2
     assert f"bad activation tag {tag}" in capsys.readouterr().err
+
+
+def test_activation_tags_are_positional(tiny_dataset, tmp_path, capsys):
+    # each side's basic net carries tags 1 (relu) then 0 (linear) and its
+    # weight net 0; flipping bit 0 of any of them makes 0 and 1 trade places
+    config = hash_learn.TrainConfig(code_length=4, hidden_dim=5, epochs=1,
+                                    head_threshold=20)
+    model, _ = hash_learn.train(tiny_dataset, np.arange(tiny_dataset.n),
+                                config)
+    path, bad = tmp_path / "m.lcmh", tmp_path / "bad.lcmh"
+    hash_learn.save_model(path, model)
+    save_dataset(tiny_dataset, tmp_path / "d.lcmd")
+    raw = path.read_bytes()
+    tags, at = [], 24   # the file header: magic, version, alpha and beta
+    for e in (model.embedder_x, model.embedder_y):
+        at += 11   # the embedder header
+        for net in (e.basic_net, e.weight_net):
+            tags += [at + 12 + 9 * k for k in range(len(net.weights))]
+            at += 4 + 9 * len(net.weights) + 8 * sum(
+                w.size + b.size for w, b in zip(net.weights, net.biases))
+        at += 1   # the eta-net flag
+    assert [raw[t] for t in tags] == [1, 0, 0, 1, 0, 0]
+    for t in tags:
+        flipped = bytearray(raw)
+        flipped[t] ^= 1
+        bad.write_bytes(bytes(flipped))
+        with pytest.raises(FormatError, match=f"bad activation tag "
+                                              f"{flipped[t]} at offset {t}$"):
+            hash_learn.load_model(bad)
+        assert main(["encode", "--model", str(bad), "--dataset",
+                     str(tmp_path / "d.lcmd"), "--modality", "image",
+                     "--out", str(tmp_path / "c.lcmb")]) == 2
+        assert f"at offset {t}" in capsys.readouterr().err
+    assert not (tmp_path / "c.lcmb").exists()
 
 
 def test_encode_overflowing_model_numerical_error(pipeline, tmp_path, capsys):
@@ -750,14 +808,17 @@ def test_gradcheck_corrupt_negative_control(monkeypatch, capsys):
 def test_gradcheck_scaled_activation_derivative_fails(monkeypatch, capsys,
                                                       activation):
     # the activations have no suite of their own: the net suites must
-    # catch a wrong derivative of either layer activation
-    activate_grad = tensor._activate_grad
-
-    def scaled(name, a, g):
-        out = activate_grad(name, a, g)
-        return out * 1.05 if name == activation else out
-
-    monkeypatch.setattr(tensor, "_activate_grad", scaled)
+    # catch a wrong derivative of the hidden relu or of the linear output
+    # layer, whose derivative carries backward's incoming gradient as is
+    if activation == "relu":
+        relu_grad = tensor._relu_grad
+        monkeypatch.setattr(tensor, "_relu_grad",
+                            lambda a, g: relu_grad(a, g) * 1.05)
+    else:
+        backward = FeedForwardNet.backward
+        monkeypatch.setattr(FeedForwardNet, "backward",
+                            lambda self, acts, g: backward(self, acts,
+                                                           g * 1.05))
     assert main(["gradcheck"]) == 3
     assert "FAIL" in capsys.readouterr().err
 

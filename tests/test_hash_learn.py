@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import re
@@ -15,7 +16,7 @@ from ltcmh.hash_learn import (HashModel, LossBreakdown, TrainConfig,
                               load_model, nll_loss, objective, pairwise_phi,
                               quantization_loss, save_model, train, update_B)
 from ltcmh.meta_embed import PrototypeBank, compute_prototypes
-from ltcmh.tensor import FeedForwardNet, LayerSpec, softplus
+from ltcmh.tensor import FeedForwardNet, softplus, write_net
 
 
 def _separable_dataset():
@@ -521,6 +522,22 @@ def test_encode_features_empty_and_misshapen_batches(default_shape_model):
 
 # --- persistence -------------------------------------------------------------------
 
+def test_built_nets_bytes_pinned():
+    # the init draws, their order and the net layout of the nets train
+    # builds, image side then text side; no BLAS call is involved, so the
+    # bytes hold at every thread count
+    rng = np.random.default_rng(0)
+    buf = io.BytesIO()
+    for input_dim in (32, 24):
+        e = hash_learn._build_embedder(input_dim, 24, TrainConfig(), rng)
+        write_net(buf, e.basic_net)
+        write_net(buf, e.weight_net)
+    raw = buf.getvalue()
+    assert len(raw) == 52934
+    assert hashlib.sha256(raw).hexdigest() == (
+        "e21fa708b4e2abda0f7e0e02b71f608e040401a511aa2fcbc4b0f021358c0aeb")
+
+
 def _trained_model(**kw):
     data = _separable_dataset()
     model, _ = train(data, np.arange(data.n), _fast_config(epochs=3, **kw))
@@ -655,28 +672,25 @@ def _narrow_text_embedder(model):
     # a consistent text embedder of code length 4 beside an 8-bit image one
     e = model.embedder_y
     rng = np.random.default_rng(1)
-    e.basic_net = FeedForwardNet([LayerSpec(e.basic_net.input_dim, 16, "relu"),
-                                  LayerSpec(16, 4)], rng)
-    e.weight_net = FeedForwardNet(
-        [LayerSpec(4, e.weight_net.output_dim)], rng)
+    e.basic_net = FeedForwardNet([e.basic_net.input_dim, 16, 4], rng)
+    e.weight_net = FeedForwardNet([4, e.weight_net.output_dim], rng)
 
 
 def _weight_net_wrong_input(model):
     # the weight net no longer reads the basic net's c outputs
     model.embedder_x.weight_net = FeedForwardNet(
-        [LayerSpec(3, model.bank_x.num_classes)], np.random.default_rng(1))
+        [3, model.bank_x.num_classes], np.random.default_rng(1))
 
 
 def _broken_chain(model):
     # the basic net's second layer reads 7 inputs after a layer of 16 outputs
     net = model.embedder_x.basic_net
-    net.specs[1] = LayerSpec(7, net.output_dim)
     net.weights[1] = np.zeros((net.output_dim, 7))
 
 
 def _no_layers(model):
     net = model.embedder_y.weight_net
-    net.specs, net.weights, net.biases = [], [], []
+    net.weights, net.biases = [], []
 
 
 def _set_nan(arrays):

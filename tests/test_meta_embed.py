@@ -11,14 +11,13 @@ from ltcmh.meta_embed import (ENCODE_CHUNK, MetaEmbedder, PrototypeBank,
                               _attention_weights, compute_prototypes,
                               embed_backward, embed_batch, embed_chunked,
                               eta_ratio)
-from ltcmh.tensor import FeedForwardNet, LayerSpec
+from ltcmh.tensor import FeedForwardNet
 
 
 def _net(shape, rng=None, zero=False):
-    """A single identity layer c -> L, optionally zeroed so all logits tie."""
+    """A single linear layer c -> L, optionally zeroed so all logits tie."""
     c, L = shape
-    net = FeedForwardNet([LayerSpec(c, L, "identity")],
-                         rng or np.random.default_rng(0))
+    net = FeedForwardNet([c, L], rng or np.random.default_rng(0))
     if zero:
         net.weights[0][:] = 0.0
         net.biases[0][:] = 0.0
@@ -84,7 +83,7 @@ def test_prototypes_shape_mismatch():
 
 def _identity(c):
     """A c -> c identity layer, so embed_batch's v_direct equals its input."""
-    net = FeedForwardNet([LayerSpec(c, c, "identity")], np.random.default_rng(0))
+    net = FeedForwardNet([c, c], np.random.default_rng(0))
     net.weights[0][:] = np.eye(c)
     net.biases[0][:] = 0.0
     return net
@@ -291,9 +290,8 @@ def test_meta_exactness_property(rng):
 
 def _batch_embedder(rng, c=3, L=4, d=5, eta_mode="intent_ratio",
                     eta_max=10.0, **kw):
-    basic = FeedForwardNet([LayerSpec(d, 4, "relu"), LayerSpec(4, c, "identity")],
-                           rng)
-    weight = FeedForwardNet([LayerSpec(c, L, "identity")], rng)
+    basic = FeedForwardNet([d, 4, c], rng)
+    weight = FeedForwardNet([c, L], rng)
     return MetaEmbedder(basic_net=basic, weight_net=weight, eta_max=eta_max,
                         eta_mode=eta_mode, **kw)
 
@@ -424,9 +422,8 @@ def _default_embedder(input_dim, eta_mode, use_memory, rng):
     24 classes) and a bank fitted on its direct features, 4 classes head."""
     cfg = TrainConfig(eta_mode=eta_mode)
     L, c = 24, cfg.code_length
-    basic = FeedForwardNet([LayerSpec(input_dim, cfg.hidden_dim, "relu"),
-                            LayerSpec(cfg.hidden_dim, c, "identity")], rng)
-    weight = FeedForwardNet([LayerSpec(c, L, "identity")], rng)
+    basic = FeedForwardNet([input_dim, cfg.hidden_dim, c], rng)
+    weight = FeedForwardNet([c, L], rng)
     emb = MetaEmbedder(basic_net=basic, weight_net=weight, eta_max=cfg.eta_max,
                        eta_mode=eta_mode, use_memory=use_memory)
     direct, _ = basic.forward(rng.normal(size=(400, input_dim)))
@@ -470,9 +467,8 @@ def test_embed_chunked_equals_one_embed_batch(input_dim, use_memory, eta_mode,
 # --- embedder validation ----------------------------------------------------------
 
 def test_embedder_rejects_bad_mode(rng):
-    basic = FeedForwardNet([LayerSpec(4, 3, "relu"), LayerSpec(3, 3, "identity")],
-                           rng)
-    weight = FeedForwardNet([LayerSpec(3, 2, "identity")], rng)
+    basic = FeedForwardNet([4, 3, 3], rng)
+    weight = FeedForwardNet([3, 2], rng)
     with pytest.raises(ConfigError):
         MetaEmbedder(basic_net=basic, weight_net=weight, eta_max=10.0,
                      eta_mode="bogus")
@@ -482,8 +478,7 @@ def test_embedder_rejects_bad_mode(rng):
 
 
 def test_embedder_rejects_width_mismatch(rng):
-    basic = FeedForwardNet([LayerSpec(4, 3, "relu"), LayerSpec(3, 3, "identity")],
-                           rng)
-    weight = FeedForwardNet([LayerSpec(5, 2, "identity")], rng)
+    basic = FeedForwardNet([4, 3, 3], rng)
+    weight = FeedForwardNet([5, 2], rng)
     with pytest.raises(ShapeError):
         MetaEmbedder(basic_net=basic, weight_net=weight, eta_max=10.0)
