@@ -12,9 +12,9 @@ from .dataset import (LongTailSpec, MultiModalDataset, build_affinity,
                       trim_labels)
 from .errors import (ConfigError, EvaluationError, FormatError, LtcmhError,
                      ShapeError, TrainingError)
-from .hash_learn import (HashModel, LossBreakdown, TrainConfig, balance_loss,
-                         grad_Vx, grad_Vy, load_model, nll_loss, objective,
-                         pairwise_phi, quantization_loss, save_model, train,
+from .hash_learn import (HashModel, TrainConfig, balance_loss, grad_Vx, grad_Vy,
+                         load_model, nll_loss, objective, pairwise_phi,
+                         quantization_loss, save_model, total_loss, train,
                          update_B)
 from .meta_embed import (MetaEmbedder, PrototypeBank, compute_prototypes,
                          embed_backward, embed_batch, eta_ratio)

@@ -132,6 +132,15 @@ def synthesize_long_tailed(spec: LongTailSpec, seed: int) -> MultiModalDataset:
     )
 
 
+def check_split_keys(min_keep=1, max_keep=1, queries_per_class=0):
+    """The rules trim_labels and split_query_retrieval apply to their keys."""
+    if not 1 <= min_keep <= max_keep:
+        raise ConfigError(f"need 1 <= min_keep <= max_keep, got "
+                          f"min_keep={min_keep}, max_keep={max_keep}")
+    if queries_per_class < 0:
+        raise ConfigError("queries_per_class must be >= 0")
+
+
 def trim_labels(labels: np.ndarray, min_keep: int = 2, max_keep: int = 3,
                 seed: int = 0) -> np.ndarray:
     """Reduce rows with more than max_keep labels to min_keep..max_keep labels.
@@ -141,9 +150,7 @@ def trim_labels(labels: np.ndarray, min_keep: int = 2, max_keep: int = 3,
     row is drawn uniformly from [min_keep, max_keep]. Rows already at or
     below max_keep labels pass through unchanged.
     """
-    if not 1 <= min_keep <= max_keep:
-        raise ConfigError(f"need 1 <= min_keep <= max_keep, got "
-                          f"min_keep={min_keep}, max_keep={max_keep}")
+    check_split_keys(min_keep, max_keep)
     labels = np.asarray(labels)
     per_row = labels.sum(axis=1)
     if np.any(per_row < 1):
@@ -217,8 +224,7 @@ def split_query_retrieval(dataset: MultiModalDataset,
         raise ShapeError(
             f"train_per_class shape {train_per_class.shape} != ({L},)"
         )
-    if queries_per_class < 0:
-        raise ConfigError("queries_per_class must be >= 0")
+    check_split_keys(queries_per_class=queries_per_class)
     rng = np.random.default_rng(seed)
     prim = primary_labels(dataset.labels)
     train, query, retrieval = [], [], []

@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import hash_learn, retrieval
-from .dataset import (LongTailSpec, MultiModalDataset, split_query_retrieval,
-                      trim_labels)
+from .dataset import (LongTailSpec, MultiModalDataset, check_split_keys,
+                      split_query_retrieval, trim_labels)
 from .errors import ConfigError
 from .hash_learn import HashModel, TrainConfig
 from .retrieval import BinaryCodeMatrix
@@ -81,10 +81,9 @@ def load_config(path=None, overrides=()):
         if key not in DEFAULTS:
             raise ConfigError(f"{where}: unknown config key {key!r}")
         cfg[key] = _parse_value(where, key, raw, DEFAULTS[key])
-    if cfg["seed"] < 0:   # NumPy's generators take no negative seed
-        raise ConfigError(f"seed must be >= 0, got {cfg['seed']}")
-    longtail_spec(cfg)   # check the synthesis and training keys before
-    train_config(cfg)    # any command reads or writes a file
+    longtail_spec(cfg)   # check the synthesis, split and training keys
+    check_split_keys(cfg["min_keep"], cfg["max_keep"], cfg["queries_per_class"])
+    train_config(cfg)    # before any command reads or writes a file
     return cfg
 
 
@@ -148,13 +147,12 @@ def run_train(dataset: MultiModalDataset, cfg):
 
 
 def write_loss_csv(path, history):
+    terms = ("nll", "quantization", "balance", "total")
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["epoch", "nll", "quantization", "balance", "total"])
+        w.writerow(["epoch", *terms])
         for rec in history:
-            w.writerow([rec["epoch"], f"{rec['nll']:.10g}",
-                        f"{rec['quantization']:.10g}",
-                        f"{rec['balance']:.10g}", f"{rec['total']:.10g}"])
+            w.writerow([rec["epoch"], *(f"{rec[t]:.10g}" for t in terms)])
 
 
 def split_indices(model: HashModel, name: str) -> np.ndarray:

@@ -37,7 +37,7 @@ def check_objective_grad(instances=50, seed=0, eps=1e-6, max_n=8, max_c=8):
         beta = float(rng.uniform(0.1, 2.0))
 
         def total():
-            return hash_learn.objective(Vx, Vy, A, B, alpha, beta).total
+            return hash_learn.objective(Vx, Vy, A, B, alpha, beta)
 
         for V, grad in ((Vx, hash_learn.grad_Vx), (Vy, hash_learn.grad_Vy)):
             numeric = central_diff(total, V, eps)
@@ -51,7 +51,7 @@ def check_objective_grad(instances=50, seed=0, eps=1e-6, max_n=8, max_c=8):
 
 def check_train_step(seed=0, eps=1e-5):
     """hash_learn._batch_grads, the batch step train runs, vs central
-    differences of objective(...).total / n in every net parameter, where
+    differences of objective(...) / n in every net parameter, where
     embed_batch recomputes V[:, cols] at the eta the step froze (the bank
     is held fixed too). Both sides, with the memory off and on; the basic
     nets have a relu and a linear layer, so both derivatives are checked."""
@@ -87,7 +87,7 @@ def check_train_step(seed=0, eps=1e-5):
                 V[:, cols], _ = meta_embed.embed_batch(
                     embedder, feats[cols], bank, eta=cache.eta)
                 return hash_learn.objective(Vx, Vy, A, B, config.alpha,
-                                            config.beta).total / n
+                                            config.beta) / n
 
             for net, analytic in pairs:
                 numeric = finite_diff_grad(loss, net, eps)

@@ -14,7 +14,6 @@ as sign(Vx + Vy), alternating with the continuous steps.
 
 from __future__ import annotations
 
-import dataclasses
 import struct
 from dataclasses import dataclass, field
 from typing import BinaryIO
@@ -69,30 +68,17 @@ class TrainConfig:
         for name in ("alpha", "beta", "eta_max"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise ConfigError(f"{name} must be finite and >= 0")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
+        # seed too, since NumPy's generators take no negative seed
+        for name in ("epochs", "warmup_epochs", "seed"):
+            if (value := getattr(self, name)) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {value}")
         if min(self.code_length, self.hidden_dim, self.batch_columns,
                self.head_threshold) < 1:
             raise ConfigError("code_length, hidden_dim, batch_columns and "
                               "head_threshold must be >= 1")
-        if self.warmup_epochs < 0:
-            raise ConfigError("warmup_epochs must be >= 0")
         if self.eta_mode not in meta_embed.ETA_MODES:
             raise ConfigError(f"eta_mode {self.eta_mode!r} is not one of "
                               f"{', '.join(meta_embed.ETA_MODES)}")
-
-
-@dataclass
-class LossBreakdown:
-    nll: float
-    quantization: float
-    balance: float
-    alpha: float
-    beta: float
-
-    @property
-    def total(self):
-        return self.nll + self.alpha * self.quantization + self.beta * self.balance
 
 
 @dataclass
@@ -150,13 +136,15 @@ def balance_loss(Vx: np.ndarray, Vy: np.ndarray) -> float:
     return float(sx @ sx + sy @ sy)
 
 
-def objective(Vx, Vy, A, B, alpha, beta) -> LossBreakdown:
-    return LossBreakdown(
-        nll=nll_loss(pairwise_phi(Vx, Vy), A),
-        quantization=quantization_loss(B, Vx, Vy),
-        balance=balance_loss(Vx, Vy),
-        alpha=alpha, beta=beta,
-    )
+def total_loss(nll, quantization, balance, alpha, beta) -> float:
+    """J from its three terms."""
+    return nll + alpha * quantization + beta * balance
+
+
+def objective(Vx, Vy, A, B, alpha, beta) -> float:
+    return total_loss(nll_loss(pairwise_phi(Vx, Vy), A),
+                      quantization_loss(B, Vx, Vy), balance_loss(Vx, Vy),
+                      alpha, beta)
 
 
 def grad_Vx(Vx, Vy, A, B, alpha, beta, cols=slice(None)) -> np.ndarray:
@@ -318,11 +306,11 @@ def train(dataset: MultiModalDataset, train_indices: np.ndarray,
         Vy = meta_embed.embed_chunked(ey, Y, bank_y)
 
         order = rng.permutation(n)
-        nll = []
+        nll_blocks = []
         # A is symmetric: A.T turns grad_Vy's column gather into a row gather
         for side, embedder, bank, feats, V, grad, aff, extra in (
                 ("x", ex, bank_x, X, Vx, grad_Vx, A, {}),
-                ("y", ey, bank_y, Y, Vy, grad_Vy, A.T, {"nll": nll})):
+                ("y", ey, bank_y, Y, Vy, grad_Vy, A.T, {"nll": nll_blocks})):
             for start in range(0, n, config.batch_columns):
                 cols = order[start:start + config.batch_columns]
                 pairs = _batch_grads(
@@ -334,22 +322,18 @@ def train(dataset: MultiModalDataset, train_indices: np.ndarray,
 
         # the y blocks are this epoch's final Phi (Vx fixed, each Vy column
         # final once used); only the quantization term depends on B
-        pre = LossBreakdown(sum(nll), quantization_loss(B, Vx, Vy),
-                            balance_loss(Vx, Vy), config.alpha, config.beta)
+        nll, balance = sum(nll_blocks), balance_loss(Vx, Vy)
+        pre_b_total = total_loss(nll, quantization_loss(B, Vx, Vy), balance,
+                                 config.alpha, config.beta)
         B = update_B(Vx, Vy)
-        post = dataclasses.replace(
-            pre, quantization=quantization_loss(B, Vx, Vy))
-        if not np.isfinite(post.total):
-            raise TrainingError(f"non-finite loss at epoch {epoch}: {post}")
-        history.append({
-            "epoch": epoch,
-            "nll": post.nll,
-            "quantization": post.quantization,
-            "balance": post.balance,
-            "total": post.total,
-            "pre_b_total": pre.total,
-            "post_b_total": post.total,
-        })
+        quantization = quantization_loss(B, Vx, Vy)
+        total = total_loss(nll, quantization, balance, config.alpha, config.beta)
+        rec = {"epoch": epoch, "nll": nll, "quantization": quantization,
+               "balance": balance, "total": total,
+               "pre_b_total": pre_b_total, "post_b_total": total}
+        if not np.isfinite(total):
+            raise TrainingError(f"non-finite loss at epoch {epoch}: {rec}")
+        history.append(rec)
 
     if memory_on and config.warmup_epochs >= config.epochs:
         # the whole run was warm-up (the default): fit the memory once on

@@ -53,6 +53,9 @@ class MetaEmbedder:
     def __post_init__(self):
         if self.eta_mode not in ETA_MODES:
             raise ConfigError(f"unknown eta mode {self.eta_mode!r}")
+        if not 0 <= self.eta_max < np.inf:   # eta's clamp
+            raise ConfigError(f"eta_max must be finite and >= 0, got "
+                              f"{self.eta_max}")
         if self.weight_net.input_dim != self.basic_net.output_dim:
             raise ShapeError(
                 f"weight net input {self.weight_net.input_dim} != "

@@ -334,6 +334,31 @@ def test_out_file_rejected_before_the_work(pipeline, tmp_path, capsys,
     assert out.read_bytes() == b"keep" and list(tmp_path.iterdir()) == [out]
 
 
+@pytest.mark.parametrize("setting, message", [
+    ("queries_per_class=-5", "queries_per_class must be >= 0"),
+    ("min_keep=4", "got min_keep=4, max_keep=3"),
+    ("max_keep=0", "got min_keep=2, max_keep=0"),
+    ("min_keep=0", "got min_keep=0, max_keep=3"),
+])
+@pytest.mark.parametrize("command", ["synth", "train"])
+def test_split_keys_checked_with_the_config(pipeline, tmp_path, capsys,
+                                            monkeypatch, command, setting,
+                                            message):
+    # trim_labels' and split_query_retrieval's rules reject these keys
+    # before any dataset is made or read
+    def work(*args, **kwargs):
+        raise AssertionError("the work started")
+
+    for name in ("synthesize_long_tailed", "load_dataset"):
+        monkeypatch.setattr(f"ltcmh.dataset.{name}", work)
+    args = [command, "--out", str(tmp_path / "out"), *_sets([setting])]
+    if command == "train":
+        args += ["--dataset", str(pipeline / "data" / "dataset.lcmd")]
+    assert main(args) == 1
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_effective_config_roundtrip(pipeline, tmp_path):
     # rerunning from the persisted effective config reproduces the run
     effective = pipeline / "run" / "config.effective"

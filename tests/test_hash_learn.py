@@ -11,10 +11,11 @@ import pytest
 from ltcmh import experiment, gradcheck, hash_learn
 from ltcmh.dataset import LongTailSpec, build_affinity, synthesize_long_tailed
 from ltcmh.errors import ConfigError, FormatError, ShapeError, TrainingError
-from ltcmh.hash_learn import (HashModel, LossBreakdown, TrainConfig,
-                              balance_loss, encode_features, grad_Vx, grad_Vy,
-                              load_model, nll_loss, objective, pairwise_phi,
-                              quantization_loss, save_model, train, update_B)
+from ltcmh.hash_learn import (HashModel, TrainConfig, balance_loss,
+                              encode_features, grad_Vx, grad_Vy, load_model,
+                              nll_loss, objective, pairwise_phi,
+                              quantization_loss, save_model, total_loss, train,
+                              update_B)
 from ltcmh.meta_embed import PrototypeBank, compute_prototypes
 from ltcmh.tensor import FeedForwardNet, softplus, write_net
 
@@ -123,9 +124,8 @@ def test_balance_examples(rng):
 
 
 def test_loss_breakdown_total_grouping():
-    lb = LossBreakdown(nll=1.0, quantization=2.0, balance=3.0,
-                       alpha=0.5, beta=0.25)
-    assert lb.total == pytest.approx(1.0 + 0.5 * 2.0 + 0.25 * 3.0)
+    assert total_loss(nll=1.0, quantization=2.0, balance=3.0, alpha=0.5,
+                      beta=0.25) == pytest.approx(1.0 + 0.5 * 2.0 + 0.25 * 3.0)
 
 
 # --- gradients --------------------------------------------------------------------
@@ -280,8 +280,8 @@ def test_update_B_monotone_step(rng):
         A = rng.integers(0, 2, size=(5, 5)).astype(float)
         B_old = np.where(rng.normal(size=(4, 5)) >= 0, 1.0, -1.0)
         B_new = update_B(Vx, Vy)
-        before = objective(Vx, Vy, A, B_old, 1.0, 1.0).total
-        after = objective(Vx, Vy, A, B_new, 1.0, 1.0).total
+        before = objective(Vx, Vy, A, B_old, 1.0, 1.0)
+        after = objective(Vx, Vy, A, B_new, 1.0, 1.0)
         assert after <= before + 1e-12
 
 
@@ -300,7 +300,7 @@ def test_update_B_shape_mismatch():
     dict(alpha=float("nan")), dict(beta=float("inf")), dict(alpha=-1.0),
     dict(eta_max=float("nan")), dict(eta_max=-1.0),
     dict(learning_rate=float("nan")), dict(eta_mode="learned"),
-    dict(head_threshold=0),
+    dict(head_threshold=0), dict(seed=-1),
 ])
 def test_train_config_rejects(kw):
     with pytest.raises(ConfigError):
@@ -394,6 +394,25 @@ def test_train_affinity_stays_uint8(monkeypatch):
     data = _separable_dataset()
     train(data, np.arange(data.n), _fast_config(epochs=2))
     assert dtypes and set(dtypes) == {np.dtype(np.uint8)}
+
+
+def test_history_record_totals_are_total_loss():
+    # two memory epochs; each record's totals are J of its own terms
+    data = _separable_dataset()
+    cfg = _fast_config(epochs=6)
+    _, history = train(data, np.arange(data.n), cfg)
+    assert len(history) == 6 and cfg.warmup_epochs < 6
+    for rec in history:
+        J = total_loss(rec["nll"], rec["quantization"], rec["balance"],
+                       cfg.alpha, cfg.beta)
+        assert rec["total"] == rec["post_b_total"] == J
+
+
+def test_train_non_finite_loss_names_its_epoch(monkeypatch):
+    monkeypatch.setattr(hash_learn, "balance_loss", lambda Vx, Vy: np.inf)
+    data = _separable_dataset()
+    with pytest.raises(TrainingError, match="non-finite loss at epoch 0: "):
+        train(data, np.arange(data.n), _fast_config(epochs=2))
 
 
 def test_train_deterministic():

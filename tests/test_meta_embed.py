@@ -477,6 +477,13 @@ def test_embedder_rejects_bad_mode(rng):
                      eta_mode="learned")
 
 
+@pytest.mark.parametrize("eta_max", [-1.0, -1e-300, np.inf, np.nan])
+def test_embedder_rejects_eta_max_outside_range(rng, eta_max):
+    # a negative eta_max would flip the sign of every memory feature
+    with pytest.raises(ConfigError, match="eta_max must be finite and >= 0"):
+        _batch_embedder(rng, eta_max=eta_max)
+
+
 def test_embedder_rejects_width_mismatch(rng):
     basic = FeedForwardNet([4, 3, 3], rng)
     weight = FeedForwardNet([5, 2], rng)
