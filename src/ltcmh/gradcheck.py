@@ -11,12 +11,16 @@ from .meta_embed import compute_prototypes
 from .tensor import central_diff, finite_diff_grad
 
 
-def rel_err(analytic, numeric):
-    """Max elementwise |a - f| / (1e-8 + |a| + |f|); inf if any entry is
-    NaN, so a NaN gradient fails every threshold (max() would drop it)."""
+def rel_err(analytic, numeric, rounding=0.0):
+    """Max elementwise |a - f| / (floor + |a| + |f|); inf if any entry is
+    NaN, so a NaN gradient fails every threshold (max() would drop it).
+    floor = max(1e-8, 1e4 * rounding), `rounding` being about a central
+    difference's, eps_machine |loss| / eps: a correct entry near zero that
+    is off by a few times that (up to ~6x measured) still reads < 1e-3."""
     a = np.asarray(analytic, dtype=np.float64)
     f = np.asarray(numeric, dtype=np.float64)
-    err = float((np.abs(a - f) / (1e-8 + np.abs(a) + np.abs(f))).max())
+    floor = max(1e-8, 1e4 * rounding)
+    err = float((np.abs(a - f) / (floor + np.abs(a) + np.abs(f))).max())
     return np.inf if np.isnan(err) else err
 
 
@@ -39,13 +43,14 @@ def check_objective_grad(instances=50, seed=0, eps=1e-6, max_n=8, max_c=8):
         def total():
             return hash_learn.objective(Vx, Vy, A, B, alpha, beta)
 
+        rounding = np.finfo(float).eps * abs(total()) / eps
         for V, grad in ((Vx, hash_learn.grad_Vx), (Vy, hash_learn.grad_Vy)):
             numeric = central_diff(total, V, eps)
             cols = rng.permutation(n)[:int(rng.integers(1, n + 1))]
             for analytic, expect in (
                     (grad(Vx, Vy, A, B, alpha, beta), numeric),
                     (grad(Vx, Vy, A, B, alpha, beta, cols), numeric[:, cols])):
-                worst = max(worst, rel_err(analytic, expect))
+                worst = max(worst, rel_err(analytic, expect, rounding))
     return worst
 
 
@@ -89,10 +94,12 @@ def check_train_step(seed=0, eps=1e-5):
                 return hash_learn.objective(Vx, Vy, A, B, config.alpha,
                                             config.beta) / n
 
+            rounding = np.finfo(float).eps * abs(loss(None)) / eps
             for net, analytic in pairs:
                 numeric = finite_diff_grad(loss, net, eps)
                 for (adw, adb), (ndw, ndb) in zip(analytic, numeric):
-                    worst = max(worst, rel_err(adw, ndw), rel_err(adb, ndb))
+                    worst = max(worst, rel_err(adw, ndw, rounding),
+                                rel_err(adb, ndb, rounding))
     return worst
 
 

@@ -9,7 +9,9 @@ softmax-weighted combination of per-class centroids, and the meta feature is
 where eta trades direct against memory evidence. eta is a ratio of a
 sample's squared distances to the nearest head and tail prototypes, in one
 of two modes: ``intent_ratio`` (default: near-head samples get small eta)
-or ``as_printed`` (the reciprocal ratio).
+or ``as_printed`` (the reciprocal ratio). One GEMM per group picks each
+sample's nearest centroid, and only that distance is summed; its bits are
+those of the per-centroid definition whatever the GEMM rounds.
 """
 
 from __future__ import annotations
@@ -99,11 +101,50 @@ def compute_prototypes(direct_features: np.ndarray, labels: np.ndarray,
                          is_head=np.asarray(is_head, dtype=bool))
 
 
+def _loop_nearest(v: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Min over the rows m of C of ((v - m) ** 2).sum(axis=1), one centroid
+    at a time; np.minimum makes a row NaN if any of its distances is."""
+    d = np.full(v.shape[0], np.inf)
+    for m in C:
+        np.minimum(d, ((v - m) ** 2).sum(axis=1), out=d)
+    return d
+
+
+def _nearest(v: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """_loop_nearest(v, C) bit for bit, at about one GEMM's cost.
+
+    A GEMM bounds each (centroid, row) distance from below; a row's least
+    bound picks the one distance d summed as the loop sums it. d stands if
+    every other bound is finite and >= d, else (ties, duplicates, NaN, inf)
+    the row runs the loop. With S = |v|^2 + |m|^2, the loop's sum is within
+    gamma(c + 2) |v - m|^2 <= (c + 2) eps S of the distance, and
+    |v|^2 - 2 v.m + |m|^2, summed in any order, within 2 gamma(c) S +
+    2 eps S ~ (c + 2) eps S. Taking k = 4 (c + 2) times eps S off leaves
+    2 (c + 2) eps S of margin; k tiny covers the two forms' 4c products,
+    each losing at most tiny to underflow.
+    """
+    k, f = 4 * (v.shape[1] + 2), np.finfo(np.float64)
+    # NaN and inf rows warn only where the loop's own arithmetic reaches them
+    with np.errstate(invalid="ignore", over="ignore"):
+        lower = (-2.0 * C) @ v.T    # centroids x samples
+        lower += np.einsum("ij,ij->i", v, v) * (1 - k * f.eps)
+        lower += (np.einsum("ij,ij->i", C, C) * (1 - k * f.eps)
+                  - k * f.tiny)[:, None]
+        j = lower.argmin(axis=0)
+        ok = np.isfinite(lower).all(axis=0)
+        lower[j, np.arange(v.shape[0])] = np.inf
+    d = ((v - C[j]) ** 2).sum(axis=1)
+    ok &= lower.min(axis=0) >= d
+    if not ok.all():
+        d[~ok] = _loop_nearest(v[~ok], C)
+    return d
+
+
 def eta_ratio(v_direct: np.ndarray, bank: PrototypeBank, mode: str,
               eta_max: float) -> np.ndarray:
     """eta for each row of a samples x c matrix of direct features, from
     its squared distances to the nearest non-empty head and tail centroids,
-    clipped to [0, eta_max]."""
+    clipped to [0, eta_max]; each distance is summed over a C-ordered row."""
     if mode not in ETA_MODES:
         raise ConfigError(f"{mode!r} is not an eta mode")
     head = bank.nonempty & bank.is_head
@@ -111,11 +152,9 @@ def eta_ratio(v_direct: np.ndarray, bank: PrototypeBank, mode: str,
     if not head.any() or not tail.any():
         raise ConfigError("eta needs a non-empty head and a non-empty tail "
                           "class")
-    # nearest squared distances, one centroid at a time: O(samples x c)
-    d_head, d_tail = np.full((2, v_direct.shape[0]), np.inf)
-    for d, classes in ((d_head, head), (d_tail, tail)):
-        for m in bank.centroids[classes]:
-            np.minimum(d, ((v_direct - m) ** 2).sum(axis=1), out=d)
+    v = np.ascontiguousarray(v_direct)
+    d_head, d_tail = (_nearest(v, bank.centroids[classes])
+                      for classes in (head, tail))
     if mode == "intent_ratio":
         eta = d_head / np.maximum(d_tail, ETA_EPS)
     else:

@@ -157,6 +157,18 @@ def test_gradcheck_negative_control(monkeypatch):
     assert gradcheck.check_objective_grad(instances=3, seed=0) > 1e-3
 
 
+def test_rel_err_floor_follows_central_difference_rounding():
+    # a loss near 20 differenced at eps 1e-6 rounds by ~4.4e-9, so a correct
+    # entry of 2.3e-7 can come back 7e-10 off; under the fixed 1e-8 floor
+    # that read 1.5e-3, above the CLI's 1e-3 threshold
+    rounding = np.finfo(np.float64).eps * 20.0 / 1e-6
+    analytic, numeric = np.array([0.8, 2.3e-7]), np.array([0.8, 2.307e-7])
+    assert gradcheck.rel_err(analytic, numeric) > 1e-3
+    assert gradcheck.rel_err(analytic, numeric, rounding) < 1e-4
+    # an error the size of a real fault still reads as one
+    assert gradcheck.rel_err([0.8, 2.3e-7], [0.84, 2.3e-7], rounding) > 2e-2
+
+
 def test_gradcheck_nan_gradient_is_infinite_error(monkeypatch):
     grad = hash_learn.grad_Vx
     monkeypatch.setattr(hash_learn, "grad_Vx",

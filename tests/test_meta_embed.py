@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -238,6 +239,112 @@ def test_eta_ratio_row_invariant_and_matches_broadcast_oracle(mode, rng):
     # a NaN centroid poisons its group's min for every row, as in np.min
     bank.centroids[3, 0] = np.nan
     assert np.isnan(eta_ratio(v, bank, mode, 1e9)).all()
+
+
+def _loop_eta(v, bank, mode, eta_max):
+    """eta by its definition: each group's nearest squared distance taken
+    one centroid at a time by np.minimum, so NaN if any distance is NaN."""
+    nearest = []
+    for group in (bank.nonempty & bank.is_head, bank.nonempty & ~bank.is_head):
+        d = np.full(len(v), np.inf)
+        for m in bank.centroids[group]:
+            np.minimum(d, ((v - m) ** 2).sum(axis=1), out=d)
+        nearest.append(d)
+    d_head, d_tail = nearest if mode == "intent_ratio" else nearest[::-1]
+    return np.clip(d_head / np.maximum(d_tail, meta_embed.ETA_EPS), 0.0,
+                   eta_max)
+
+
+def _runtime_warnings(f, *args):
+    """f(*args) and the set of RuntimeWarning messages it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = f(*args)
+    return out, {str(w.message) for w in caught
+                 if issubclass(w.category, RuntimeWarning)}
+
+
+def _eta_case(rng, kind, scale):
+    """Features and a bank at one scale, made awkward by `kind`."""
+    c, L, n = (int(rng.integers(1, 65)), int(rng.integers(2, 25)),
+               int(rng.integers(1, 40)))
+    C = rng.normal(size=(L, c)) * scale
+    v = rng.normal(size=(n, c)) * scale
+    split = int(rng.integers(1, L))   # classes [0, split) are head
+    counts = (rng.random(L) < 0.8).astype(np.int64)
+    counts[[0, L - 1]] = 1
+    a, b = rng.integers(0, L, size=2)
+    rows = rng.integers(0, n, size=max(1, n // 3))
+    if kind == "duplicate":
+        C[a] = C[b]
+        v[rows] = C[a] + rng.normal(size=c) * scale * 1e-3
+    elif kind == "on_centroid":
+        v[rows] = C[rng.integers(0, L, size=len(rows))]
+    elif kind == "midpoint":
+        v[rows] = (C[a] + C[b]) / 2
+    elif kind == "non_finite_feature":
+        v[rows, rng.integers(0, c, size=len(rows))] = rng.choice(
+            [np.nan, np.inf, -np.inf], size=len(rows))
+    elif kind == "nan_centroid":
+        C[a, rng.integers(0, c)] = np.nan
+    elif kind == "zero_rows":
+        v[rows] = 0.0
+    return v, _bank(C, np.arange(L) < split, counts)
+
+
+@pytest.mark.parametrize("mode", ["intent_ratio", "as_printed"])
+def test_eta_ratio_bit_equal_to_per_centroid_loop(mode, monkeypatch):
+    # eta picks each row's nearest centroid by a GEMM and sums only that
+    # distance; a row the GEMM cannot settle runs the loop. Every eta must
+    # equal the loop's bits whatever the GEMM rounds, at any scale: near
+    # 1e-162 the squares are subnormal, which the bound's floor covers.
+    fallback_rows = []
+    loop_nearest = meta_embed._loop_nearest
+
+    def counted(v, C):
+        fallback_rows.append(len(v))
+        return loop_nearest(v, C)
+
+    monkeypatch.setattr(meta_embed, "_loop_nearest", counted)
+    rng = np.random.default_rng(5)
+    kinds = ["plain", "duplicate", "on_centroid", "midpoint",
+             "non_finite_feature", "nan_centroid", "zero_rows"]
+    scales = np.r_[10.0 ** rng.uniform(-170, 153, size=90),
+                   10.0 ** rng.uniform(-163.5, -161.5, size=60)]
+    cases = [(kinds[i % len(kinds)], scale,
+              *_eta_case(rng, kinds[i % len(kinds)], scale))
+             for i, scale in enumerate(scales)]
+    # |v|^2 overflows, but not v's distance to the second tail centroid
+    cases.append(("norm_overflow", 1e154, np.array([[1.341e154, 0.0]]),
+                  _bank([[0.0, 0.0], [1e151, 0.0], [5.0, 5.0]],
+                        [False, False, True])))
+    for kind, scale, v, bank in cases:
+        expect, loop_warned = _runtime_warnings(_loop_eta, v, bank, mode, 1e9)
+        got, warned = _runtime_warnings(eta_ratio, v, bank, mode, 1e9)
+        assert np.array_equal(got.view(np.uint64), expect.view(np.uint64)), \
+            (kind, scale)
+        assert warned <= loop_warned
+        # below 1e150 no squared distance of c <= 64 terms can overflow
+        if scale < 1e150 and np.isfinite(v).all() \
+                and np.isfinite(bank.centroids).all():
+            assert not warned
+    assert sum(fallback_rows) > 0
+
+
+def test_eta_ratio_bits_pinned():
+    # the per-centroid loop's sha256 on this input, the same at 1 and at 2
+    # OpenBLAS threads; eta's GEMM must not move it at either thread count
+    rng = np.random.default_rng(11)
+    v = rng.normal(size=(3000, 16))
+    centroids = rng.normal(size=(24, 16))
+    centroids[20] = centroids[21]
+    counts = rng.integers(1, 50, size=24)
+    counts[[3, 9]] = 0
+    bank = _bank(centroids, np.arange(24) < 6, counts)
+    out = np.concatenate([eta_ratio(v, bank, mode, 1e9)
+                          for mode in ("intent_ratio", "as_printed")])
+    assert hashlib.sha256(out.tobytes()).hexdigest() == \
+        "27ffd7e3f39000bc4f4821b7bea7ad7e5ba546af4f1d7e3ddbc7337c5feab390"
 
 
 # --- meta features ----------------------------------------------------------------
