@@ -49,10 +49,15 @@ print(f"{query_codes.n} query codes and {db_codes.n} database codes of "
       f"{query_codes.c} bits")
 
 print("\n== 4. evaluate ==")
+# i2t ranks the stored codes of step 3, as a server ranks a database it
+# encoded once; t2i encodes its text queries and image database here
+stored = {"i2t": {"query_codes": query_codes, "db_codes": db_codes},
+          "t2i": {}}
 with tempfile.TemporaryDirectory() as tmp:
     results = []
-    for direction in ("i2t", "t2i"):
-        res = experiment.evaluate_direction(model, trimmed, direction)
+    for direction, codes in stored.items():
+        res = experiment.evaluate_direction(model, trimmed, direction,
+                                            **codes)
         results.append(res)
         for _, group, bits, m, nq in res.rows():
             print(f"  {direction} {group:>4}: map={m:.4f} over {nq} queries")

@@ -113,26 +113,16 @@ def cmd_encode(args):
 
 
 def cmd_eval(args):
-    if (args.query_codes is None) != (args.db_codes is None):
-        missing = "--db-codes" if args.db_codes is None else "--query-codes"
-        raise ConfigError(f"eval takes both code files or neither: "
-                          f"{missing} is missing")
     model = hash_learn.load_model(args.model)
     data = ds.load_dataset(args.dataset)
-    if args.query_codes is None:
-        _check_inputs(model, data)
-        result = experiment.evaluate_direction(
-            model, data, args.direction, args.query_split, args.db_split)
-    else:
-        q_idx = experiment.split_indices(model, args.query_split)
-        db_idx = experiment.split_indices(model, args.db_split)
-        q_codes = retrieval.load_codes(args.query_codes)
-        db_codes = retrieval.load_codes(args.db_codes)
-        _check_inputs(model, data, [(args.query_codes, q_codes, q_idx),
-                                    (args.db_codes, db_codes, db_idx)])
-        result = retrieval.evaluate(q_codes, data.labels[q_idx], db_codes,
-                                    data.labels[db_idx], model.partition,
-                                    args.direction)
+    splits = (args.query_split, args.db_split)
+    paths = (args.query_codes, args.db_codes)   # a side with no file is encoded
+    codes = [None if p is None else retrieval.load_codes(p) for p in paths]
+    _check_inputs(model, data, [
+        (p, c, experiment.split_indices(model, s))
+        for p, c, s in zip(paths, codes, splits) if p is not None])
+    result = experiment.evaluate_direction(model, data, args.direction,
+                                           *splits, *codes)
     retrieval.write_result_csv(args.out, [result])
     for direction, group, bits, m, nq in result.rows():
         print(f"{direction} {group:>4} {bits}bit map={m:.4f} queries={nq}")

@@ -177,15 +177,16 @@ def encode_split(model: HashModel, dataset: MultiModalDataset,
 
 def evaluate_direction(model: HashModel, dataset: MultiModalDataset,
                        direction: str, query_split="query",
-                       db_split="retrieval"):
-    """Retrieval MAP in one of the DIRECTIONS."""
+                       db_split="retrieval", query_codes=None, db_codes=None):
+    """Retrieval MAP in a direction; a side given no codes is encoded."""
     if direction not in DIRECTIONS:
         raise ConfigError(f"unknown direction {direction!r}")
     q_mod, db_mod = DIRECTIONS[direction]
-    q_idx = split_indices(model, query_split)
-    db_idx = split_indices(model, db_split)
-    q_codes = encode_split(model, dataset, q_mod, query_split)
-    db_codes = encode_split(model, dataset, db_mod, db_split)
-    return retrieval.evaluate(q_codes, dataset.labels[q_idx],
-                              db_codes, dataset.labels[db_idx],
-                              model.partition, direction)
+    if query_codes is None:
+        query_codes = encode_split(model, dataset, q_mod, query_split)
+    if db_codes is None:
+        db_codes = encode_split(model, dataset, db_mod, db_split)
+    return retrieval.evaluate(
+        query_codes, dataset.labels[split_indices(model, query_split)],
+        db_codes, dataset.labels[split_indices(model, db_split)],
+        model.partition, direction)

@@ -406,15 +406,9 @@ def _read_embedder(f: BinaryIO) -> MetaEmbedder:
     if not 0 <= eta_max < np.inf:   # eta's clamp
         raise FormatError(f"inconsistent model: eta_max {eta_max} at offset "
                           f"{at + 3} is not finite and >= 0")
-    nets = []
-    for what in ("basic net", "weight net"):
-        at = f.tell()
-        try:
-            nets.append(read_net(f))
-        except ShapeError as e:
-            raise FormatError(f"inconsistent model: {what} at offset {at}: "
-                              f"{e}") from None
-    basic, weight = nets
+    basic = read_net(f, "basic net")
+    at = f.tell()
+    weight = read_net(f, "weight net")
     if weight.input_dim != basic.output_dim:
         raise FormatError(f"inconsistent model: weight net input "
                           f"{weight.input_dim} at offset {at + 4}, expected "

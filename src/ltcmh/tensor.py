@@ -235,9 +235,10 @@ def read_header(f: BinaryIO, magic: bytes, version: int, what: str):
         raise FormatError(f"unsupported {what} version {got} at offset 4")
 
 
-def read_net(f: BinaryIO) -> FeedForwardNet:
+def read_net(f: BinaryIO, what: str = "net") -> FeedForwardNet:
     """Read a net written by write_net; a FormatError names the offset of
-    the field it rejects, and an empty or broken chain is a ShapeError."""
+    the field it rejects, or of the net if its chain is empty or broken."""
+    where = f"inconsistent model: {what} at offset {f.tell()}"
     (n_layers,) = struct.unpack("<I", read_exact(f, 4, "layer count"))
     dims = []
     for k in range(1, n_layers + 1):
@@ -249,11 +250,11 @@ def read_net(f: BinaryIO) -> FeedForwardNet:
             raise FormatError(f"bad layer dims {din}x{dout} at offset {at}")
         dims.append((din, dout))
     if not dims:
-        raise ShapeError("a net needs at least one layer")
+        raise FormatError(f"{where}: a net needs at least one layer")
     for (_, out), (din, _) in zip(dims, dims[1:]):
         if out != din:
-            raise ShapeError(f"layer chain broken: output_dim {out} "
-                             f"!= next input_dim {din}")
+            raise FormatError(f"{where}: layer chain broken: output_dim "
+                              f"{out} != next input_dim {din}")
     net = object.__new__(FeedForwardNet)
     net.weights, net.biases = [], []
     for din, dout in dims:

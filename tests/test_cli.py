@@ -663,24 +663,41 @@ def test_eval_codes_not_fitting_split_io_error(pipeline, tmp_path, capsys,
     q = tmp_path / "q.lcmb"
     retrieval.save_codes(q, retrieval.binarize(
         np.ones((c, n_query + extra_rows))))
-    assert main(["eval", "--model", model_path, "--dataset", data_path,
-                 "--direction", "t2i", "--query-codes", str(q),
-                 "--db-codes", str(db),
-                 "--out", str(tmp_path / "r.csv")]) == 2
-    assert f"holds {n_query + extra_rows} codes of {c} bits" in (
-        capsys.readouterr().err)
+    for given in (["--db-codes", str(db)], []):   # with and without db codes
+        assert main(["eval", "--model", model_path, "--dataset", data_path,
+                     "--direction", "t2i", "--query-codes", str(q), *given,
+                     "--out", str(tmp_path / "r.csv")]) == 2
+        assert f"holds {n_query + extra_rows} codes of {c} bits" in (
+            capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("direction", ["i2t", "t2i"])
 @pytest.mark.parametrize("given, missing", [("--query-codes", "--db-codes"),
                                             ("--db-codes", "--query-codes")])
-def test_eval_one_codes_file_usage_error(pipeline, codes, tmp_path, capsys,
-                                         given, missing):
-    assert main(["eval", "--model", str(pipeline / "run" / "model.lcmh"),
-                 "--dataset", str(pipeline / "data" / "dataset.lcmd"),
-                 "--direction", "i2t", given, str(codes[0]),
-                 "--out", str(tmp_path / "r.csv")]) == 1
-    assert f"{missing} is missing" in capsys.readouterr().err
-    assert not (tmp_path / "r.csv").exists()
+def test_eval_one_codes_file_encodes_the_other_side(pipeline, tmp_path,
+                                                    monkeypatch, given,
+                                                    missing, direction):
+    # the side with a file ranks its stored codes and only the missing
+    # side is encoded; the CSV is the one of the eval with no files
+    model_path = str(pipeline / "run" / "model.lcmh")
+    data_path = str(pipeline / "data" / "dataset.lcmd")
+    sides = {"--query-codes": (experiment.DIRECTIONS[direction][0], "query"),
+             "--db-codes": (experiment.DIRECTIONS[direction][1], "retrieval")}
+    stored = tmp_path / "stored.lcmb"
+    modality, split = sides[given]
+    assert main(["encode", "--model", model_path, "--dataset", data_path,
+                 "--modality", modality, "--split", split,
+                 "--out", str(stored)]) == 0
+    common = ["eval", "--model", model_path, "--dataset", data_path,
+              "--direction", direction]
+    direct, pre = tmp_path / "direct.csv", tmp_path / "pre.csv"
+    assert main([*common, "--out", str(direct)]) == 0
+    calls, encode = [], experiment.encode_split
+    monkeypatch.setattr(experiment, "encode_split",
+                        lambda *a: calls.append(a[2:]) or encode(*a))
+    assert main([*common, given, str(stored), "--out", str(pre)]) == 0
+    assert calls == [sides[missing]]
+    assert pre.read_bytes() == direct.read_bytes()
 
 
 def test_eval_empty_database_numerical_error(pipeline, tmp_path, capsys):
@@ -720,6 +737,20 @@ def test_evaluate_direction_unknown_direction(pipeline):
     data = load_dataset(pipeline / "data" / "dataset.lcmd")
     with pytest.raises(ConfigError, match="unknown direction 'sideways'"):
         experiment.evaluate_direction(model, data, "sideways")
+
+
+@pytest.mark.parametrize("direction", ["i2t", "t2i"])
+def test_evaluate_direction_given_codes_match_encoded(pipeline, direction):
+    model = hash_learn.load_model(pipeline / "run" / "model.lcmh")
+    data = load_dataset(pipeline / "data" / "dataset.lcmd")
+    q_mod, db_mod = experiment.DIRECTIONS[direction]
+    q = experiment.encode_split(model, data, q_mod, "query")
+    db = experiment.encode_split(model, data, db_mod, "retrieval")
+    ap = experiment.evaluate_direction(model, data, direction).ap
+    for given in ({"query_codes": q, "db_codes": db}, {"query_codes": q},
+                  {"db_codes": db}):
+        got = experiment.evaluate_direction(model, data, direction, **given)
+        assert got.ap.tobytes() == ap.tobytes()
 
 
 def test_eval_bad_direction_usage_error(pipeline, tmp_path):

@@ -164,7 +164,7 @@ def test_layer_chain_mismatch_raises(rng):
     # widths always chain; weights that do not are caught on reading
     net = FeedForwardNet([3, 4, 2], rng)
     net.weights[1] = np.zeros((2, 5))
-    with pytest.raises(ShapeError, match="output_dim 4 != next input_dim 5"):
+    with pytest.raises(FormatError, match="output_dim 4 != next input_dim 5"):
         read_net(io.BytesIO(_net_bytes(net)))
 
 
@@ -380,14 +380,14 @@ def test_load_net_truncated_raises(rng):
 def test_net_chain_checked_on_build_and_read(specs, message, rng):
     # widths cannot break a chain, so FeedForwardNet's one shape error is
     # fewer than two of them; read_net checks the (in, out) specs, with tag
-    # 1 on the hidden layer, and a model load turns the ShapeError into
-    # FormatError
+    # 1 on the hidden layer, and rejects an empty or broken chain with a
+    # FormatError that names the net's start offset
     with pytest.raises(ShapeError, match="at least one layer"):
         FeedForwardNet([din for din, _ in specs[:1]], rng)
     raw = struct.pack("<I", len(specs)) + b"".join(
         struct.pack("<IIB", din, dout, k < len(specs))
         for k, (din, dout) in enumerate(specs, 1))
-    with pytest.raises(ShapeError, match=message):
+    with pytest.raises(FormatError, match=f"net at offset 0: .*{message}"):
         read_net(io.BytesIO(raw + bytes(64)))
 
 
