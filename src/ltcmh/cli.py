@@ -33,16 +33,24 @@ def _common_config(p):
                    metavar="KEY=VALUE", help="override any config key")
 
 
-def _load_cfg(args):
-    """The config of a command that makes its --out directory after the
-    work (see _outdir); an --out that is, or is under, a file fails first."""
-    seed = [] if args.seed is None else [f"seed={args.seed}"]
-    cfg = experiment.load_config(args.config, args.overrides + seed)
-    out = Path(args.out)
-    found = next(p for p in (out, *out.parents) if p.exists())
+def _check_out(out, is_file):
+    """Raise OSError unless --out can be written: an output directory (made
+    after the work, see _outdir) may not be, or be under, a file, and an
+    output file needs an existing directory and may not be one itself."""
+    out = Path(out)
+    where = out.parent if is_file else out
+    found = next(p for p in (where, *where.parents) if p.exists())
     if not found.is_dir():
         raise NotADirectoryError(f"--out {out}: {found} is not a directory")
-    return cfg
+    if is_file and found != where:
+        raise FileNotFoundError(f"--out {out}: {where} does not exist")
+    if is_file and out.is_dir():
+        raise IsADirectoryError(f"--out {out} is a directory")
+
+
+def _load_cfg(args):
+    seed = [] if args.seed is None else [f"seed={args.seed}"]
+    return experiment.load_config(args.config, args.overrides + seed)
 
 
 def _outdir(args, cfg):
@@ -235,6 +243,8 @@ def main(argv=None):
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
+        if "out" in args:   # before any file is read or work is done
+            _check_out(args.out, args.func in (cmd_encode, cmd_eval))
         return args.func(args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)

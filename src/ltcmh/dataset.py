@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, FormatError, ShapeError
 from .tensor import (read_array, read_end, read_exact, read_header,
-                     write_header)
+                     write_array, write_header)
 
 DATASET_MAGIC = b"LCMD"
 DATASET_FORMAT_VERSION = 1
@@ -250,14 +250,13 @@ def split_query_retrieval(dataset: MultiModalDataset,
 def save_dataset(dataset: MultiModalDataset, path):
     with open(path, "wb") as f:
         write_header(f, DATASET_MAGIC, DATASET_FORMAT_VERSION)
-        n, d_x = dataset.X.shape
-        d_y = dataset.Y.shape[1]
-        L = dataset.labels.shape[1]
-        f.write(struct.pack("<QQQQ", n, d_x, d_y, L))
-        f.write(dataset.X.astype("<f8").tobytes())
-        f.write(dataset.Y.astype("<f8").tobytes())
-        f.write(np.packbits(dataset.labels.astype(np.uint8), axis=1,
-                            bitorder="little").tobytes())
+        f.write(struct.pack("<QQQQ", *dataset.X.shape, dataset.Y.shape[1],
+                            dataset.labels.shape[1]))
+        write_array(f, dataset.X, "<f8")
+        write_array(f, dataset.Y, "<f8")
+        labels = dataset.labels.astype(np.uint8, copy=False)
+        write_array(f, np.packbits(labels, axis=1, bitorder="little"),
+                    np.uint8)
 
 
 def load_dataset(path) -> MultiModalDataset:

@@ -26,7 +26,7 @@ from .errors import ConfigError, FormatError, ShapeError, TrainingError
 from .meta_embed import MetaEmbedder, PrototypeBank, compute_prototypes
 from .tensor import (FeedForwardNet, read_array, read_end, read_exact,
                      read_header, read_net, sgd_step, sigmoid, softplus,
-                     write_header, write_net)
+                     write_array, write_header, write_net)
 
 MODEL_MAGIC = b"LCMH"
 MODEL_FORMAT_VERSION = 2
@@ -364,7 +364,7 @@ def encode_features(model: HashModel, features: np.ndarray, modality: str):
 
 def _write_array(f: BinaryIO, arr: np.ndarray, dtype: str):
     f.write(struct.pack(f"<I{arr.ndim}Q", arr.ndim, *arr.shape))
-    f.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+    write_array(f, arr, dtype)
 
 
 def _read_array(f: BinaryIO, dtype: str, what: str, *dims) -> np.ndarray:
@@ -425,7 +425,7 @@ def _read_embedder(f: BinaryIO) -> MetaEmbedder:
 def _write_bank(f: BinaryIO, bank: PrototypeBank):
     _write_array(f, bank.centroids, "<f8")
     _write_array(f, bank.counts, "<i8")
-    _write_array(f, bank.is_head.astype(np.uint8), "<u1")
+    _write_array(f, bank.is_head, "<u1")
 
 
 def _read_bank(f: BinaryIO, side: str, L: int, c: int) -> PrototypeBank:

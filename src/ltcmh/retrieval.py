@@ -17,7 +17,7 @@ import numpy as np
 from .dataset import build_affinity
 from .errors import EvaluationError, FormatError, ShapeError
 from .tensor import (read_array, read_end, read_exact, read_header,
-                     write_header)
+                     write_array, write_header)
 
 CODES_MAGIC = b"LCMB"
 CODES_FORMAT_VERSION = 1
@@ -84,31 +84,27 @@ def average_precision(relevance: np.ndarray) -> float:
 class RetrievalResult:
     direction: str
     code_bits: int
-    ap: np.ndarray             # per-query AP
-    map_all: float
-    map_head: float
-    map_tail: float
-    num_queries: int
-    num_head_queries: int
-    num_tail_queries: int
+    ap: np.ndarray        # per-query AP
+    is_tail: np.ndarray   # per-query tail flag (query_groups)
 
     def rows(self):
-        """Table rows: (direction, group, code_bits, map, num_queries)."""
-        return [
-            (self.direction, "all", self.code_bits, self.map_all,
-             self.num_queries),
-            (self.direction, "head", self.code_bits, self.map_head,
-             self.num_head_queries),
-            (self.direction, "tail", self.code_bits, self.map_tail,
-             self.num_tail_queries),
-        ]
+        """Table rows: (direction, group, code_bits, map, num_queries) for
+        all, head and tail queries; a group with no queries reads map 0."""
+        groups = {"all": np.ones_like(self.is_tail), "head": ~self.is_tail,
+                  "tail": self.is_tail}
+        return [(self.direction, group, self.code_bits,
+                 float(self.ap[m].mean()) if m.any() else 0.0, int(m.sum()))
+                for group, m in groups.items()]
+
+    map_all = property(lambda self: self.rows()[0][3])
+    map_tail = property(lambda self: self.rows()[2][3])
 
 
 def query_groups(query_labels: np.ndarray, is_head: np.ndarray):
-    """A query is in the tail group if any of its labels is a tail class."""
+    """Each query's tail flag: a query is in the tail group if any of its
+    labels is a tail class, and in the head group otherwise."""
     labels = np.asarray(query_labels) > 0
-    is_tail = (labels & ~is_head[None, :]).any(axis=1)
-    return ~is_tail, is_tail
+    return (labels & ~is_head[None, :]).any(axis=1)
 
 
 def _rank_relevance(keys):
@@ -122,8 +118,8 @@ def _rank_relevance(keys):
 def evaluate(query_codes: BinaryCodeMatrix, query_labels: np.ndarray,
              db_codes: BinaryCodeMatrix, db_labels: np.ndarray,
              is_head: np.ndarray, direction: str) -> RetrievalResult:
-    """Rank the database for every query and compute MAP with head/tail
-    breakdown. Relevance = sharing at least one label.
+    """Rank the database for every query and compute its AP, with its tail
+    flag for the head/tail breakdown. Relevance = sharing at least one label.
 
     Each (query, database item) pair gets one unique unsigned key,
     distance << s | index << 1 | relevant, in the narrowest dtype that
@@ -186,18 +182,8 @@ def evaluate(query_codes: BinaryCodeMatrix, query_labels: np.ndarray,
                     score(start - step, ranked.result())
                 ranked = ranking
             score(starts[-1], ranked.result())
-    head_mask, tail_mask = query_groups(query_labels, is_head)
-    return RetrievalResult(
-        direction=direction,
-        code_bits=query_codes.c,
-        ap=ap,
-        map_all=float(ap.mean()),
-        map_head=float(ap[head_mask].mean()) if head_mask.any() else 0.0,
-        map_tail=float(ap[tail_mask].mean()) if tail_mask.any() else 0.0,
-        num_queries=query_codes.n,
-        num_head_queries=int(head_mask.sum()),
-        num_tail_queries=int(tail_mask.sum()),
-    )
+    return RetrievalResult(direction=direction, code_bits=query_codes.c,
+                           ap=ap, is_tail=query_groups(query_labels, is_head))
 
 
 def write_result_csv(path, results):
@@ -205,9 +191,8 @@ def write_result_csv(path, results):
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["direction", "group", "code_bits", "map", "num_queries"])
-        for r in results:
-            for row in r.rows():
-                w.writerow([row[0], row[1], row[2], f"{row[3]:.6f}", row[4]])
+        w.writerows([d, g, bits, f"{m:.6f}", nq]
+                    for r in results for d, g, bits, m, nq in r.rows())
 
 
 # --- code file I/O ------------------------------------------------------------
@@ -216,7 +201,7 @@ def save_codes(path, codes: BinaryCodeMatrix):
     with open(path, "wb") as f:
         write_header(f, CODES_MAGIC, CODES_FORMAT_VERSION)
         f.write(struct.pack("<QQ", codes.n, codes.c))
-        f.write(codes.words.astype("<u8").tobytes())
+        write_array(f, codes.words, "<u8")
 
 
 def load_codes(path) -> BinaryCodeMatrix:

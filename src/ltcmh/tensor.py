@@ -177,23 +177,18 @@ def write_net(f: BinaryIO, net: FeedForwardNet):
         f.write(struct.pack("<IIB", w.shape[1], w.shape[0],
                             k < len(net.weights)))
     for w, b in zip(net.weights, net.biases):
-        f.write(w.astype("<f8").tobytes())
-        f.write(b.astype("<f8").tobytes())
+        write_array(f, w, "<f8")
+        write_array(f, b, "<f8")
+
+
+def write_array(f: BinaryIO, arr, dtype):
+    """Write arr as a C-order array of dtype, copying only if it is not one."""
+    f.write(np.ascontiguousarray(arr, dtype=dtype).data)
 
 
 def read_exact(f: BinaryIO, n: int, what: str) -> bytes:
-    """Read exactly n bytes of `what`, or raise FormatError.
-
-    n is checked against the bytes left in the stream before reading, so a
-    corrupt size field cannot ask for an allocation larger than the file.
-    """
-    pos = f.tell()
-    left = f.seek(0, 2) - pos
-    f.seek(pos)
-    if n > left:
-        raise FormatError(f"truncated while reading {what} at offset {pos}: "
-                          f"{n} bytes needed, {left} left")
-    return f.read(n)
+    """Read exactly n bytes of `what` through read_array's bound check."""
+    return read_array(f, np.uint8, (n,), what).tobytes()
 
 
 def read_end(f: BinaryIO):
@@ -204,15 +199,25 @@ def read_end(f: BinaryIO):
 
 def read_array(f: BinaryIO, dtype, shape, what: str,
                finite=False) -> np.ndarray:
-    """Read a C-order array of `shape` through read_exact, or raise
-    FormatError; with `finite`, also if an entry is NaN or infinite."""
+    """Read a C-order array of `shape` straight into a new array, or raise
+    FormatError; with `finite`, also if an entry is NaN or infinite. The
+    size is checked against the bytes left before anything is allocated,
+    so a corrupt size field cannot ask for more memory than the file has."""
     dtype = np.dtype(dtype)
     pos = f.tell()
-    buf = read_exact(f, math.prod(shape) * dtype.itemsize, what)
-    try:
-        arr = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
-    except ValueError:  # an empty array whose other dims overflow
-        raise FormatError(f"bad {what} shape {shape} at offset {pos}") from None
+    n = math.prod(shape) * dtype.itemsize
+    left = f.seek(0, 2) - pos
+    f.seek(pos)
+    if n <= left:
+        try:
+            arr = np.empty(shape, dtype)
+        except ValueError:  # an empty array whose other dims overflow
+            raise FormatError(f"bad {what} shape {shape} at offset "
+                              f"{pos}") from None
+        left = f.readinto(arr.data)   # below n if the file shrank
+    if n > left:
+        raise FormatError(f"truncated while reading {what} at offset {pos}: "
+                          f"{n} bytes needed, {left} left")
     if finite and not np.isfinite(arr).all():
         raise FormatError(f"inconsistent model: {what} at offset {pos} "
                           f"are not finite")

@@ -308,30 +308,67 @@ def test_train_missing_dataset_io_error(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("under", ["", "sub"], ids=["is_file", "under_file"])
-@pytest.mark.parametrize("command", ["synth", "train", "sweep"])
-def test_out_file_rejected_before_the_work(pipeline, tmp_path, capsys,
-                                           monkeypatch, command, under):
-    # an --out that is, or is under, a file is found before the dataset is
-    # read or made and before any training; the file is left as it was and
-    # nothing is written
+def _patch_out_the_work(monkeypatch):
     def work(*args, **kwargs):
         raise AssertionError("the work started")
 
     for name in ("synthesize_long_tailed", "load_dataset"):
         monkeypatch.setattr(f"ltcmh.dataset.{name}", work)
     monkeypatch.setattr(hash_learn, "train", work)
-    out = tmp_path / "taken"
-    out.write_bytes(b"keep")
-    args = [command, "--out", str(out / under), *_sets()]
+    monkeypatch.setattr(hash_learn, "load_model", work)
+
+
+def _out_args(pipeline, command, out):
+    """The arguments of a command that would write to `out`."""
+    args = [command, "--out", str(out)]
+    if command in ("synth", "train", "sweep"):
+        args += _sets()
     if command != "synth":
         args += ["--dataset", str(pipeline / "data" / "dataset.lcmd")]
-    if command == "sweep":
-        args += ["--param", "alpha", "--values", "1"]
-    assert main(args) == 2
+    if command in ("encode", "eval"):
+        args += ["--model", str(pipeline / "run" / "model.lcmh")]
+    return args + {"sweep": ["--param", "alpha", "--values", "1"],
+                   "encode": ["--modality", "image"],
+                   "eval": ["--direction", "i2t"]}.get(command, [])
+
+
+@pytest.mark.parametrize("command, under", [
+    pytest.param(command, under, id=f"{command}-{case}")
+    for command in ("synth", "train", "sweep", "encode", "eval")
+    for under, case in (("", "is_file"), ("sub", "under_file"))
+    # encode and eval write a file, and may write over one
+    if under or command in ("synth", "train", "sweep")])
+def test_out_file_rejected_before_the_work(pipeline, tmp_path, capsys,
+                                           monkeypatch, command, under):
+    # an --out that is, or is under, a file is found before the dataset or
+    # model is read or made and before any training; the file is left as it
+    # was and nothing is written
+    _patch_out_the_work(monkeypatch)
+    out = tmp_path / "taken"
+    out.write_bytes(b"keep")
+    assert main(_out_args(pipeline, command, out / under)) == 2
     assert (f"--out {out / under}: {out} is not a directory"
             in capsys.readouterr().err)
     assert out.read_bytes() == b"keep" and list(tmp_path.iterdir()) == [out]
+
+
+@pytest.mark.parametrize("command", ["encode", "eval"])
+@pytest.mark.parametrize("case", ["is_dir", "no_dir"])
+def test_out_file_unwritable_rejected_before_the_work(
+        pipeline, tmp_path, capsys, monkeypatch, command, case):
+    # encode and eval write one file: an --out that is a directory, or in
+    # a directory that does not exist, fails before the model is read
+    _patch_out_the_work(monkeypatch)
+    out = tmp_path / "out"
+    if case == "is_dir":
+        out.mkdir()
+    else:
+        out = out / "codes.lcmb"
+    assert main(_out_args(pipeline, command, out)) == 2
+    message = (f"--out {out} is a directory" if case == "is_dir" else
+               f"--out {out}: {out.parent} does not exist")
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == ([out] if case == "is_dir" else [])
 
 
 @pytest.mark.parametrize("setting, message", [

@@ -193,7 +193,8 @@ def _full_matrix_evaluate(q, ql, db, dl, is_head):
     rankings = np.argsort(_unpacked_distances(q, db), axis=1, kind="stable")
     ap = np.array([average_precision(relevant[i, rankings[i]])
                    for i in range(q.n)])
-    head, tail = query_groups(ql, is_head)
+    tail = query_groups(ql, is_head)
+    head = ~tail
     return (ap, float(ap.mean()),
             float(ap[head].mean()) if head.any() else 0.0,
             float(ap[tail].mean()) if tail.any() else 0.0)
@@ -211,7 +212,7 @@ def _assert_every_chunking_matches_full_matrix(monkeypatch, n_q, c, n_db,
         monkeypatch.setattr(retrieval, "EVAL_PAIRS", pairs)
         result = evaluate(q, ql, db, dl, part, "i2t")
         assert np.array_equal(result.ap, ap)
-        assert [result.map_all, result.map_head, result.map_tail] == maps
+        assert [row[3] for row in result.rows()] == maps
 
 
 @pytest.mark.parametrize("n_q", [16, 69])
@@ -340,7 +341,7 @@ def test_evaluate_single_perfect_query():
     result = evaluate(codes, labels, codes, labels,
                       np.array([True, False]), "i2t")
     assert result.map_all == 1.0
-    assert result.num_queries == 1
+    assert result.rows()[0][3:] == (1.0, 1)
 
 
 def test_evaluate_matches_brute_force(rng):
@@ -355,10 +356,12 @@ def test_evaluate_matches_brute_force(rng):
     aps = _sort_oracle_aps(q, ql, db, dl)
     assert result.map_all == pytest.approx(np.mean(aps))
     tail = ql[:, 2] > 0
+    assert np.array_equal(result.is_tail, tail)
+    _, (*_, map_head, _), (*_, map_tail, _) = result.rows()
     if tail.any():
-        assert result.map_tail == pytest.approx(np.mean(np.array(aps)[tail]))
+        assert map_tail == pytest.approx(np.mean(np.array(aps)[tail]))
     if (~tail).any():
-        assert result.map_head == pytest.approx(np.mean(np.array(aps)[~tail]))
+        assert map_head == pytest.approx(np.mean(np.array(aps)[~tail]))
 
 
 def test_evaluate_empty_queries_raises(rng):
@@ -408,9 +411,7 @@ def test_evaluate_label_rows_mismatch(rng, n_ql, n_dl):
 def test_query_groups_any_tail_rule():
     part = np.array([True, False])
     labels = np.array([[1, 0], [1, 1], [0, 1]], dtype=np.uint8)
-    head, tail = query_groups(labels, part)
-    assert list(head) == [True, False, False]
-    assert list(tail) == [False, True, True]
+    assert list(query_groups(labels, part)) == [False, True, True]
 
 
 def test_evaluate_db_shuffle_invariance(rng):
@@ -444,6 +445,28 @@ def test_result_csv_table_shape(tmp_path, rng):
     rows = [tuple(l.split(",")[:2]) for l in lines[1:]]
     assert rows == [("i2t", "all"), ("i2t", "head"), ("i2t", "tail"),
                     ("t2i", "all"), ("t2i", "head"), ("t2i", "tail")]
+
+
+@pytest.mark.parametrize("pairs", [9, 9 * 7], ids=["chunks", "one_chunk"])
+@pytest.mark.parametrize("tail", [False, True], ids=["all_head", "all_tail"])
+def test_empty_group_reads_map_zero(tmp_path, rng, monkeypatch, pairs, tail):
+    # every query in one group: in rows() and the CSV the other group reads
+    # map 0 with 0 queries, and the full group the mean of every AP
+    monkeypatch.setattr(retrieval, "EVAL_PAIRS", pairs)
+    q, db = _random_codes(rng, 7, 16), _random_codes(rng, 9, 16)
+    ql, dl = _random_labels(rng, 7, 3), _random_labels(rng, 9, 3)
+    result = evaluate(q, ql, db, dl, np.full(3, not tail), "i2t")
+    full, empty = ("tail", "head") if tail else ("head", "tail")
+    mean = float(result.ap.mean())
+    assert mean > 0
+    want = {"all": (mean, 7), full: (mean, 7), empty: (0.0, 0)}
+    groups = ("all", "head", "tail")
+    assert result.rows() == [("i2t", g, 16, *want[g]) for g in groups]
+    write_result_csv(tmp_path / "result.csv", [result])
+    lines = (tmp_path / "result.csv").read_text().splitlines()
+    assert lines[1:] == [f"i2t,{g},16,{want[g][0]:.6f},{want[g][1]}"
+                         for g in groups]
+    assert f"i2t,{empty},16,0.000000,0" in lines
 
 
 # --- code file I/O -----------------------------------------------------------------

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from ltcmh.errors import FormatError, ShapeError, TrainingError
 from ltcmh.tensor import (FeedForwardNet, _relu_grad, finite_diff_grad,
-                          read_end, read_net, sgd_step, sigmoid, softplus,
-                          write_net)
+                          read_array, read_end, read_net, sgd_step, sigmoid,
+                          softplus, write_array, write_net)
 
 
 def rel_err(a, b):
@@ -371,6 +371,49 @@ def test_load_net_truncated_raises(rng):
     for end in range(len(raw)):
         with pytest.raises(FormatError):
             read_net(io.BytesIO(raw[:end]))
+
+
+_ARRAYS = {
+    "c_order": np.arange(12.0).reshape(3, 4),
+    "f_order": np.asfortranarray(np.arange(12.0).reshape(3, 4)),
+    "big_endian": np.arange(12, dtype=">i8").reshape(3, 4),
+    "strided": np.arange(24, dtype=np.uint64)[::2],
+    "bool": np.array([True, False, True]),
+    "empty": np.empty((0, 5)),
+}
+
+
+@pytest.mark.parametrize("dtype", ["<f8", "<i8", "<u8", np.uint8])
+@pytest.mark.parametrize("name", _ARRAYS)
+def test_write_array_writes_the_astype_bytes(name, dtype):
+    a = _ARRAYS[name]
+    f = io.BytesIO()
+    write_array(f, a, dtype)
+    assert f.getvalue() == np.asarray(a).astype(dtype).tobytes()
+    f.seek(0)
+    back = read_array(f, dtype, a.shape, "array")
+    assert np.array_equal(back, a.astype(dtype)) and back.flags.c_contiguous
+
+
+def test_read_array_checks_the_size_before_allocating(monkeypatch):
+    # a shape larger than the file is a truncation FormatError before any
+    # array is allocated; a file that ends during the read is one too
+    def allocation(*args, **kwargs):
+        raise AssertionError("allocated before the size check")
+
+    f = io.BytesIO(b"\0" * 24)
+    with monkeypatch.context() as m:
+        m.setattr(np, "empty", allocation)
+        with pytest.raises(FormatError, match=r"truncated while reading X at "
+                           r"offset 0: 8796093022208 bytes needed, 24 left"):
+            read_array(f, "<f8", (2**40,), "X")
+
+    class Shrinking(io.BytesIO):
+        def readinto(self, b):   # the file lost its last byte
+            return super().readinto(memoryview(b).cast("B")[:-1])
+
+    with pytest.raises(FormatError, match="24 bytes needed, 23 left"):
+        read_array(Shrinking(b"\0" * 24), "<f8", (3,), "X")
 
 
 @pytest.mark.parametrize("specs, message", [
