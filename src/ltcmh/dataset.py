@@ -111,25 +111,26 @@ def synthesize_long_tailed(spec: LongTailSpec, seed: int) -> MultiModalDataset:
     a_x = rng.normal(size=(spec.d_x, spec.latent_dim)) / np.sqrt(spec.latent_dim)
     a_y = rng.normal(size=(spec.d_y, spec.latent_dim)) / np.sqrt(spec.latent_dim)
 
-    xs, ys, labs = [], [], []
-    for k in range(L):
-        m = int(counts[k])
+    n = int(counts.sum())
+    X = np.empty((n, spec.d_x))
+    Y = np.empty((n, spec.d_y))
+    labels = np.zeros((n, L), dtype=np.uint8)
+    start = 0
+    for k, m in enumerate(counts.tolist()):
+        rows = slice(start, start + m)
+        start += m
         n_mixed = int(np.floor(spec.mixed_fraction * m)) if L > 1 else 0
         second = rng.integers(0, L - 1, size=n_mixed) if n_mixed else np.empty(0, int)
         second = np.where(second >= k, second + 1, second)
-        lab = np.zeros((m, L), dtype=np.uint8)
-        lab[:, k] = 1
-        lab[np.arange(n_mixed), second] = 1
+        labels[rows, k] = 1
+        labels[rows.start + np.arange(n_mixed), second] = 1
         z = np.tile(centers[k], (m, 1))
         z[:n_mixed] = 0.5 * (centers[k] + centers[second])
         z = z + rng.normal(size=z.shape) * 0.3
-        xs.append(z @ a_x.T + rng.normal(size=(m, spec.d_x)) * spec.noise_std)
-        ys.append(z @ a_y.T + rng.normal(size=(m, spec.d_y)) * spec.noise_std)
-        labs.append(lab)
+        X[rows] = z @ a_x.T + rng.normal(size=(m, spec.d_x)) * spec.noise_std
+        Y[rows] = z @ a_y.T + rng.normal(size=(m, spec.d_y)) * spec.noise_std
 
-    return MultiModalDataset(
-        X=np.concatenate(xs), Y=np.concatenate(ys), labels=np.concatenate(labs)
-    )
+    return MultiModalDataset(X=X, Y=Y, labels=labels)
 
 
 def check_split_keys(min_keep=1, max_keep=1, queries_per_class=0):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import hash_learn, retrieval
+from . import hash_learn, meta_embed, retrieval
 from .dataset import (LongTailSpec, MultiModalDataset, check_split_keys,
                       split_query_retrieval, trim_labels)
 from .errors import ConfigError
@@ -169,10 +169,17 @@ def split_indices(model: HashModel, name: str) -> np.ndarray:
 
 def encode_split(model: HashModel, dataset: MultiModalDataset,
                  modality: str, split: str) -> BinaryCodeMatrix:
+    """binarize(encode_features(model, the split's features, modality)),
+    streamed: each of meta_embed.embed_chunks's chunks gathers only its
+    own rows and is packed straight into the code words, so beside them
+    memory is one chunk's."""
+    embedder, bank = model.side(modality)
     idx = split_indices(model, split)
-    feats = dataset.X[idx] if modality == "image" else dataset.Y[idx]
-    V = hash_learn.encode_features(model, feats, modality)
-    return retrieval.binarize(V)
+    feats = dataset.X if modality == "image" else dataset.Y
+    words = np.empty((idx.size, (model.code_length + 63) // 64), np.uint64)
+    for rows, V in meta_embed.embed_chunks(embedder, feats, bank, idx):
+        words[rows] = retrieval.binarize(V).words
+    return BinaryCodeMatrix(c=model.code_length, words=words)
 
 
 def evaluate_direction(model: HashModel, dataset: MultiModalDataset,

@@ -103,6 +103,14 @@ class HashModel:
         """is_head per class, as split_head_tail gave it in training."""
         return self.bank_x.is_head
 
+    def side(self, modality: str):
+        """The (embedder, bank) pair that encodes a modality."""
+        if modality == "image":
+            return self.embedder_x, self.bank_x
+        if modality == "text":
+            return self.embedder_y, self.bank_y
+        raise ConfigError(f"unknown modality {modality!r}")
+
 
 def pairwise_phi(Vx: np.ndarray, Vy: np.ndarray) -> np.ndarray:
     """Phi_ij = 1/2 <Vx column i, Vy column j>."""
@@ -353,11 +361,8 @@ def train(dataset: MultiModalDataset, train_indices: np.ndarray,
 def encode_features(model: HashModel, features: np.ndarray, modality: str):
     """Meta features (c x samples) for new data using the stored banks,
     computed in chunks by meta_embed.embed_chunked."""
-    if modality == "image":
-        return meta_embed.embed_chunked(model.embedder_x, features, model.bank_x)
-    if modality == "text":
-        return meta_embed.embed_chunked(model.embedder_y, features, model.bank_y)
-    raise ConfigError(f"unknown modality {modality!r}")
+    embedder, bank = model.side(modality)
+    return meta_embed.embed_chunked(embedder, features, bank)
 
 
 # --- persistence --------------------------------------------------------------

@@ -9,9 +9,10 @@ softmax-weighted combination of per-class centroids, and the meta feature is
 where eta trades direct against memory evidence. eta is a ratio of a
 sample's squared distances to the nearest head and tail prototypes, in one
 of two modes: ``intent_ratio`` (default: near-head samples get small eta)
-or ``as_printed`` (the reciprocal ratio). One GEMM per group picks each
-sample's nearest centroid, and only that distance is summed; its bits are
-those of the per-centroid definition whatever the GEMM rounds.
+or ``as_printed`` (the reciprocal ratio). One GEMM over the non-empty
+centroids picks each sample's nearest head and nearest tail centroid, and
+only those distances are summed; their bits are those of the per-centroid
+definition whatever the GEMM rounds.
 """
 
 from __future__ import annotations
@@ -110,34 +111,42 @@ def _loop_nearest(v: np.ndarray, C: np.ndarray) -> np.ndarray:
     return d
 
 
-def _nearest(v: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """_loop_nearest(v, C) bit for bit, at about one GEMM's cost.
+def _nearest(v: np.ndarray, C: np.ndarray, groups) -> list:
+    """[_loop_nearest(v, C[g]) for g in groups] bit for bit, at about one
+    GEMM's cost; each g is a bool mask over the rows of C.
 
-    A GEMM bounds each (centroid, row) distance from below; a row's least
-    bound picks the one distance d summed as the loop sums it. d stands if
-    every other bound is finite and >= d, else (ties, duplicates, NaN, inf)
-    the row runs the loop. With S = |v|^2 + |m|^2, the loop's sum is within
-    gamma(c + 2) |v - m|^2 <= (c + 2) eps S of the distance, and
-    |v|^2 - 2 v.m + |m|^2, summed in any order, within 2 gamma(c) S +
-    2 eps S ~ (c + 2) eps S. Taking k = 4 (c + 2) times eps S off leaves
-    2 (c + 2) eps S of margin; k tiny covers the two forms' 4c products,
-    each losing at most tiny to underflow.
+    One GEMM bounds each (centroid, row) distance from below; a row's least
+    bound in a group picks the one distance d summed as the loop sums it. d
+    stands if every other bound of the group is finite and >= d, else
+    (ties, duplicates, NaN, inf) the row runs the group's loop. With
+    S = |v|^2 + |m|^2, the loop's sum is within gamma(c + 2) |v - m|^2 <=
+    (c + 2) eps S of the distance, and |v|^2 - 2 v.m + |m|^2, summed in any
+    order, within 2 gamma(c) S + 2 eps S ~ (c + 2) eps S. Taking
+    k = 4 (c + 2) times eps S off leaves 2 (c + 2) eps S of margin; k tiny
+    covers the two forms' 4c products, each losing at most tiny to
+    underflow. The bound only selects, so no bit depends on how it rounds.
     """
     k, f = 4 * (v.shape[1] + 2), np.finfo(np.float64)
+    # each group's centroids, one group after another
+    C = C[np.concatenate([np.flatnonzero(g) for g in groups])]
+    ends = np.cumsum([np.count_nonzero(g) for g in groups])[:-1]
     # NaN and inf rows warn only where the loop's own arithmetic reaches them
     with np.errstate(invalid="ignore", over="ignore"):
-        lower = (-2.0 * C) @ v.T    # centroids x samples
-        lower += np.einsum("ij,ij->i", v, v) * (1 - k * f.eps)
-        lower += (np.einsum("ij,ij->i", C, C) * (1 - k * f.eps)
-                  - k * f.tiny)[:, None]
+        bounds = (-2.0 * C) @ v.T    # centroids x samples
+        bounds += np.einsum("ij,ij->i", v, v) * (1 - k * f.eps)
+        bounds += (np.einsum("ij,ij->i", C, C) * (1 - k * f.eps)
+                   - k * f.tiny)[:, None]
+    out = []
+    for Cg, lower in zip(np.split(C, ends), np.split(bounds, ends)):
         j = lower.argmin(axis=0)
         ok = np.isfinite(lower).all(axis=0)
         lower[j, np.arange(v.shape[0])] = np.inf
-    d = ((v - C[j]) ** 2).sum(axis=1)
-    ok &= lower.min(axis=0) >= d
-    if not ok.all():
-        d[~ok] = _loop_nearest(v[~ok], C)
-    return d
+        d = ((v - Cg[j]) ** 2).sum(axis=1)
+        ok &= lower.min(axis=0) >= d
+        if not ok.all():
+            d[~ok] = _loop_nearest(v[~ok], Cg)
+        out.append(d)
+    return out
 
 
 def eta_ratio(v_direct: np.ndarray, bank: PrototypeBank, mode: str,
@@ -152,9 +161,8 @@ def eta_ratio(v_direct: np.ndarray, bank: PrototypeBank, mode: str,
     if not head.any() or not tail.any():
         raise ConfigError("eta needs a non-empty head and a non-empty tail "
                           "class")
-    v = np.ascontiguousarray(v_direct)
-    d_head, d_tail = (_nearest(v, bank.centroids[classes])
-                      for classes in (head, tail))
+    d_head, d_tail = _nearest(np.ascontiguousarray(v_direct), bank.centroids,
+                              (head, tail))
     if mode == "intent_ratio":
         eta = d_head / np.maximum(d_tail, ETA_EPS)
     else:
@@ -166,7 +174,9 @@ def _attention_weights(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Row softmax of the logits restricted to mask=True columns; masked
     entries get 0. Works in place on one samples x L array."""
     z = np.where(mask, logits, -np.inf)
-    z -= z.max(axis=1, keepdims=True)
+    # a max is exact, and a column max of the transpose runs faster than
+    # a max along short rows
+    z -= np.ascontiguousarray(z.T).max(axis=0)[:, None]
     np.exp(z, out=z)
     return np.divide(z, z.sum(axis=1, keepdims=True), out=z)
 
@@ -194,27 +204,42 @@ def embed_batch(embedder: MetaEmbedder, batch: np.ndarray, bank: PrototypeBank,
     return v_meta.T, cache
 
 
-def embed_chunked(embedder: MetaEmbedder, batch: np.ndarray,
-                  bank: PrototypeBank) -> np.ndarray:
-    """embed_batch's meta features (c x samples), without its cache.
+def embed_chunks(embedder: MetaEmbedder, features: np.ndarray,
+                 bank: PrototypeBank, index=None):
+    """Yield (rows, V) for the n selected samples, the rows of features
+    or, with an index, the rows features[index]: rows is a slice of
+    range(n) and V is embed_batch's meta features (c x len(rows)) of those
+    samples, without its cache. Only one chunk's rows are gathered at once.
 
-    The rows go through embed_batch in k = max(1, n // ENCODE_CHUNK)
+    The samples go through embed_batch in k = max(1, n // ENCODE_CHUNK)
     contiguous near-equal chunks, so temporaries are
-    O(ENCODE_CHUNK x (hidden + L + c)) beside the c x n output. No chunk is
-    shorter than ENCODE_CHUNK rows unless the batch is: OpenBLAS computes
-    the GEMMs of a few rows (up to 75 at the default sizes) with another
+    O(ENCODE_CHUNK x (d + hidden + L + c)). No chunk is shorter than
+    ENCODE_CHUNK rows unless the whole selection is: OpenBLAS computes the
+    GEMMs of a few rows (up to 75 at the default sizes) with another
     kernel, and a short chunk would round differently from one forward
-    over the whole batch.
+    over all the samples.
     """
-    batch = np.asarray(batch)
-    embedder.basic_net.check_batch(batch)
-    n = batch.shape[0]
+    features = np.asarray(features)
+    embedder.basic_net.check_batch(features)
+    n = features.shape[0] if index is None else len(index)
     k = max(1, n // ENCODE_CHUNK)
-    # samples x c storage, the layout of embed_batch's transposed result
-    out = np.empty((n, embedder.code_length)).T
     for i in range(k):
         rows = slice(i * n // k, (i + 1) * n // k)
-        out[:, rows], _ = embed_batch(embedder, batch[rows], bank)
+        chunk = features[rows] if index is None else features[index[rows]]
+        yield rows, embed_batch(embedder, chunk, bank)[0]
+
+
+def embed_chunked(embedder: MetaEmbedder, batch: np.ndarray,
+                  bank: PrototypeBank) -> np.ndarray:
+    """embed_batch's meta features (c x samples), without its cache, put
+    together from embed_chunks; beside the c x n output, memory is one
+    chunk's."""
+    batch = np.asarray(batch)
+    embedder.basic_net.check_batch(batch)   # before the output is sized
+    # samples x c storage, the layout of embed_batch's transposed result
+    out = np.empty((batch.shape[0], embedder.code_length)).T
+    for rows, V in embed_chunks(embedder, batch, bank):
+        out[:, rows] = V
     return out
 
 

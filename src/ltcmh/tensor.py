@@ -94,9 +94,12 @@ class FeedForwardNet:
         batch = np.asarray(batch, dtype=np.float64)
         self.check_batch(batch)
         acts = [batch]
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            acts.append(np.maximum(acts[-1] @ w.T + b, 0.0))
-        acts.append(acts[-1] @ self.weights[-1].T + self.biases[-1])
+        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
+            out = acts[-1] @ w.T
+            out += b
+            if k < len(self.weights) - 1:
+                np.maximum(out, 0.0, out=out)
+            acts.append(out)
         return acts[-1], acts
 
     def backward(self, acts: list, output_grad: np.ndarray):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ltcmh import experiment, hash_learn, meta_embed, retrieval, tensor
 from ltcmh.cli import main
 from ltcmh.dataset import (LongTailSpec, MultiModalDataset, load_dataset,
-                           save_dataset)
+                           save_dataset, synthesize_long_tailed)
 from ltcmh.errors import ConfigError, FormatError, LtcmhError
 from ltcmh.tensor import FeedForwardNet
 
@@ -617,6 +617,32 @@ def test_encode_overflowing_model_numerical_error(pipeline, tmp_path, capsys):
         assert _encode_and_eval(big, pipeline / "data" / "dataset.lcmd",
                                 tmp_path) == (3, 3)
     assert "features must be finite" in capsys.readouterr().err
+
+
+def test_encode_non_finite_feature_in_last_chunk_numerical_error(
+        pipeline, tmp_path, capsys):
+    # a retrieval split of several chunks, not a multiple of ENCODE_CHUNK,
+    # whose last row has a NaN image feature: encoding fails only at its
+    # last chunk, and still exits 3 with no output
+    model = hash_learn.load_model(pipeline / "run" / "model.lcmh")
+    spec = experiment.longtail_spec(experiment.load_config(
+        overrides=[*FAST, "extra_per_class=700"]))
+    data = synthesize_long_tailed(spec, seed=0)
+    n = 2 * meta_embed.ENCODE_CHUNK + 517
+    model.retrieval_indices = np.arange(data.n - n, data.n)
+    data.X[-1, 0] = np.nan
+    save_dataset(data, tmp_path / "d.lcmd")
+    hash_learn.save_model(tmp_path / "m.lcmh", model)
+    common = ["--model", str(tmp_path / "m.lcmh"),
+              "--dataset", str(tmp_path / "d.lcmd")]
+    assert main(["encode", *common, "--modality", "image", "--split",
+                 "retrieval", "--out", str(tmp_path / "c.lcmb")]) == 3
+    assert main(["eval", *common, "--direction", "t2i",
+                 "--out", str(tmp_path / "r.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("features must be finite") == 2
+    assert not (tmp_path / "c.lcmb").exists()
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_encode_all_with_queries_in_retrieval(pipeline, tmp_path):

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,21 @@ def test_synthesize_matches_per_sample_mixing(groups, mixed_fraction, seed):
     assert np.array_equal(data.X, X) and np.array_equal(data.Y, Y)
     assert data.labels.dtype == labels.dtype
     assert np.array_equal(data.labels, labels)
+
+
+def test_synthesize_fills_its_arrays_in_place():
+    # each class is written into the returned arrays, so synthesis peaks
+    # at about those arrays, not at them plus per-class copies
+    spec = LongTailSpec(groups=[(4, 200), (10, 20), (10, 5)],
+                        extra_per_class=4200)
+    tracemalloc.start()
+    try:
+        data = synthesize_long_tailed(spec, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.X.flags.c_contiguous and data.Y.flags.c_contiguous
+    assert peak <= 1.1 * (data.X.nbytes + data.Y.nbytes + data.labels.nbytes)
 
 
 def test_synthesize_modalities_share_class_structure():

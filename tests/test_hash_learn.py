@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -8,9 +9,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ltcmh import experiment, gradcheck, hash_learn
-from ltcmh.dataset import LongTailSpec, build_affinity, synthesize_long_tailed
-from ltcmh.errors import ConfigError, FormatError, ShapeError, TrainingError
+from ltcmh import experiment, gradcheck, hash_learn, retrieval
+from ltcmh.dataset import (LongTailSpec, MultiModalDataset, build_affinity,
+                           synthesize_long_tailed)
+from ltcmh.errors import (ConfigError, EvaluationError, FormatError,
+                          ShapeError, TrainingError)
 from ltcmh.hash_learn import (HashModel, TrainConfig, balance_loss,
                               encode_features, grad_Vx, grad_Vy, load_model,
                               nll_loss, objective, pairwise_phi,
@@ -549,6 +552,74 @@ def test_encode_features_empty_and_misshapen_batches(default_shape_model):
             encode_features(model, np.zeros(shape), "image")
         assert str(err.value) == (f"batch shape {shape} does not match net "
                                   f"input (*, {d})")
+
+
+ENCODED = [(modality, split) for modality in ("image", "text")
+           for split in ("query", "retrieval")]
+
+
+@pytest.fixture(scope="module")
+def large_split_model(default_shape_model):
+    """The default-shape model over random features, with unsorted query
+    and retrieval splits of 50,280 and 100,560 rows (retrieve_large's
+    retrieval size): 49 and 98 chunks, not a multiple of ENCODE_CHUNK."""
+    rng = np.random.default_rng(1)
+    n = 100_560
+    total, L = n + 3, default_shape_model.bank_x.num_classes
+    data = MultiModalDataset(
+        X=rng.normal(size=(total, LongTailSpec.d_x)),
+        Y=rng.normal(size=(total, LongTailSpec.d_y)),
+        labels=np.eye(L, dtype=np.uint8)[rng.integers(0, L, size=total)])
+    retrieval = rng.permutation(total)[:n]
+    model = dataclasses.replace(default_shape_model,
+                                query_indices=retrieval[:n // 2],
+                                retrieval_indices=retrieval)
+    return model, data
+
+
+@pytest.mark.parametrize("modality,split", ENCODED)
+def test_encode_split_streams_the_codes_of_encode_features(
+        large_split_model, modality, split):
+    model, data = large_split_model
+    idx = experiment.split_indices(model, split)
+    feats = data.X if modality == "image" else data.Y
+    codes = experiment.encode_split(model, data, modality, split)
+    ref = retrieval.binarize(encode_features(model, feats[idx], modality))
+    assert codes.c == ref.c == model.code_length
+    assert codes.words.dtype == ref.words.dtype
+    assert np.array_equal(codes.words, ref.words)
+
+
+@pytest.mark.parametrize("modality", ["image", "text"])
+def test_encode_split_memory_flat_in_split_size(large_split_model, modality):
+    # each chunk is gathered, embedded and packed on its own, so beside
+    # the code words the peak is one chunk's whatever the split size
+    model, data = large_split_model
+    peaks = []
+    for split in ("query", "retrieval"):
+        tracemalloc.start()
+        try:
+            codes = experiment.encode_split(model, data, modality, split)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + codes.words.nbytes // 2 + 2**16
+    assert peaks[1] <= 8 * 2**20
+
+
+@pytest.mark.parametrize("modality,split", ENCODED)
+def test_encode_split_non_finite_in_last_chunk(large_split_model, modality,
+                                               split):
+    model, data = large_split_model
+    feats = data.X if modality == "image" else data.Y
+    last = experiment.split_indices(model, split)[-1]
+    kept = feats[last, 0]
+    feats[last, 0] = np.nan
+    try:
+        with pytest.raises(EvaluationError, match="features must be finite"):
+            experiment.encode_split(model, data, modality, split)
+    finally:
+        feats[last, 0] = kept
 
 
 # --- persistence -------------------------------------------------------------------

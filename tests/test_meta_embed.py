@@ -347,6 +347,74 @@ def test_eta_ratio_bits_pinned():
         "27ffd7e3f39000bc4f4821b7bea7ad7e5ba546af4f1d7e3ddbc7337c5feab390"
 
 
+def _bits_equal(a, b):
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("kind", ["plain", "duplicate", "on_centroid",
+                                  "midpoint", "non_finite_feature",
+                                  "nan_centroid", "zero_rows"])
+def test_nearest_each_group_bit_equal_to_its_loop(kind):
+    # one GEMM bounds both groups' distances; each group's result must
+    # still be its own loop's bits, at any scale, with empty classes left
+    # out of either group
+    rng = np.random.default_rng(29)
+    for scale in 10.0 ** rng.uniform(-170, 153, size=24):
+        v, bank = _eta_case(rng, kind, scale)
+        groups = (bank.nonempty & bank.is_head, bank.nonempty & ~bank.is_head)
+        got, warned = _runtime_warnings(meta_embed._nearest, v,
+                                        bank.centroids, groups)
+        loop_warned = set()
+        for g, d in zip(groups, got):
+            expect, w = _runtime_warnings(meta_embed._loop_nearest, v,
+                                          bank.centroids[g])
+            loop_warned |= w
+            assert _bits_equal(d, expect), (kind, scale)
+        assert warned <= loop_warned
+
+
+def test_nearest_groups_with_empty_classes_and_non_finite_rows():
+    # the empty classes' zero centroids lie on the zero rows, nearer than
+    # any class of their group; inf, NaN and overflowing rows run the loop
+    C = np.array([[0.0, 0.0], [3.0, 1.0], [-2.0, 2.0],    # head
+                  [0.0, 0.0], [1e151, 0.0], [5.0, 5.0]])  # tail
+    bank = _bank(C, [True, True, True, False, False, False],
+                 counts=[0, 4, 2, 0, 3, 1])
+    v = np.array([[0.0, 0.0], [2.0, 1.0], [np.inf, 0.0], [np.nan, 1.0],
+                  [1.341e154, 0.0], [-1e300, 1e300], [2.5, 2.5]])
+    groups = (bank.nonempty & bank.is_head, bank.nonempty & ~bank.is_head)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = meta_embed._nearest(v, C, groups)
+        for g, d in zip(groups, got):
+            assert _bits_equal(d, meta_embed._loop_nearest(v, C[g]))
+        for mode in ("intent_ratio", "as_printed"):
+            assert _bits_equal(eta_ratio(v, bank, mode, 1e9),
+                               _loop_eta(v, bank, mode, 1e9))
+    assert got[0][0] == 8.0 and got[1][0] == 50.0
+
+
+def test_nearest_loops_only_rows_the_bound_cannot_settle(monkeypatch):
+    # rows next to a duplicated head centroid tie in the head group only;
+    # a centroid that a head and a tail class share ties in neither
+    calls = []
+    loop_nearest = meta_embed._loop_nearest
+    monkeypatch.setattr(meta_embed, "_loop_nearest",
+                        lambda v, C: calls.append((len(v), len(C)))
+                        or loop_nearest(v, C))
+    rng = np.random.default_rng(3)
+    C = rng.normal(size=(6, 8)) * 10
+    C[1] = C[0]
+    C[4] = C[2]
+    is_head = np.array([True, True, True, False, False, False])
+    v = rng.normal(size=(50, 8))
+    v[[3, 17, 41]] = C[0] + rng.normal(size=(3, 8)) * 1e-3
+    v[[5, 6]] = C[2] + rng.normal(size=(2, 8)) * 1e-3
+    got = meta_embed._nearest(v, C, (is_head, ~is_head))
+    assert calls == [(3, 3)]
+    for g, d in zip((is_head, ~is_head), got):
+        assert _bits_equal(d, loop_nearest(v, C[g]))
+
+
 # --- meta features ----------------------------------------------------------------
 
 def test_meta_eta_zero_keeps_direct():
