@@ -17,8 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, FormatError, ShapeError
-from .tensor import (read_array, read_end, read_exact, read_header,
-                     write_array, write_header)
+from .tensor import (read_array, read_bit_rows, read_end, read_exact,
+                     read_header, write_array, write_header)
 
 DATASET_MAGIC = b"LCMD"
 DATASET_FORMAT_VERSION = 1
@@ -270,7 +270,7 @@ def load_dataset(path) -> MultiModalDataset:
         X = read_array(f, "<f8", (n, d_x), "X")
         Y = read_array(f, "<f8", (n, d_y), "Y")
         labels_at = f.tell()
-        packed = read_array(f, np.uint8, (n, (L + 7) // 8), "labels")
+        packed = read_bit_rows(f, np.uint8, n, L, "label")
         read_end(f)
     labels = np.unpackbits(packed, axis=1, bitorder="little")[:, :L]
     try:

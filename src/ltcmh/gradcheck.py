@@ -57,9 +57,9 @@ def check_objective_grad(instances=50, seed=0, eps=1e-6, max_n=8, max_c=8):
 def check_train_step(seed=0, eps=1e-5):
     """hash_learn._batch_grads, the batch step train runs, vs central
     differences of objective(...) / n in every net parameter, where
-    embed_batch recomputes V[:, cols] at the eta the step froze (the bank
-    is held fixed too). Both sides, with the memory off and on; the basic
-    nets have a relu and a linear layer, so both derivatives are checked."""
+    embed_batch recomputes V[:, cols] at the eta of the step's own cache
+    (the bank held fixed too). Both sides, with the memory off and on; the
+    basic nets have a relu and a linear layer: both derivatives are checked."""
     rng = np.random.default_rng(seed)
     c, L, n = 3, 4, 6
     config = TrainConfig(code_length=c, hidden_dim=4)
@@ -83,10 +83,9 @@ def check_train_step(seed=0, eps=1e-5):
             other = rng.normal(size=(c, n))
             Vx, Vy = (V, other) if side == "x" else (other, V)
             cols = rng.permutation(n)[:4]
-            _, cache = meta_embed.embed_batch(embedder, feats[cols], bank)
-            pairs = hash_learn._batch_grads(embedder, bank, feats, cols, V,
-                                            grad, Vx, Vy, aff, B, config,
-                                            "gradcheck")
+            pairs, cache = hash_learn._batch_grads(
+                embedder, bank, feats, cols, V, grad, Vx, Vy, aff, B, config,
+                "gradcheck")
 
             def loss(_net):
                 V[:, cols], _ = meta_embed.embed_batch(

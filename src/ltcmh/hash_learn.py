@@ -219,29 +219,25 @@ def _batch_grads(embedder, bank, feats, cols, V, grad, Vx, Vy, A, B, config,
     """One minibatch step of train before clipping: embed feats[cols] into
     V[:, cols] (V is Vx or Vy), take grad at those columns averaged over the
     n training samples and backpropagate it. Returns embed_backward's
-    (net, grads) pairs; a non-finite gradient raises TrainingError naming
-    `where`."""
+    (net, grads) pairs and the batch's embed_batch cache they came from; a
+    non-finite gradient raises TrainingError naming `where`."""
     V[:, cols], cache = meta_embed.embed_batch(embedder, feats[cols], bank)
     g = grad(Vx, Vy, A, B, config.alpha, config.beta, cols, **extra)
     g /= V.shape[1]
     if not np.all(np.isfinite(g)):
         raise TrainingError(f"non-finite gradient at {where}")
-    return meta_embed.embed_backward(embedder, cache, g)
+    return meta_embed.embed_backward(embedder, cache, g), cache
 
 
-def _switch_on_memory(embedder: MetaEmbedder, features: np.ndarray,
-                      labels: np.ndarray, is_head: np.ndarray) -> PrototypeBank:
+def _switch_on_memory(embedder: MetaEmbedder, bank: PrototypeBank):
     """End of memory warm-up, the one place the memory path is enabled.
-    Fits a prototype bank on the current direct features, initializes the
+    Given a bank fitted on the current direct features, initializes the
     attention weights to scaled nearest-centroid matching (logits
     k·C·v − k‖C‖²/2 with k = ATTENTION_INIT_SCALE, the log-posterior of an
     isotropic Gaussian mixture over the prototypes) and returns the bank."""
-    direct, _ = embedder.basic_net.forward(features)
-    bank = compute_prototypes(direct, labels, is_head)
-    k = ATTENTION_INIT_SCALE
-    embedder.weight_net.weights[0][:] = k * bank.centroids
-    embedder.weight_net.biases[0][:] = \
-        -0.5 * k * (bank.centroids ** 2).sum(axis=1)
+    k, C = ATTENTION_INIT_SCALE, bank.centroids
+    embedder.weight_net.weights[0][:] = k * C
+    embedder.weight_net.biases[0][:] = -0.5 * k * (C ** 2).sum(axis=1)
     embedder.use_memory = True
     return bank
 
@@ -250,16 +246,16 @@ def train(dataset: MultiModalDataset, train_indices: np.ndarray,
           config: TrainConfig):
     """Alternating optimization over the training split.
 
-    The embedders start with the memory off, and the first warmup_epochs
-    epochs train the direct features alone; the first banks and B come
-    from one direct forward per side. At the switchover _switch_on_memory
-    fits new banks and turns the memory on, its attention initialized to
-    nearest-centroid matching. With the default warmup_epochs (= the
-    default epochs) the whole run is warm-up: the basic nets, history and
-    B steps equal those of the no_memory ablation, and the memory is
-    fitted once after the last epoch. Epochs past the warm-up train
-    through the memory, the banks tracking the moving direct features by
-    an exponential average (BANK_EMA). Per epoch: SGD passes over column
+    Both modalities run one pipeline over a [features, embedder, bank]
+    entry each. The embedders start with the memory off, and the first
+    warmup_epochs epochs train the direct features alone; the first banks
+    and B come from one direct forward per side. At the switchover new
+    banks are fitted and _switch_on_memory turns the memory on. With the
+    default warmup_epochs (= the default epochs) the switch comes after
+    the last epoch, so the basic nets, history and B steps equal those of
+    the no_memory ablation. Epochs past the switch train through the
+    memory, the banks tracking the moving direct features by an
+    exponential average (BANK_EMA). Per epoch: SGD passes over column
     minibatches of each modality against the full cross-modal objective
     (gradients averaged over the training set), then B is recomputed in
     closed form. Returns (model, history), one history record per epoch
@@ -274,8 +270,6 @@ def train(dataset: MultiModalDataset, train_indices: np.ndarray,
     train_indices = np.asarray(train_indices, dtype=np.int64)
     if train_indices.size == 0:
         raise ConfigError("training split is empty")
-    X = dataset.X[train_indices]
-    Y = dataset.Y[train_indices]
     labels = dataset.labels[train_indices]
     n = train_indices.size
     A = build_affinity(labels, labels)
@@ -289,52 +283,61 @@ def train(dataset: MultiModalDataset, train_indices: np.ndarray,
         raise ConfigError(
             f"head_threshold={config.head_threshold} leaves no head class or "
             f"no non-empty tail class, and eta needs both")
-    ex = _build_embedder(X.shape[1], dataset.num_classes, config, rng)
-    ey = _build_embedder(Y.shape[1], dataset.num_classes, config, rng)
-
-    # the banks a no_memory model keeps; the memory switch replaces them
-    direct_x, _ = ex.basic_net.forward(X)
-    direct_y, _ = ey.basic_net.forward(Y)
-    bank_x = compute_prototypes(direct_x, labels, is_head)
-    bank_y = compute_prototypes(direct_y, labels, is_head)
-    B = update_B(direct_x.T, direct_y.T)
+    # image, then text; the first banks are those a no_memory model keeps
+    sides, V = [], []
+    for feats in (dataset.X[train_indices], dataset.Y[train_indices]):
+        embedder = _build_embedder(feats.shape[1], dataset.num_classes,
+                                   config, rng)
+        direct, _ = embedder.basic_net.forward(feats)
+        V.append(direct.T)   # the meta features, as the memory is off
+        sides.append([feats, embedder,
+                      compute_prototypes(direct, labels, is_head)])
+    B = update_B(*V)
+    # the epoch the memory switch opens (epochs: after the last; -1: never)
+    switch_at = min(config.warmup_epochs, config.epochs) if memory_on else -1
 
     history = []
-    for epoch in range(config.epochs):
-        if memory_on and epoch == config.warmup_epochs:
-            bank_x = _switch_on_memory(ex, X, labels, is_head)
-            bank_y = _switch_on_memory(ey, Y, labels, is_head)
-        elif memory_on and epoch > config.warmup_epochs:
-            for embedder, bank, feats in ((ex, bank_x, X), (ey, bank_y, Y)):
+    for epoch in range(config.epochs + 1):
+        # a pass after the last epoch only fits the memory and B
+        if epoch == config.epochs and epoch != switch_at:
+            break
+        for side in sides:
+            feats, embedder, bank = side
+            if 0 <= switch_at <= epoch:   # refit on the direct features
                 direct, _ = embedder.basic_net.forward(feats)
                 fresh = compute_prototypes(direct, labels, is_head)
-                bank.centroids[:] = (BANK_EMA * bank.centroids
-                                     + (1.0 - BANK_EMA) * fresh.centroids)
-        Vx = meta_embed.embed_chunked(ex, X, bank_x)
-        Vy = meta_embed.embed_chunked(ey, Y, bank_y)
+                if epoch == switch_at:
+                    side[2] = _switch_on_memory(embedder, fresh)
+                else:
+                    bank.centroids[:] = (BANK_EMA * bank.centroids
+                                         + (1.0 - BANK_EMA) * fresh.centroids)
+        V = [meta_embed.embed_chunked(e, f, b) for f, e, b in sides]
+        if epoch == config.epochs:
+            B = update_B(*V)
+            break
 
         order = rng.permutation(n)
         nll_blocks = []
         # A is symmetric: A.T turns grad_Vy's column gather into a row gather
-        for side, embedder, bank, feats, V, grad, aff, extra in (
-                ("x", ex, bank_x, X, Vx, grad_Vx, A, {}),
-                ("y", ey, bank_y, Y, Vy, grad_Vy, A.T, {"nll": nll_blocks})):
+        for name, (feats, embedder, bank), V_side, grad, aff, extra in zip(
+                "xy", sides, V, (grad_Vx, grad_Vy), (A, A.T),
+                ({}, {"nll": nll_blocks})):
             for start in range(0, n, config.batch_columns):
                 cols = order[start:start + config.batch_columns]
-                pairs = _batch_grads(
-                    embedder, bank, feats, cols, V, grad, Vx, Vy, aff, B,
-                    config, f"epoch {epoch}, side {side}, batch starting "
+                pairs, _ = _batch_grads(
+                    embedder, bank, feats, cols, V_side, grad, *V, aff, B,
+                    config, f"epoch {epoch}, side {name}, batch starting "
                     f"{start}", **extra)
                 for net, grads in pairs:
                     sgd_step(net, _clip_grads(grads), config.learning_rate)
 
         # the y blocks are this epoch's final Phi (Vx fixed, each Vy column
         # final once used); only the quantization term depends on B
-        nll, balance = sum(nll_blocks), balance_loss(Vx, Vy)
-        pre_b_total = total_loss(nll, quantization_loss(B, Vx, Vy), balance,
+        nll, balance = sum(nll_blocks), balance_loss(*V)
+        pre_b_total = total_loss(nll, quantization_loss(B, *V), balance,
                                  config.alpha, config.beta)
-        B = update_B(Vx, Vy)
-        quantization = quantization_loss(B, Vx, Vy)
+        B = update_B(*V)
+        quantization = quantization_loss(B, *V)
         total = total_loss(nll, quantization, balance, config.alpha, config.beta)
         rec = {"epoch": epoch, "nll": nll, "quantization": quantization,
                "balance": balance, "total": total,
@@ -343,19 +346,9 @@ def train(dataset: MultiModalDataset, train_indices: np.ndarray,
             raise TrainingError(f"non-finite loss at epoch {epoch}: {rec}")
         history.append(rec)
 
-    if memory_on and config.warmup_epochs >= config.epochs:
-        # the whole run was warm-up (the default): fit the memory once on
-        # the final direct features so the model embeds meta features
-        bank_x = _switch_on_memory(ex, X, labels, is_head)
-        bank_y = _switch_on_memory(ey, Y, labels, is_head)
-        Vx = meta_embed.embed_chunked(ex, X, bank_x)
-        Vy = meta_embed.embed_chunked(ey, Y, bank_y)
-        B = update_B(Vx, Vy)
-
-    model = HashModel(embedder_x=ex, embedder_y=ey, bank_x=bank_x,
-                      bank_y=bank_y, B=B, alpha=config.alpha,
-                      beta=config.beta, train_indices=train_indices)
-    return model, history
+    (_, ex, bank_x), (_, ey, bank_y) = sides
+    return HashModel(ex, ey, bank_x, bank_y, B, config.alpha, config.beta,
+                     train_indices), history
 
 
 def encode_features(model: HashModel, features: np.ndarray, modality: str):

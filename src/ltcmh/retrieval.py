@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import build_affinity
-from .errors import EvaluationError, FormatError, ShapeError
-from .tensor import (read_array, read_end, read_exact, read_header,
+from .errors import EvaluationError, ShapeError
+from .tensor import (read_bit_rows, read_end, read_exact, read_header,
                      write_array, write_header)
 
 CODES_MAGIC = b"LCMB"
@@ -208,13 +208,6 @@ def load_codes(path) -> BinaryCodeMatrix:
     with open(path, "rb") as f:
         read_header(f, CODES_MAGIC, CODES_FORMAT_VERSION, "codes")
         n, c = struct.unpack("<QQ", read_exact(f, 16, "header"))
-        words = read_array(f, "<u8", (n, (c + 63) // 64), "code rows")
+        words = read_bit_rows(f, "<u8", n, c, "code")
         read_end(f)
-    if c % 64:
-        pad_set = np.flatnonzero(words[:, -1] >> (c % 64))
-        if pad_set.size:
-            row = int(pad_set[0])
-            offset = 24 + 8 * ((row + 1) * words.shape[1] - 1)
-            raise FormatError(f"nonzero pad bits in code row {row} "
-                              f"at offset {offset}")
     return BinaryCodeMatrix(c=int(c), words=words)

@@ -227,6 +227,20 @@ def read_array(f: BinaryIO, dtype, shape, what: str,
     return arr
 
 
+def read_bit_rows(f: BinaryIO, dtype, n: int, bits: int, what: str):
+    """read_array of n rows of `bits` bits, packed little-endian into
+    unsigned `dtype` cells; a set pad bit raises FormatError naming its row
+    and the offset of the row's last cell."""
+    at, width = f.tell(), 8 * np.dtype(dtype).itemsize
+    cells = read_array(f, dtype, (n, -(-bits // width)), f"{what} rows")
+    bad = np.flatnonzero(cells[:, -1] >> bits % width) if bits % width else []
+    if len(bad):
+        row, k = int(bad[0]), cells.shape[1]
+        raise FormatError(f"nonzero pad bits in {what} row {row} at offset "
+                          f"{at + width // 8 * ((row + 1) * k - 1)}")
+    return cells
+
+
 def write_header(f: BinaryIO, magic: bytes, version: int):
     """The header every ltcmh file starts with: magic, then u32 version."""
     f.write(magic)

@@ -1,3 +1,4 @@
+import re
 import struct
 import tracemalloc
 
@@ -422,7 +423,9 @@ def test_dataset_zero_feature_width_rejected(tmp_path, d_x, d_y, offset):
 def test_dataset_every_cut_and_bit_flip(tmp_path):
     from conftest import cuts_and_flips
     # L = 1: a flip of label bit 0 unlabels a row, a flip of L's bit 0
-    # makes L = 0; both must end in FormatError, not a bare ValueError
+    # makes L = 0; both must end in FormatError, not a bare ValueError.
+    # Bit 7 of a label byte is a pad bit: it must not load either, or the
+    # file would save back to other bytes
     rng = np.random.default_rng(0)
     data = MultiModalDataset(X=rng.normal(size=(3, 2)),
                              Y=rng.normal(size=(3, 1)),
@@ -430,15 +433,42 @@ def test_dataset_every_cut_and_bit_flip(tmp_path):
     path = tmp_path / "d.lcmd"
     save_dataset(data, path)
     raw = path.read_bytes()
-    bad = tmp_path / "bad.lcmd"
-    rejected = 0
+    bad, back = tmp_path / "bad.lcmd", tmp_path / "back.lcmd"
+    rejected = loaded = 0
     for case in cuts_and_flips(raw):
         bad.write_bytes(case)
         try:
-            load_dataset(bad)
+            damaged = load_dataset(bad)
         except FormatError:
             rejected += 1
+            continue
+        save_dataset(damaged, back)
+        assert back.read_bytes() == case
+        loaded += 1
     assert rejected >= len(raw)      # at least every cut
+    assert loaded > 0
+
+
+@pytest.mark.parametrize("L, row, byte", [(1, 0, 0), (1, 2, 0), (10, 1, 1),
+                                          (10, 2, 1)])
+def test_dataset_label_pad_bit_rejected(tmp_path, L, row, byte):
+    # each label row is ceil(L/8) bytes, whose bits past L are pad bits
+    rng = np.random.default_rng(0)
+    data = MultiModalDataset(X=rng.normal(size=(3, 2)),
+                             Y=rng.normal(size=(3, 1)),
+                             labels=np.ones((3, L), np.uint8))
+    path = tmp_path / "d.lcmd"
+    save_dataset(data, path)
+    raw = bytearray(path.read_bytes())
+    width = (L + 7) // 8
+    at = len(raw) - 3 * width + row * width + byte
+    for bit in range(L % 8, 8):
+        flipped = raw.copy()
+        flipped[at] ^= 1 << bit
+        path.write_bytes(flipped)
+        with pytest.raises(FormatError, match=re.escape(
+                f"nonzero pad bits in label row {row} at offset {at}")):
+            load_dataset(path)
 
 
 # --- invariants -------------------------------------------------------------------

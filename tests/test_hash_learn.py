@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ltcmh import experiment, gradcheck, hash_learn, retrieval
+from ltcmh import experiment, gradcheck, hash_learn, meta_embed, retrieval
 from ltcmh.dataset import (LongTailSpec, MultiModalDataset, build_affinity,
                            synthesize_long_tailed)
 from ltcmh.errors import (ConfigError, EvaluationError, FormatError,
@@ -158,6 +158,36 @@ def test_gradcheck_negative_control(monkeypatch):
     grad = hash_learn.grad_Vx
     monkeypatch.setattr(hash_learn, "grad_Vx", lambda *a: grad(*a) + 0.05)
     assert gradcheck.check_objective_grad(instances=3, seed=0) > 1e-3
+
+
+@pytest.mark.parametrize("use_memory", [False, True])
+def test_batch_grads_returns_the_cache_its_backward_used(monkeypatch,
+                                                         use_memory):
+    # gradcheck's train_step freezes the eta of this cache, so it must be
+    # the very one the step backpropagated through
+    seen = []
+    backward = meta_embed.embed_backward
+    monkeypatch.setattr(meta_embed, "embed_backward",
+                        lambda e, cache, g: seen.append(cache)
+                        or backward(e, cache, g))
+    rng = np.random.default_rng(0)
+    c, n = 3, 6
+    config = TrainConfig(code_length=c, hidden_dim=4)
+    labels = np.eye(4, dtype=np.uint8)[np.r_[0:4, 0, 1]]
+    embedder = hash_learn._build_embedder(5, 4, config, rng)
+    embedder.use_memory = use_memory
+    feats = rng.normal(size=(n, 5))
+    bank = compute_prototypes(embedder.basic_net.forward(feats)[0], labels,
+                              np.array([True, True, False, False]))
+    Vx, Vy = rng.normal(size=(c, n)), rng.normal(size=(c, n))
+    A = build_affinity(labels, labels)
+    pairs, cache = hash_learn._batch_grads(
+        embedder, bank, feats, np.array([4, 1, 2]), Vx, grad_Vx, Vx, Vy, A,
+        update_B(Vx, Vy), config, "test")
+    assert len(seen) == 1 and cache is seen[0]
+    assert (cache.eta is not None) == use_memory
+    assert [net for net, _ in pairs] == [embedder.basic_net] + (
+        [embedder.weight_net] if use_memory else [])
 
 
 def test_rel_err_floor_follows_central_difference_rounding():
