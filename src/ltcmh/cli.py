@@ -157,8 +157,8 @@ def cmd_gradcheck(args):
 
 def cmd_sweep(args):
     cfg = _load_cfg(args)
-    values = [experiment._parse_value("--values", args.param, v,
-                                      experiment.DEFAULTS[args.param])
+    values = [experiment.parse_value("--values", args.param, v,
+                                     experiment.DEFAULTS[args.param])
               for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("sweep needs at least one value")

@@ -42,7 +42,7 @@ DIRECTIONS = {"i2t": ("image", "text"), "t2i": ("text", "image")}
 SPLITS = ("train", "query", "retrieval", "all")
 
 
-def _parse_value(where, key, raw, default):
+def parse_value(where, key, raw, default):
     raw = raw.strip()
     if isinstance(default, bool):
         if raw.lower() in ("true", "1", "yes", "false", "0", "no"):
@@ -80,7 +80,7 @@ def load_config(path=None, overrides=()):
         key, raw = (s.strip() for s in item.split("=", 1))
         if key not in DEFAULTS:
             raise ConfigError(f"{where}: unknown config key {key!r}")
-        cfg[key] = _parse_value(where, key, raw, DEFAULTS[key])
+        cfg[key] = parse_value(where, key, raw, DEFAULTS[key])
     longtail_spec(cfg)   # check the synthesis, split and training keys
     check_split_keys(cfg["min_keep"], cfg["max_keep"], cfg["queries_per_class"])
     train_config(cfg)    # before any command reads or writes a file

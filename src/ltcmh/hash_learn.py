@@ -29,7 +29,7 @@ from .tensor import (FeedForwardNet, read_array, read_end, read_exact,
                      write_array, write_header, write_net)
 
 MODEL_MAGIC = b"LCMH"
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 # Fixed training settings, not config keys.
 # Each network's update is clipped to this global gradient norm, so a step
@@ -380,72 +380,22 @@ def _read_array(f: BinaryIO, dtype: str, what: str, *dims) -> np.ndarray:
     return read_array(f, dtype, shape, what, finite=True)
 
 
-def _write_embedder(f: BinaryIO, e: MetaEmbedder):
-    # the third byte is the attention tag: 1 (softmax) is the only one
-    mode = meta_embed.ETA_MODES.index(e.eta_mode)
-    f.write(struct.pack("<BBBd", mode, int(e.use_memory), 1, e.eta_max))
-    write_net(f, e.basic_net)
-    write_net(f, e.weight_net)
-    f.write(b"\0")   # the eta-net flag: there is no eta net
-
-
-def _read_embedder(f: BinaryIO) -> MetaEmbedder:
-    at = f.tell()
-    mode, use_memory, attention, eta_max = struct.unpack(
-        "<BBBd", read_exact(f, 11, "embedder header"))
-    if mode >= len(meta_embed.ETA_MODES):
-        raise FormatError(f"bad eta-mode tag {mode} at offset {at}")
-    if use_memory > 1:
-        raise FormatError(f"bad use_memory flag {use_memory} at offset "
-                          f"{at + 1}, expected 0 or 1")
-    if attention != 1:
-        raise FormatError(f"bad attention tag {attention} at offset "
-                          f"{at + 2}, expected 1 (softmax)")
-    if not 0 <= eta_max < np.inf:   # eta's clamp
-        raise FormatError(f"inconsistent model: eta_max {eta_max} at offset "
-                          f"{at + 3} is not finite and >= 0")
-    basic = read_net(f, "basic net")
-    at = f.tell()
-    weight = read_net(f, "weight net")
-    if weight.input_dim != basic.output_dim:
-        raise FormatError(f"inconsistent model: weight net input "
-                          f"{weight.input_dim} at offset {at + 4}, expected "
-                          f"code length {basic.output_dim}")
-    (has_eta,) = read_exact(f, 1, "eta-net flag")
-    if has_eta != 0:
-        raise FormatError(f"bad eta-net flag {has_eta} at offset "
-                          f"{f.tell() - 1}, expected 0")
-    return MetaEmbedder(basic_net=basic, weight_net=weight,
-                        eta_mode=meta_embed.ETA_MODES[mode],
-                        use_memory=bool(use_memory), eta_max=eta_max)
-
-
-def _write_bank(f: BinaryIO, bank: PrototypeBank):
-    _write_array(f, bank.centroids, "<f8")
-    _write_array(f, bank.counts, "<i8")
-    _write_array(f, bank.is_head, "<u1")
-
-
-def _read_bank(f: BinaryIO, side: str, L: int, c: int) -> PrototypeBank:
-    centroids = _read_array(f, "<f8", f"{side} centroids", L, c)
-    counts = _read_array(f, "<i8", f"{side} class counts", L)
-    at = f.tell() + 12   # the flags' first byte, after a 1-dim header
-    flags = _read_array(f, "<u1", f"{side} head flags", L)
-    if (bad := np.flatnonzero(flags > 1)).size:
-        raise FormatError(f"bad {side} head flag {flags[bad[0]]} at offset "
-                          f"{at + bad[0]}, expected 0 or 1")
-    return PrototypeBank(centroids=centroids, counts=counts,
-                         is_head=flags.astype(bool))
-
-
 def save_model(path, model: HashModel):
+    # train builds both sides with one config and one label matrix, so the
+    # memory switch, eta's settings and the classes are written once
+    e, bank = model.side("image")
     with open(path, "wb") as f:
         write_header(f, MODEL_MAGIC, MODEL_FORMAT_VERSION)
-        f.write(struct.pack("<dd", model.alpha, model.beta))
-        _write_embedder(f, model.embedder_x)
-        _write_embedder(f, model.embedder_y)
-        _write_bank(f, model.bank_x)
-        _write_bank(f, model.bank_y)
+        f.write(struct.pack("<ddBBd", model.alpha, model.beta,
+                            meta_embed.ETA_MODES.index(e.eta_mode),
+                            e.use_memory, e.eta_max))
+        _write_array(f, bank.counts, "<i8")
+        _write_array(f, bank.is_head, "<u1")
+        for side in ("image", "text"):
+            e, bank = model.side(side)
+            write_net(f, e.basic_net)
+            write_net(f, e.weight_net)
+            _write_array(f, bank.centroids, "<f8")
         _write_array(f, model.B, "<f8")
         _write_array(f, model.train_indices, "<i8")
         _write_array(f, model.query_indices, "<i8")
@@ -457,43 +407,56 @@ def load_model(path) -> HashModel:
     read: every rejection is a FormatError that names a byte offset."""
     with open(path, "rb") as f:
         read_header(f, MODEL_MAGIC, MODEL_FORMAT_VERSION, "model")
-        alpha, beta = struct.unpack("<dd", read_exact(f, 16, "alpha, beta"))
+        alpha, beta, mode, use_memory, eta_max = struct.unpack(
+            "<ddBBd", read_exact(f, 26, "model settings"))
         if not np.isfinite([alpha, beta]).all():
             raise FormatError(f"inconsistent model: alpha {alpha} or beta "
                               f"{beta} at offset 8 is not finite")
-        ex = _read_embedder(f)
-        L, c = ex.weight_net.output_dim, ex.code_length
-        text_at = f.tell()
-        ey = _read_embedder(f)
-        if (got := (ey.weight_net.output_dim, ey.code_length)) != (L, c):
-            raise FormatError(f"inconsistent model: text embedder at offset "
-                              f"{text_at} has (L, c) = {got}, not {(L, c)}")
-        image_bank_at = f.tell()
-        bank_x = _read_bank(f, "image", L, c)
-        text_bank_at = f.tell()
-        bank_y = _read_bank(f, "text", L, c)
+        if mode >= len(meta_embed.ETA_MODES):
+            raise FormatError(f"bad eta-mode tag {mode} at offset 24")
+        if use_memory > 1:
+            raise FormatError(f"bad use_memory flag {use_memory} at offset "
+                              f"25, expected 0 or 1")
+        if not 0 <= eta_max < np.inf:   # eta's clamp
+            raise FormatError(f"inconsistent model: eta_max {eta_max} at "
+                              f"offset 26 is not finite and >= 0")
+        counts = _read_array(f, "<i8", "class counts", None)
+        L = counts.size
+        at = f.tell() + 12   # the flags' first byte, after a 1-dim header
+        flags = _read_array(f, "<u1", "head flags", L)
+        if (bad := np.flatnonzero(flags > 1)).size:
+            raise FormatError(f"bad head flag {flags[bad[0]]} at offset "
+                              f"{at + bad[0]}, expected 0 or 1")
+        is_head = flags.astype(bool)
+        nonempty = counts > 0
+        if use_memory and not ((nonempty & is_head).any()
+                               and (nonempty & ~is_head).any()):
+            raise FormatError(f"inconsistent model: the memory is on, and eta "
+                              f"needs a non-empty head and a non-empty tail "
+                              f"class (head flags at offset {at})")
+        embedders, banks, c = [], [], None
+        for side in ("image", "text"):
+            at = f.tell()
+            basic = read_net(f, f"{side} basic net")
+            weight = read_net(f, f"{side} weight net")
+            c = c or basic.output_dim   # the image side's code length
+            got = (basic.output_dim, weight.input_dim, weight.output_dim)
+            if got != (c, c, L):
+                raise FormatError(f"inconsistent model: {side} nets at offset "
+                                  f"{at} map to (c, weight input, L) = {got}, "
+                                  f"expected {(c, c, L)}")
+            embedders.append(MetaEmbedder(
+                basic_net=basic, weight_net=weight, eta_max=eta_max,
+                eta_mode=meta_embed.ETA_MODES[mode],
+                use_memory=bool(use_memory)))
+            banks.append(PrototypeBank(
+                centroids=_read_array(f, "<f8", f"{side} centroids", L, c),
+                counts=counts, is_head=is_head))
         B = _read_array(f, "<f8", "B", c, None)
         train_idx = _read_array(f, "<i8", "training indices", B.shape[1])
         query_idx = _read_array(f, "<i8", "query indices", None)
         retrieval_idx = _read_array(f, "<i8", "retrieval indices", None)
         read_end(f)
-    # train fits both sides on one label matrix with one config
-    differ = [name for name, same in (
-        ("class counts", np.array_equal(bank_x.counts, bank_y.counts)),
-        ("head flags", np.array_equal(bank_x.is_head, bank_y.is_head)),
-        ("use_memory", ex.use_memory == ey.use_memory),
-        ("eta_mode", ex.eta_mode == ey.eta_mode),
-        ("eta_max", ex.eta_max == ey.eta_max)) if not same]
-    if differ:
-        raise FormatError(f"inconsistent model: image and text disagree on "
-                          f"{differ} (text embedder at offset {text_at}, "
-                          f"text bank at offset {text_bank_at})")
-    if ex.use_memory and not ((bank_x.nonempty & bank_x.is_head).any()
-                              and (bank_x.nonempty & ~bank_x.is_head).any()):
-        raise FormatError(f"inconsistent model: the memory is on, and eta "
-                          f"needs a non-empty head and a non-empty tail "
-                          f"class (image bank at offset {image_bank_at})")
-    return HashModel(embedder_x=ex, embedder_y=ey, bank_x=bank_x,
-                     bank_y=bank_y, B=B, alpha=alpha, beta=beta,
+    return HashModel(*embedders, *banks, B=B, alpha=alpha, beta=beta,
                      train_indices=train_idx, query_indices=query_idx,
                      retrieval_indices=retrieval_idx)

@@ -498,24 +498,6 @@ def test_encode_inconsistent_model_io_error(pipeline, tmp_path, capsys):
     assert "inconsistent model" in capsys.readouterr().err
 
 
-def test_eval_sides_disagree_io_error(pipeline, tmp_path, capsys):
-    # train fits both sides on one label matrix with one config
-    model = hash_learn.load_model(pipeline / "run" / "model.lcmh")
-    bank, e = model.bank_y, model.embedder_y
-    assert not np.array_equal(bank.counts, bank.counts[::-1])
-    bank.is_head, bank.counts = ~bank.is_head, bank.counts[::-1].copy()
-    e.use_memory, e.eta_mode, e.eta_max = False, "as_printed", 7.0
-    bad = tmp_path / "sides.lcmh"
-    hash_learn.save_model(bad, model)
-    assert main(["eval", "--model", str(bad), "--dataset",
-                 str(pipeline / "data" / "dataset.lcmd"), "--direction",
-                 "t2i", "--out", str(tmp_path / "r.csv")]) == 2
-    err = capsys.readouterr().err
-    assert ("inconsistent model: image and text disagree on ['class counts', "
-            "'head flags', 'use_memory', 'eta_mode', 'eta_max']") in err
-    assert not (tmp_path / "r.csv").exists()
-
-
 def _break_chain(model):
     # the image basic net's second layer reads 7 of the first layer's outputs
     net = model.embedder_x.basic_net
@@ -526,7 +508,7 @@ def _nan_weight(model):
     model.embedder_x.basic_net.weights[0][0, 0] = np.nan
 
 
-# the next three change both sides alike, so the sides still agree
+# the next three change both sides alike, as train would
 def _all_head(model):
     for bank in (model.bank_x, model.bank_y):
         bank.is_head = np.ones_like(bank.is_head)
@@ -583,14 +565,16 @@ def test_activation_tags_are_positional(tiny_dataset, tmp_path, capsys):
     hash_learn.save_model(path, model)
     save_dataset(tiny_dataset, tmp_path / "d.lcmd")
     raw = path.read_bytes()
-    tags, at = [], 24   # the file header: magic, version, alpha and beta
+    L, c = model.bank_x.centroids.shape
+    # magic, version, alpha, beta, eta mode, use_memory and eta_max, then
+    # the class counts and head flags, each array after a 12-byte header
+    tags, at = [], 34 + (12 + 8 * L) + (12 + L)
     for e in (model.embedder_x, model.embedder_y):
-        at += 11   # the embedder header
         for net in (e.basic_net, e.weight_net):
             tags += [at + 12 + 9 * k for k in range(len(net.weights))]
             at += 4 + 9 * len(net.weights) + 8 * sum(
                 w.size + b.size for w, b in zip(net.weights, net.biases))
-        at += 1   # the eta-net flag
+        at += 20 + 8 * L * c   # the side's centroids
     assert [raw[t] for t in tags] == [1, 0, 0, 1, 0, 0]
     for t in tags:
         flipped = bytearray(raw)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from ltcmh import experiment, gradcheck, hash_learn, meta_embed, retrieval
+from ltcmh.cli import main
 from ltcmh.dataset import (LongTailSpec, MultiModalDataset, build_affinity,
                            synthesize_long_tailed)
 from ltcmh.errors import (ConfigError, EvaluationError, FormatError,
@@ -687,7 +688,12 @@ def test_model_roundtrip(tmp_path):
     assert np.array_equal(loaded.bank_y.counts, model.bank_y.counts)
     assert loaded.embedder_x.eta_mode == model.embedder_x.eta_mode
     assert loaded.embedder_x.eta_max == model.embedder_x.eta_max
-    assert path.read_bytes()[26] == 1     # the image attention tag
+    # eta mode, use_memory and eta_max follow alpha and beta, once
+    assert struct.unpack_from("<BBd", path.read_bytes(), 24) == (
+        meta_embed.ETA_MODES.index(model.embedder_x.eta_mode), 1,
+        model.embedder_x.eta_max)
+    assert loaded.bank_x.counts is loaded.bank_y.counts
+    assert loaded.bank_x.is_head is loaded.bank_y.is_head
     for w1, w2 in zip(loaded.embedder_x.basic_net.weights,
                       model.embedder_x.basic_net.weights):
         assert np.array_equal(w1, w2)
@@ -730,6 +736,17 @@ def test_model_bad_version(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(FormatError):
         load_model(path)
+    # version 2 wrote the settings and the classes once per side; its
+    # files are rejected at the version field, with no second reader
+    raw[4:8] = (2).to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError,
+                       match="^unsupported model version 2 at offset 4$"):
+        load_model(path)
+    assert main(["encode", "--model", str(path), "--dataset",
+                 str(tmp_path / "d.lcmd"), "--modality", "image",
+                 "--out", str(tmp_path / "c.lcmb")]) == 2
+    assert not (tmp_path / "c.lcmb").exists()
 
 
 def test_model_truncated(tmp_path):
@@ -755,43 +772,28 @@ def _corrupt_model(tmp_path, offset, value: bytes):
 
 
 def test_model_bad_eta_mode_tag(tmp_path):
-    # magic, version and alpha/beta take 24 bytes; the image embedder's
-    # header starts with its eta-mode tag, and 0 and 1 are the only modes
+    # magic, version and alpha/beta take 24 bytes; the eta-mode tag
+    # follows, and 0 and 1 are the only modes
     for tag in (7, 2):
         path = _corrupt_model(tmp_path, 24, bytes([tag]))
         with pytest.raises(FormatError,
                            match=f"eta-mode tag {tag} at offset 24"):
             load_model(path)
-    # the image embedder ends in its eta-net flag, which must be 0
-    buf = io.BytesIO()
-    hash_learn._write_embedder(buf, _trained_model().embedder_x)
-    flag_at = 24 + len(buf.getvalue()) - 1
-    assert buf.getvalue()[-1] == 0
-    path = _corrupt_model(tmp_path, flag_at, bytes([1]))
-    with pytest.raises(FormatError,
-                       match=f"eta-net flag 1 at offset {flag_at}, expected 0"):
-        load_model(path)
-
-
-def test_model_bad_attention_tag(tmp_path):
-    # the third byte of the embedder header is the attention tag, and 1
-    # (softmax) is the only attention there is
-    path = _corrupt_model(tmp_path, 26, bytes([0]))
-    with pytest.raises(FormatError, match="offset 26"):
-        load_model(path)
 
 
 def test_model_bad_layer_dim(tmp_path):
-    # 24 bytes of file header, 11 of embedder header and 4 of layer count
-    # put the first layer's input dim at byte 39
-    path = _corrupt_model(tmp_path, 39, (2**31).to_bytes(4, "little"))
+    # the image basic net starts right after the head flags, and its first
+    # layer's input dim follows its 4-byte layer count
+    model = _trained_model()
+    at = _part_offsets(model)["image"] + 4
+    path = _corrupt_model(tmp_path, at, (2**31).to_bytes(4, "little"))
     with pytest.raises(FormatError, match="weights"):
         load_model(path)
-    path = _corrupt_model(tmp_path, 39, (0).to_bytes(4, "little"))
+    path = _corrupt_model(tmp_path, at, (0).to_bytes(4, "little"))
     with pytest.raises(FormatError, match="layer dims 0x"):
         load_model(path)
     # the offset named is the layer spec's first byte
-    with pytest.raises(FormatError, match=r"layer dims 0x16 at offset 39$"):
+    with pytest.raises(FormatError, match=rf"layer dims 0x16 at offset {at}$"):
         load_model(path)
 
 
@@ -831,7 +833,7 @@ def _set_nan(arrays):
 
 def _on_both_sides(part, name, value):
     """A mutation setting `name` on the image and the text `part` to
-    value(that part), so the two sides still agree."""
+    value(that part), as train sets both sides alike."""
     def mutate(model):
         for side in "xy":
             obj = getattr(model, f"{part}_{side}")
@@ -858,16 +860,6 @@ INCONSISTENT = {
     "inf_eta_max": lambda m: setattr(m.embedder_x, "eta_max", np.inf),
     "nan_alpha": lambda m: setattr(m, "alpha", np.nan),
     "inf_beta": lambda m: setattr(m, "beta", -np.inf),
-    # train fits both sides on one label matrix with one config
-    "text_head_flags_inverted": lambda m: setattr(m.bank_y, "is_head",
-                                                  ~m.bank_y.is_head),
-    "text_counts_reversed": lambda m: setattr(m.bank_y, "counts",
-                                              m.bank_y.counts[::-1].copy()),
-    "text_without_memory": lambda m: setattr(m.embedder_y, "use_memory",
-                                             False),
-    "text_eta_mode_differs": lambda m: setattr(m.embedder_y, "eta_mode",
-                                               "as_printed"),
-    "text_eta_max_differs": lambda m: setattr(m.embedder_y, "eta_max", 7.0),
     # eta, which these memory-on models use, needs an eta_max >= 0 and a
     # non-empty head and a non-empty tail class
     "no_tail_class": _on_both_sides(
@@ -878,6 +870,8 @@ INCONSISTENT = {
         "bank", "counts", lambda b: np.where(b.is_head, b.counts, 0)),
     "negative_eta_max": _on_both_sides("embedder", "eta_max", lambda e: -2.0),
 }
+# the mutations that break eta's head/tail rule, which names the head flags
+ETA_RULE = ("no_tail_class", "no_head_class", "tail_classes_empty")
 
 
 def test_model_array_rank_checked(tmp_path):
@@ -907,26 +901,33 @@ def test_model_inconsistent_parts_rejected(tmp_path, mutate):
         load_model(path)
 
 
-@pytest.mark.parametrize("mutate", INCONSISTENT.values(), ids=INCONSISTENT)
-def test_model_inconsistency_names_an_offset(tmp_path, mutate):
+@pytest.mark.parametrize("name", INCONSISTENT)
+def test_model_inconsistency_names_an_offset(tmp_path, name):
     model = _trained_model()
-    mutate(model)
+    INCONSISTENT[name](model)
     path = tmp_path / "m.lcmh"
     save_model(path, model)
-    with pytest.raises(FormatError, match=r"at offset \d+"):
+    at = _part_offsets(model)["flags"] if name in ETA_RULE else r"\d+"
+    with pytest.raises(FormatError, match=rf"at offset {at}\b"):
         load_model(path)
 
 
 def _part_offsets(model):
-    """Byte offsets of the text embedder and the image bank in a saved
-    model: 24 bytes of magic, version, alpha and beta, then the image
-    embedder, then the text one."""
-    sizes = []
-    for e in (model.embedder_x, model.embedder_y):
+    """Byte offsets of parts of a saved model: 34 bytes of magic, version,
+    alpha, beta, eta mode, use_memory and eta_max, the class counts and the
+    head flags (arrays of 1-dim headers), then per side its basic net (the
+    side's offset), weight net and centroids."""
+    L = model.bank_x.num_classes
+    at = {"flags": 34 + 12 + 8 * L + 12}
+    end = at["flags"] + L
+    for side, (e, bank) in (("image", model.side("image")),
+                            ("text", model.side("text"))):
         buf = io.BytesIO()
-        hash_learn._write_embedder(buf, e)
-        sizes.append(len(buf.getvalue()))
-    return 24 + sizes[0], 24 + sum(sizes)
+        write_net(buf, e.basic_net)
+        write_net(buf, e.weight_net)
+        at[side], at[f"{side} centroids"] = end, end + len(buf.getvalue())
+        end = at[f"{side} centroids"] + 20 + bank.centroids.nbytes
+    return at
 
 
 def test_model_centroids_one_column_short_names_their_offset(tmp_path):
@@ -935,9 +936,9 @@ def test_model_centroids_one_column_short_names_their_offset(tmp_path):
     model.bank_x.centroids = model.bank_x.centroids[:, :-1]
     path = tmp_path / "m.lcmh"
     save_model(path, model)
-    _, bank_at = _part_offsets(model)
+    at = _part_offsets(model)["image centroids"]
     with pytest.raises(FormatError, match=(
-            rf"^inconsistent model: image centroids at offset {bank_at} of "
+            rf"^inconsistent model: image centroids at offset {at} of "
             rf"shape \({L}, {c - 1}\), expected \({L}, {c}\)$")):
         load_model(path)
 
@@ -962,11 +963,12 @@ def test_model_text_code_length_differs_names_text_embedder(tmp_path):
     _narrow_text_embedder(model)
     path = tmp_path / "m.lcmh"
     save_model(path, model)
-    text_at, _ = _part_offsets(model)
+    at = _part_offsets(model)["text"]
     L = model.bank_x.num_classes
     with pytest.raises(FormatError, match=(
-            rf"^inconsistent model: text embedder at offset {text_at} has "
-            rf"\(L, c\) = \({L}, 4\), not \({L}, 8\)$")):
+            rf"^inconsistent model: text nets at offset {at} map to "
+            rf"\(c, weight input, L\) = \(4, 4, {L}\), expected "
+            rf"\(8, 8, {L}\)$")):
         load_model(path)
 
 
@@ -974,15 +976,10 @@ def test_model_flag_byte_not_0_or_1_names_its_offset(tmp_path):
     # use_memory and each head flag is 0 or 1: any other value would load
     # as True and save back as 1, so the file would not read back exactly
     model = _trained_model()
-    text_at, bank_at = _part_offsets(model)
+    flags_at = _part_offsets(model)["flags"]
     L = model.bank_x.num_classes
-    buf = io.BytesIO()
-    hash_learn._write_bank(buf, model.bank_x)
-    image_flags_at = bank_at + len(buf.getvalue()) - L   # the bank's last L
-    text_flags_at = image_flags_at + len(buf.getvalue())
-    for name, at in (("use_memory", 25), ("use_memory", text_at + 1),
-                     ("image head", image_flags_at),
-                     ("text head", text_flags_at + L - 1)):
+    for name, at in (("use_memory", 25), ("head", flags_at),
+                     ("head", flags_at + L - 1)):
         for value in (7, 2, 255):
             path = _corrupt_model(tmp_path, at, bytes([value]))
             with pytest.raises(FormatError, match=(
@@ -1004,7 +1001,7 @@ def test_model_every_cut_and_bit_flip(tmp_path):
     path = tmp_path / "m.lcmh"
     save_model(path, model)
     raw = path.read_bytes()
-    assert len(raw) == 842 and model.embedder_x.use_memory
+    assert len(raw) == 786 and model.embedder_x.use_memory
     bad, back = tmp_path / "bad.lcmh", tmp_path / "back.lcmh"
     loaded = 0
     for case in cuts_and_flips(raw):
