@@ -89,7 +89,7 @@ def load_config(path=None, overrides=()):
 
 def save_config(cfg, path):
     lines = [f"{k} = {v}" for k, v in sorted(cfg.items())]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def parse_groups(text, where="groups"):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import BinaryIO
 
 import numpy as np
 
@@ -25,11 +24,11 @@ from .dataset import MultiModalDataset, build_affinity, split_head_tail
 from .errors import ConfigError, FormatError, ShapeError, TrainingError
 from .meta_embed import MetaEmbedder, PrototypeBank, compute_prototypes
 from .tensor import (FeedForwardNet, read_array, read_end, read_exact,
-                     read_header, read_net, sgd_step, sigmoid, softplus,
-                     write_array, write_header, write_net)
+                     read_header, sgd_step, sigmoid, softplus, write_array,
+                     write_header)
 
 MODEL_MAGIC = b"LCMH"
-MODEL_FORMAT_VERSION = 3
+MODEL_FORMAT_VERSION = 4
 
 # Fixed training settings, not config keys.
 # Each network's update is clipped to this global gradient norm, so a step
@@ -360,46 +359,55 @@ def encode_features(model: HashModel, features: np.ndarray, modality: str):
 
 # --- persistence --------------------------------------------------------------
 
-def _write_array(f: BinaryIO, arr: np.ndarray, dtype: str):
-    f.write(struct.pack(f"<I{arr.ndim}Q", arr.ndim, *arr.shape))
-    write_array(f, arr, dtype)
-
-
-def _read_array(f: BinaryIO, dtype: str, what: str, *dims) -> np.ndarray:
-    """Read an array written by _write_array whose shape must be dims
-    (a None dim matches any size) and whose entries must be finite."""
-    at = f.tell()
-    (got,) = struct.unpack("<I", read_exact(f, 4, "array header"))
-    if got != len(dims):
-        raise FormatError(f"array of {got} dims at offset {at}, "
-                          f"expected {len(dims)}")
-    shape = struct.unpack(f"<{got}Q", read_exact(f, 8 * got, "array shape"))
-    if any(d not in (None, n) for n, d in zip(shape, dims)):
-        raise FormatError(f"inconsistent model: {what} at offset {at} of "
-                          f"shape {shape}, expected {dims}")
-    return read_array(f, dtype, shape, what, finite=True)
+def _layout(d_x, d_y, hidden, c, L, n_train, n_query, n_retrieval):
+    """The arrays of a model file in file order, as (what, dtype, shape):
+    the classes' counts and head flags, each side's basic net [d, hidden, c]
+    and weight net [c, L] (weights, then biases, per layer) and centroids,
+    then B and the training, query and retrieval indices."""
+    parts = [("class counts", "<i8", (L,)), ("head flags", "<u1", (L,))]
+    for side, d in (("image", d_x), ("text", d_y)):
+        for net, dims in (("basic", (d, hidden, c)), ("weight", (c, L))):
+            for k, (din, dout) in enumerate(zip(dims, dims[1:]), 1):
+                layer = f"{side} {net} net layer {k}"
+                parts += [(f"{layer} weights", "<f8", (dout, din)),
+                          (f"{layer} biases", "<f8", (dout,))]
+        parts.append((f"{side} centroids", "<f8", (L, c)))
+    return parts + [("B", "<f8", (c, n_train)),
+                    ("training indices", "<i8", (n_train,)),
+                    ("query indices", "<i8", (n_query,)),
+                    ("retrieval indices", "<i8", (n_retrieval,))]
 
 
 def save_model(path, model: HashModel):
-    # train builds both sides with one config and one label matrix, so the
-    # memory switch, eta's settings and the classes are written once
+    """Write the settings and sizes once, then _layout's arrays, headerless.
+    The settings and classes are the image side's (train builds both sides
+    alike); a misshapen array raises ShapeError before the file opens."""
     e, bank = model.side("image")
+    splits = [model.train_indices, model.query_indices, model.retrieval_indices]
+    sizes = (e.basic_net.input_dim, model.embedder_y.basic_net.input_dim,
+             e.basic_net.weights[0].shape[0], e.code_length, bank.num_classes,
+             *(split.size for split in splits))
+    arrays = [bank.counts, bank.is_head]
+    for embedder, side_bank in (model.side("image"), model.side("text")):
+        for net in (embedder.basic_net, embedder.weight_net):
+            arrays += [a for wb in zip(net.weights, net.biases) for a in wb]
+        arrays.append(side_bank.centroids)
+    arrays += [model.B, *splits]
+    layout = _layout(*sizes)
+    if len(arrays) != len(layout):
+        raise ShapeError(f"model has {len(arrays)} arrays, expected "
+                         f"{len(layout)}: nets of [d, hidden, c] and [c, L]")
+    for (what, _, shape), arr in zip(layout, arrays):
+        if arr.shape != shape:
+            raise ShapeError(f"model {what} of shape {arr.shape}, expected "
+                             f"{shape}")
     with open(path, "wb") as f:
         write_header(f, MODEL_MAGIC, MODEL_FORMAT_VERSION)
-        f.write(struct.pack("<ddBBd", model.alpha, model.beta,
+        f.write(struct.pack("<ddBBd8Q", model.alpha, model.beta,
                             meta_embed.ETA_MODES.index(e.eta_mode),
-                            e.use_memory, e.eta_max))
-        _write_array(f, bank.counts, "<i8")
-        _write_array(f, bank.is_head, "<u1")
-        for side in ("image", "text"):
-            e, bank = model.side(side)
-            write_net(f, e.basic_net)
-            write_net(f, e.weight_net)
-            _write_array(f, bank.centroids, "<f8")
-        _write_array(f, model.B, "<f8")
-        _write_array(f, model.train_indices, "<i8")
-        _write_array(f, model.query_indices, "<i8")
-        _write_array(f, model.retrieval_indices, "<i8")
+                            e.use_memory, e.eta_max, *sizes))
+        for (_, dtype, _), arr in zip(layout, arrays):
+            write_array(f, arr, dtype)
 
 
 def load_model(path) -> HashModel:
@@ -407,8 +415,8 @@ def load_model(path) -> HashModel:
     read: every rejection is a FormatError that names a byte offset."""
     with open(path, "rb") as f:
         read_header(f, MODEL_MAGIC, MODEL_FORMAT_VERSION, "model")
-        alpha, beta, mode, use_memory, eta_max = struct.unpack(
-            "<ddBBd", read_exact(f, 26, "model settings"))
+        alpha, beta, mode, use_memory, eta_max, *sizes = struct.unpack(
+            "<ddBBd8Q", read_exact(f, 90, "model settings and sizes"))
         if not np.isfinite([alpha, beta]).all():
             raise FormatError(f"inconsistent model: alpha {alpha} or beta "
                               f"{beta} at offset 8 is not finite")
@@ -420,43 +428,35 @@ def load_model(path) -> HashModel:
         if not 0 <= eta_max < np.inf:   # eta's clamp
             raise FormatError(f"inconsistent model: eta_max {eta_max} at "
                               f"offset 26 is not finite and >= 0")
-        counts = _read_array(f, "<i8", "class counts", None)
-        L = counts.size
-        at = f.tell() + 12   # the flags' first byte, after a 1-dim header
-        flags = _read_array(f, "<u1", "head flags", L)
+        for k, name in enumerate(("d_x", "d_y", "hidden", "c", "L")):
+            if not sizes[k]:
+                raise FormatError(f"bad {name} 0 at offset {34 + 8 * k}, "
+                                  f"expected >= 1")
+        # the counts start at offset 98 and the head flags at `at`
+        layout, at = _layout(*sizes), 98 + 8 * sizes[4]
+        counts, flags = arrays = [
+            read_array(f, dtype, shape, what, finite=True)
+            for what, dtype, shape in layout[:2]]
+        if (bad := np.flatnonzero(counts < 0)).size:
+            raise FormatError(f"negative class count {counts[bad[0]]} at "
+                              f"offset {98 + 8 * bad[0]}")
         if (bad := np.flatnonzero(flags > 1)).size:
             raise FormatError(f"bad head flag {flags[bad[0]]} at offset "
                               f"{at + bad[0]}, expected 0 or 1")
         is_head = flags.astype(bool)
-        nonempty = counts > 0
-        if use_memory and not ((nonempty & is_head).any()
-                               and (nonempty & ~is_head).any()):
+        if use_memory and np.unique(is_head[counts > 0]).size < 2:
             raise FormatError(f"inconsistent model: the memory is on, and eta "
                               f"needs a non-empty head and a non-empty tail "
                               f"class (head flags at offset {at})")
-        embedders, banks, c = [], [], None
-        for side in ("image", "text"):
-            at = f.tell()
-            basic = read_net(f, f"{side} basic net")
-            weight = read_net(f, f"{side} weight net")
-            c = c or basic.output_dim   # the image side's code length
-            got = (basic.output_dim, weight.input_dim, weight.output_dim)
-            if got != (c, c, L):
-                raise FormatError(f"inconsistent model: {side} nets at offset "
-                                  f"{at} map to (c, weight input, L) = {got}, "
-                                  f"expected {(c, c, L)}")
-            embedders.append(MetaEmbedder(
-                basic_net=basic, weight_net=weight, eta_max=eta_max,
-                eta_mode=meta_embed.ETA_MODES[mode],
-                use_memory=bool(use_memory)))
-            banks.append(PrototypeBank(
-                centroids=_read_array(f, "<f8", f"{side} centroids", L, c),
-                counts=counts, is_head=is_head))
-        B = _read_array(f, "<f8", "B", c, None)
-        train_idx = _read_array(f, "<i8", "training indices", B.shape[1])
-        query_idx = _read_array(f, "<i8", "query indices", None)
-        retrieval_idx = _read_array(f, "<i8", "retrieval indices", None)
+        arrays += [read_array(f, dtype, shape, what, finite=True)
+                   for what, dtype, shape in layout[2:]]
         read_end(f)
-    return HashModel(*embedders, *banks, B=B, alpha=alpha, beta=beta,
-                     train_indices=train_idx, query_indices=query_idx,
-                     retrieval_indices=retrieval_idx)
+    embedders, banks = [], []
+    for k in (2, 9):   # each side's seven arrays
+        w1, b1, w2, b2, w, b, centroids = arrays[k:k + 7]
+        embedders.append(MetaEmbedder(
+            basic_net=FeedForwardNet.from_params([w1, w2], [b1, b2]),
+            weight_net=FeedForwardNet.from_params([w], [b]), eta_max=eta_max,
+            eta_mode=meta_embed.ETA_MODES[mode], use_memory=bool(use_memory)))
+        banks.append(PrototypeBank(centroids, counts, is_head))
+    return HashModel(*embedders, *banks, arrays[16], alpha, beta, *arrays[17:])

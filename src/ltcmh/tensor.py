@@ -70,6 +70,13 @@ class FeedForwardNet:
             self.weights.append(rng.uniform(-limit, limit, size=(dout, din)))
             self.biases.append(np.zeros(dout))
 
+    @classmethod
+    def from_params(cls, weights: list, biases: list):
+        """The net whose layers hold these weights and biases as given."""
+        net = cls.__new__(cls)
+        net.weights, net.biases = weights, biases
+        return net
+
     @property
     def input_dim(self):
         return self.weights[0].shape[1]
@@ -171,19 +178,6 @@ def finite_diff_grad(loss_fn: Callable[[FeedForwardNet], float],
 
 # --- persistence ------------------------------------------------------------
 
-def write_net(f: BinaryIO, net: FeedForwardNet):
-    """Write layer specs, each read off its weight's shape with activation
-    tag 1 (relu) or, on the last layer, 0 (linear), then the parameters
-    (little-endian f64) to a stream."""
-    f.write(struct.pack("<I", len(net.weights)))
-    for k, w in enumerate(net.weights, 1):
-        f.write(struct.pack("<IIB", w.shape[1], w.shape[0],
-                            k < len(net.weights)))
-    for w, b in zip(net.weights, net.biases):
-        write_array(f, w, "<f8")
-        write_array(f, b, "<f8")
-
-
 def write_array(f: BinaryIO, arr, dtype):
     """Write arr as a C-order array of dtype, copying only if it is not one."""
     f.write(np.ascontiguousarray(arr, dtype=dtype).data)
@@ -256,32 +250,3 @@ def read_header(f: BinaryIO, magic: bytes, version: int, what: str):
     if got != version:
         raise FormatError(f"unsupported {what} version {got} at offset 4")
 
-
-def read_net(f: BinaryIO, what: str = "net") -> FeedForwardNet:
-    """Read a net written by write_net; a FormatError names the offset of
-    the field it rejects, or of the net if its chain is empty or broken."""
-    where = f"inconsistent model: {what} at offset {f.tell()}"
-    (n_layers,) = struct.unpack("<I", read_exact(f, 4, "layer count"))
-    dims = []
-    for k in range(1, n_layers + 1):
-        at = f.tell()
-        din, dout, act = struct.unpack("<IIB", read_exact(f, 9, "layer spec"))
-        if act != (k < n_layers):
-            raise FormatError(f"bad activation tag {act} at offset {at + 8}")
-        if din < 1 or dout < 1:
-            raise FormatError(f"bad layer dims {din}x{dout} at offset {at}")
-        dims.append((din, dout))
-    if not dims:
-        raise FormatError(f"{where}: a net needs at least one layer")
-    for (_, out), (din, _) in zip(dims, dims[1:]):
-        if out != din:
-            raise FormatError(f"{where}: layer chain broken: output_dim "
-                              f"{out} != next input_dim {din}")
-    net = object.__new__(FeedForwardNet)
-    net.weights, net.biases = [], []
-    for din, dout in dims:
-        net.weights.append(read_array(f, "<f8", (dout, din), "weights",
-                                      finite=True))
-        net.biases.append(read_array(f, "<f8", (dout,), "biases",
-                                     finite=True))
-    return net

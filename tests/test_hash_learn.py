@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import io
 import itertools
 import re
 import struct
@@ -21,7 +20,7 @@ from ltcmh.hash_learn import (HashModel, TrainConfig, balance_loss,
                               quantization_loss, save_model, total_loss, train,
                               update_B)
 from ltcmh.meta_embed import PrototypeBank, compute_prototypes
-from ltcmh.tensor import FeedForwardNet, softplus, write_net
+from ltcmh.tensor import FeedForwardNet, softplus
 
 
 def _separable_dataset():
@@ -656,48 +655,79 @@ def test_encode_split_non_finite_in_last_chunk(large_split_model, modality,
 # --- persistence -------------------------------------------------------------------
 
 def test_built_nets_bytes_pinned():
-    # the init draws, their order and the net layout of the nets train
-    # builds, image side then text side; no BLAS call is involved, so the
-    # bytes hold at every thread count
+    # the init draws, their order and the layer shapes of the nets train
+    # builds, image side then text side, each layer's weights then biases;
+    # no BLAS call is involved, so the bytes hold at every thread count
     rng = np.random.default_rng(0)
-    buf = io.BytesIO()
+    params = []
     for input_dim in (32, 24):
         e = hash_learn._build_embedder(input_dim, 24, TrainConfig(), rng)
-        write_net(buf, e.basic_net)
-        write_net(buf, e.weight_net)
-    raw = buf.getvalue()
-    assert len(raw) == 52934
+        for net in (e.basic_net, e.weight_net):
+            params += [a for wb in zip(net.weights, net.biases) for a in wb]
+    assert [a.shape for a in params] == [
+        (64, 32), (64,), (16, 64), (16,), (24, 16), (24,),
+        (64, 24), (64,), (16, 64), (16,), (24, 16), (24,)]
+    raw = b"".join(a.tobytes() for a in params)
+    assert len(raw) == 52864
     assert hashlib.sha256(raw).hexdigest() == (
-        "e21fa708b4e2abda0f7e0e02b71f608e040401a511aa2fcbc4b0f021358c0aeb")
+        "72e7db1f6e0867e4c939141b027977c67258de835749ee76eb8fcb16e9555d02")
 
 
-def _trained_model(**kw):
+def _trained_model(with_splits=False, **kw):
+    """A 3-epoch model of the separable dataset; with_splits, it also has
+    a query and a retrieval split."""
     data = _separable_dataset()
     model, _ = train(data, np.arange(data.n), _fast_config(epochs=3, **kw))
+    if with_splits:
+        model.query_indices = np.array([3, 1, 4], np.int64)
+        model.retrieval_indices = np.arange(5, 12, dtype=np.int64)
     return model
 
 
+def _model_arrays(model):
+    """Every array of a model by name: both sides' net parameters and
+    banks, B and the three index arrays."""
+    arrays = {"B": model.B, "train": model.train_indices,
+              "query": model.query_indices,
+              "retrieval": model.retrieval_indices}
+    for side in ("image", "text"):
+        e, bank = model.side(side)
+        for name in ("centroids", "counts", "is_head"):
+            arrays[f"{side} {name}"] = getattr(bank, name)
+        for net in ("basic_net", "weight_net"):
+            for k, (w, b) in enumerate(zip(getattr(e, net).weights,
+                                           getattr(e, net).biases)):
+                arrays[f"{side} {net} W{k}"] = w
+                arrays[f"{side} {net} b{k}"] = b
+    return arrays
+
+
 def test_model_roundtrip(tmp_path):
-    model = _trained_model()
+    model = _trained_model(with_splits=True)
     path = tmp_path / "m.lcmh"
     save_model(path, model)
     loaded = load_model(path)
     assert loaded.alpha == model.alpha and loaded.beta == model.beta
-    assert np.array_equal(loaded.B, model.B)
-    assert np.array_equal(loaded.bank_x.centroids, model.bank_x.centroids)
-    assert np.array_equal(loaded.bank_y.counts, model.bank_y.counts)
-    assert loaded.embedder_x.eta_mode == model.embedder_x.eta_mode
-    assert loaded.embedder_x.eta_max == model.embedder_x.eta_max
-    # eta mode, use_memory and eta_max follow alpha and beta, once
-    assert struct.unpack_from("<BBd", path.read_bytes(), 24) == (
+    for e1, e2 in ((loaded.embedder_x, model.embedder_x),
+                   (loaded.embedder_y, model.embedder_y)):
+        assert (e1.eta_mode, e1.eta_max, e1.use_memory) == (
+            e2.eta_mode, e2.eta_max, e2.use_memory)
+    # each array, with its dtype: per side the weights and biases of three
+    # layers and the bank's three arrays, then B and the 3 index arrays
+    want, got = _model_arrays(model), _model_arrays(loaded)
+    assert list(got) == list(want) and len(want) == 22
+    for name, arr in want.items():
+        assert got[name].dtype == arr.dtype, name
+        assert np.array_equal(got[name], arr), name
+    # eta mode, use_memory and eta_max follow alpha and beta, once, and
+    # the sizes follow them: d_x, d_y, hidden, c, L and the split sizes
+    raw = path.read_bytes()
+    assert struct.unpack_from("<BBd8Q", raw, 24) == (
         meta_embed.ETA_MODES.index(model.embedder_x.eta_mode), 1,
-        model.embedder_x.eta_max)
+        model.embedder_x.eta_max, 6, 5, 16, 8, 2, model.train_indices.size,
+        model.query_indices.size, model.retrieval_indices.size)
     assert loaded.bank_x.counts is loaded.bank_y.counts
     assert loaded.bank_x.is_head is loaded.bank_y.is_head
-    for w1, w2 in zip(loaded.embedder_x.basic_net.weights,
-                      model.embedder_x.basic_net.weights):
-        assert np.array_equal(w1, w2)
-    assert np.array_equal(loaded.train_indices, model.train_indices)
 
 
 def test_model_roundtrip_preserves_encoding(tmp_path):
@@ -736,17 +766,19 @@ def test_model_bad_version(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(FormatError):
         load_model(path)
-    # version 2 wrote the settings and the classes once per side; its
+    # version 2 wrote the settings and the classes once per side, and
+    # version 3 a rank and dims per array and layer specs per net; their
     # files are rejected at the version field, with no second reader
-    raw[4:8] = (2).to_bytes(4, "little")
-    path.write_bytes(bytes(raw))
-    with pytest.raises(FormatError,
-                       match="^unsupported model version 2 at offset 4$"):
-        load_model(path)
-    assert main(["encode", "--model", str(path), "--dataset",
-                 str(tmp_path / "d.lcmd"), "--modality", "image",
-                 "--out", str(tmp_path / "c.lcmb")]) == 2
-    assert not (tmp_path / "c.lcmb").exists()
+    for version in (2, 3):
+        raw[4:8] = version.to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=(
+                f"^unsupported model version {version} at offset 4$")):
+            load_model(path)
+        assert main(["encode", "--model", str(path), "--dataset",
+                     str(tmp_path / "d.lcmd"), "--modality", "image",
+                     "--out", str(tmp_path / "c.lcmb")]) == 2
+        assert not (tmp_path / "c.lcmb").exists()
 
 
 def test_model_truncated(tmp_path):
@@ -782,18 +814,21 @@ def test_model_bad_eta_mode_tag(tmp_path):
 
 
 def test_model_bad_layer_dim(tmp_path):
-    # the image basic net starts right after the head flags, and its first
-    # layer's input dim follows its 4-byte layer count
-    model = _trained_model()
-    at = _part_offsets(model)["image"] + 4
-    path = _corrupt_model(tmp_path, at, (2**31).to_bytes(4, "little"))
-    with pytest.raises(FormatError, match="weights"):
-        load_model(path)
-    path = _corrupt_model(tmp_path, at, (0).to_bytes(4, "little"))
-    with pytest.raises(FormatError, match="layer dims 0x"):
-        load_model(path)
-    # the offset named is the layer spec's first byte
-    with pytest.raises(FormatError, match=rf"layer dims 0x16 at offset {at}$"):
+    # d_x, d_y, hidden, c and L follow the settings as u64s from offset 34;
+    # none may be 0, and the offset named is the size's own
+    for k, name in enumerate(("d_x", "d_y", "hidden", "c", "L")):
+        at = 34 + 8 * k
+        path = _corrupt_model(tmp_path, at, (0).to_bytes(8, "little"))
+        with pytest.raises(FormatError, match=(
+                rf"^bad {name} 0 at offset {at}, expected >= 1$")):
+            load_model(path)
+    # a d_x larger than the file: the image basic net's first layer, right
+    # after the head flags, is cut short
+    at = _part_offsets(_trained_model())["image"]
+    path = _corrupt_model(tmp_path, 34, (2**31).to_bytes(8, "little"))
+    with pytest.raises(FormatError, match=(
+            rf"^truncated while reading image basic net layer 1 weights at "
+            rf"offset {at}: ")):
         load_model(path)
 
 
@@ -841,7 +876,9 @@ def _on_both_sides(part, name, value):
     return mutate
 
 
-INCONSISTENT = {
+# arrays whose shapes are not the ones the model's sizes give: train never
+# builds them, and save_model refuses them
+MISSHAPEN = {
     "centroids_one_column": lambda m: setattr(
         m, "bank_x", _shrink_bank(m.bank_x, cols=slice(0, 1))),
     "bank_one_row_short": lambda m: setattr(
@@ -854,93 +891,115 @@ INCONSISTENT = {
     "weight_net_input_not_code_length": _weight_net_wrong_input,
     "basic_net_chain_broken": _broken_chain,
     "weight_net_without_layers": _no_layers,
-    "nan_weight": lambda m: _set_nan(m.embedder_x.basic_net.weights),
-    "nan_bias": lambda m: _set_nan(m.embedder_y.weight_net.biases),
-    "nan_centroid": lambda m: _set_nan([m.bank_y.centroids]),
-    "inf_eta_max": lambda m: setattr(m.embedder_x, "eta_max", np.inf),
-    "nan_alpha": lambda m: setattr(m, "alpha", np.nan),
-    "inf_beta": lambda m: setattr(m, "beta", -np.inf),
-    # eta, which these memory-on models use, needs an eta_max >= 0 and a
-    # non-empty head and a non-empty tail class
-    "no_tail_class": _on_both_sides(
-        "bank", "is_head", lambda b: np.ones_like(b.is_head)),
-    "no_head_class": _on_both_sides(
-        "bank", "is_head", lambda b: np.zeros_like(b.is_head)),
-    "tail_classes_empty": _on_both_sides(
-        "bank", "counts", lambda b: np.where(b.is_head, b.counts, 0)),
-    "negative_eta_max": _on_both_sides("embedder", "eta_max", lambda e: -2.0),
 }
-# the mutations that break eta's head/tail rule, which names the head flags
-ETA_RULE = ("no_tail_class", "no_head_class", "tail_classes_empty")
 
 
-def test_model_array_rank_checked(tmp_path):
-    # every model array has a fixed rank. A flipped rank field used to make
-    # the reader take the bytes after it as dims; with hundreds of them the
-    # size in the error message passed Python's int-to-str digit limit
-    model = _trained_model()
-    path = tmp_path / "m.lcmh"
-    save_model(path, model)
-    raw = bytearray(path.read_bytes())
-    at = raw.index(struct.pack("<IQQ", 2, *model.bank_x.centroids.shape))
-    for ndim in (0, 3, 514):
-        raw[at:at + 4] = struct.pack("<I", ndim)
-        path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match=f"array of {ndim} dims at "
-                                              f"offset {at}, expected 2"):
-            load_model(path)
-
-
-@pytest.mark.parametrize("mutate", INCONSISTENT.values(), ids=INCONSISTENT)
-def test_model_inconsistent_parts_rejected(tmp_path, mutate):
+@pytest.mark.parametrize("mutate", MISSHAPEN.values(), ids=MISSHAPEN)
+def test_model_misshapen_parts_rejected_at_save(tmp_path, mutate):
     model = _trained_model()
     mutate(model)
+    path = tmp_path / "m.lcmh"
+    with pytest.raises(ShapeError, match="^model "):
+        save_model(path, model)
+    assert not path.exists()
+
+
+# values a model file can hold but load_model rejects, each with the part
+# of _part_offsets whose offset its FormatError names
+VALUE = {
+    "nan_weight": (lambda m: _set_nan(m.embedder_x.basic_net.weights),
+                   "image"),
+    "nan_bias": (lambda m: _set_nan(m.embedder_y.weight_net.biases),
+                 "text weight-net biases"),
+    "nan_centroid": (lambda m: _set_nan([m.bank_y.centroids]),
+                     "text centroids"),
+    "inf_eta_max": (lambda m: setattr(m.embedder_x, "eta_max", np.inf),
+                    "eta_max"),
+    "nan_alpha": (lambda m: setattr(m, "alpha", np.nan), "alpha"),
+    "inf_beta": (lambda m: setattr(m, "beta", -np.inf), "alpha"),
+    # eta, which these memory-on models use, needs an eta_max >= 0 and a
+    # non-empty head and a non-empty tail class, and the rule names the
+    # head flags
+    "no_tail_class": (_on_both_sides(
+        "bank", "is_head", lambda b: np.ones_like(b.is_head)), "flags"),
+    "no_head_class": (_on_both_sides(
+        "bank", "is_head", lambda b: np.zeros_like(b.is_head)), "flags"),
+    "tail_classes_empty": (_on_both_sides(
+        "bank", "counts", lambda b: np.where(b.is_head, b.counts, 0)),
+        "flags"),
+    "negative_eta_max": (_on_both_sides(
+        "embedder", "eta_max", lambda e: -2.0), "eta_max"),
+    # a bad value rather than an inconsistency: no "inconsistent" prefix
+    "negative_class_count": (lambda m: m.bank_x.counts.__setitem__(-1, -3),
+                             "last count"),
+}
+INCONSISTENT = [name for name in VALUE if name != "negative_class_count"]
+
+
+@pytest.mark.parametrize("name", INCONSISTENT)
+def test_model_inconsistent_parts_rejected(tmp_path, name):
+    model = _trained_model()
+    VALUE[name][0](model)
     path = tmp_path / "m.lcmh"
     save_model(path, model)
     with pytest.raises(FormatError, match="inconsistent"):
         load_model(path)
 
 
-@pytest.mark.parametrize("name", INCONSISTENT)
+@pytest.mark.parametrize("name", VALUE)
 def test_model_inconsistency_names_an_offset(tmp_path, name):
     model = _trained_model()
-    INCONSISTENT[name](model)
+    mutate, part = VALUE[name]
+    mutate(model)
     path = tmp_path / "m.lcmh"
     save_model(path, model)
-    at = _part_offsets(model)["flags"] if name in ETA_RULE else r"\d+"
+    at = _part_offsets(model)[part]
     with pytest.raises(FormatError, match=rf"at offset {at}\b"):
         load_model(path)
 
 
 def _part_offsets(model):
-    """Byte offsets of parts of a saved model: 34 bytes of magic, version,
-    alpha, beta, eta mode, use_memory and eta_max, the class counts and the
-    head flags (arrays of 1-dim headers), then per side its basic net (the
-    side's offset), weight net and centroids."""
-    L = model.bank_x.num_classes
-    at = {"flags": 34 + 12 + 8 * L + 12}
+    """Byte offsets of parts of a saved model: alpha at 8, eta_max at 26,
+    the eight u64 sizes from 34 and the class counts (8L bytes) from 98,
+    then the head flags (L bytes), then per side its basic net's weights
+    and biases (the side's offset), its weight net's and its centroids,
+    then B. No array has a header of its own."""
+    L, c = model.bank_x.centroids.shape
+    hidden = model.embedder_x.basic_net.weights[0].shape[0]
+    at = {"alpha": 8, "eta_max": 26, "last count": 98 + 8 * (L - 1),
+          "flags": 98 + 8 * L}
     end = at["flags"] + L
-    for side, (e, bank) in (("image", model.side("image")),
-                            ("text", model.side("text"))):
-        buf = io.BytesIO()
-        write_net(buf, e.basic_net)
-        write_net(buf, e.weight_net)
-        at[side], at[f"{side} centroids"] = end, end + len(buf.getvalue())
-        end = at[f"{side} centroids"] + 20 + bank.centroids.nbytes
+    for side, (e, _) in (("image", model.side("image")),
+                         ("text", model.side("text"))):
+        d = e.basic_net.input_dim
+        at[side] = end
+        end += 8 * (hidden * d + hidden + c * hidden + c + L * c)
+        at[f"{side} weight-net biases"] = end
+        at[f"{side} centroids"] = end + 8 * L
+        end = at[f"{side} centroids"] + 8 * L * c
+    at["B"] = end
     return at
 
 
 def test_model_centroids_one_column_short_names_their_offset(tmp_path):
     model = _trained_model()
     L, c = model.bank_x.centroids.shape
-    model.bank_x.centroids = model.bank_x.centroids[:, :-1]
     path = tmp_path / "m.lcmh"
     save_model(path, model)
+    # a file that ends one centroid column into the image centroids
     at = _part_offsets(model)["image centroids"]
+    path.write_bytes(path.read_bytes()[:at + 8 * L * (c - 1)])
     with pytest.raises(FormatError, match=(
-            rf"^inconsistent model: image centroids at offset {at} of "
-            rf"shape \({L}, {c - 1}\), expected \({L}, {c}\)$")):
+            rf"^truncated while reading image centroids at offset {at}: "
+            rf"{8 * L * c} bytes needed, {8 * L * (c - 1)} left$")):
         load_model(path)
+    # and a bank one column short is not written at all
+    model.bank_x.centroids = model.bank_x.centroids[:, :-1]
+    with pytest.raises(ShapeError, match=(
+            rf"^model image centroids of shape \({L}, {c - 1}\), expected "
+            rf"\({L}, {c}\)$")):
+        save_model(tmp_path / "short.lcmh", model)
+    assert not (tmp_path / "short.lcmh").exists()
 
 
 def test_model_nan_in_B_rejected(tmp_path):
@@ -950,11 +1009,13 @@ def test_model_nan_in_B_rejected(tmp_path):
         model.B[3, 2] = bad
         path = tmp_path / "m.lcmh"
         save_model(path, model)
-        # the offset named is that of B's data, after its rank and dims
-        at = path.read_bytes().index(struct.pack("<I2Q", 2, *model.B.shape))
+        # the offset named is that of B, right after the text centroids;
+        # B (c x n) and the n training indices end the file
+        at = _part_offsets(model)["B"]
+        c, n = model.B.shape
+        assert at == len(path.read_bytes()) - 8 * (c + 1) * n
         with pytest.raises(FormatError, match=(
-                rf"^inconsistent model: B at offset {at + 20} are not "
-                rf"finite$")):
+                rf"^inconsistent model: B at offset {at} are not finite$")):
             load_model(path)
 
 
@@ -962,14 +1023,11 @@ def test_model_text_code_length_differs_names_text_embedder(tmp_path):
     model = _trained_model()
     _narrow_text_embedder(model)
     path = tmp_path / "m.lcmh"
-    save_model(path, model)
-    at = _part_offsets(model)["text"]
-    L = model.bank_x.num_classes
-    with pytest.raises(FormatError, match=(
-            rf"^inconsistent model: text nets at offset {at} map to "
-            rf"\(c, weight input, L\) = \(4, 4, {L}\), expected "
-            rf"\(8, 8, {L}\)$")):
-        load_model(path)
+    with pytest.raises(ShapeError, match=(
+            r"^model text basic net layer 2 weights of shape \(4, 16\), "
+            r"expected \(8, 16\)$")):
+        save_model(path, model)
+    assert not path.exists()
 
 
 def test_model_flag_byte_not_0_or_1_names_its_offset(tmp_path):
@@ -978,6 +1036,7 @@ def test_model_flag_byte_not_0_or_1_names_its_offset(tmp_path):
     model = _trained_model()
     flags_at = _part_offsets(model)["flags"]
     L = model.bank_x.num_classes
+    assert flags_at == 98 + 8 * L
     for name, at in (("use_memory", 25), ("head", flags_at),
                      ("head", flags_at + L - 1)):
         for value in (7, 2, 255):
@@ -1001,7 +1060,7 @@ def test_model_every_cut_and_bit_flip(tmp_path):
     path = tmp_path / "m.lcmh"
     save_model(path, model)
     raw = path.read_bytes()
-    assert len(raw) == 786 and model.embedder_x.use_memory
+    assert len(raw) == 660 and model.embedder_x.use_memory
     bad, back = tmp_path / "bad.lcmh", tmp_path / "back.lcmh"
     loaded = 0
     for case in cuts_and_flips(raw):

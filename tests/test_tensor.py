@@ -1,5 +1,4 @@
 import io
-import struct
 
 import numpy as np
 import pytest
@@ -8,8 +7,8 @@ from hypothesis import strategies as st
 
 from ltcmh.errors import FormatError, ShapeError, TrainingError
 from ltcmh.tensor import (FeedForwardNet, _relu_grad, finite_diff_grad,
-                          read_array, read_end, read_net, sgd_step, sigmoid,
-                          softplus, write_array, write_net)
+                          read_array, read_end, sgd_step, sigmoid, softplus,
+                          write_array)
 
 
 def rel_err(a, b):
@@ -96,19 +95,6 @@ def test_activation_grads_match_finite_differences(rng):
     assert rel_err(analytic, numeric) < 1e-6
 
 
-def test_activations_are_identity_and_relu(rng):
-    # the tags every written model file carries are positional: 1 (relu)
-    # on each hidden layer, 0 (linear) on the last, and no other reads
-    raw = _net_bytes(FeedForwardNet([2, 3, 1], rng))
-    assert (raw[12], raw[21]) == (1, 0)
-    for at, tag in ((12, 0), (21, 1)):
-        bad = bytearray(raw)
-        bad[at] = tag
-        with pytest.raises(FormatError,
-                           match=f"bad activation tag {tag} at offset {at}$"):
-            read_net(io.BytesIO(bytes(bad)))
-
-
 def test_relu_grad_from_output_equals_pre_activation_formula(rng):
     # a = max(z, 0) > 0 exactly where z > 0, including at +-0.0, +-inf and NaN
     z = np.concatenate([rng.normal(size=983), _SPECIAL])
@@ -158,14 +144,6 @@ def test_forward_shape_mismatch_raises(rng):
     net = FeedForwardNet([3, 2], rng)
     with pytest.raises(ShapeError):
         net.forward(np.zeros((4, 5)))
-
-
-def test_layer_chain_mismatch_raises(rng):
-    # widths always chain; weights that do not are caught on reading
-    net = FeedForwardNet([3, 4, 2], rng)
-    net.weights[1] = np.zeros((2, 5))
-    with pytest.raises(FormatError, match="output_dim 4 != next input_dim 5"):
-        read_net(io.BytesIO(_net_bytes(net)))
 
 
 @pytest.mark.parametrize("dims", [[3, 0, 2], [0, 2], [3, -1]])
@@ -329,50 +307,6 @@ def test_finite_diff_rejects_bad_eps(rng):
 
 # --- persistence ----------------------------------------------------------------
 
-def _net_bytes(net):
-    buf = io.BytesIO()
-    write_net(buf, net)
-    return buf.getvalue()
-
-
-def test_net_save_load_roundtrip(rng):
-    net = FeedForwardNet([3, 4, 2], rng)
-    f = io.BytesIO(_net_bytes(net))
-    loaded = read_net(f)
-    read_end(f)
-    assert [w.shape for w in loaded.weights] == [(4, 3), (2, 4)]
-    for w1, w2 in zip(net.weights, loaded.weights):
-        assert np.array_equal(w1, w2)
-    for b1, b2 in zip(net.biases, loaded.biases):
-        assert np.array_equal(b1, b2)
-
-
-def test_net_save_is_byte_deterministic(rng):
-    net = FeedForwardNet([2, 2], rng)
-    assert _net_bytes(net) == _net_bytes(net)
-
-
-def test_net_file_layout_matches_documentation(rng):
-    net = FeedForwardNet([2, 3, 1], rng)
-    raw = _net_bytes(net)
-    assert int.from_bytes(raw[0:4], "little") == 2          # layer count
-    assert struct.unpack("<IIB", raw[4:13]) == (2, 3, 1)    # in, out, relu
-    assert struct.unpack("<IIB", raw[13:22]) == (3, 1, 0)   # in, out, linear
-    params = np.frombuffer(raw[22:], dtype="<f8")
-    assert params.size == 6 + 3 + 3 + 1
-    assert np.array_equal(params[:6], net.weights[0].ravel())
-    assert np.array_equal(params[6:9], net.biases[0])
-    assert np.array_equal(params[9:12], net.weights[1].ravel())
-    assert params[12] == net.biases[1][0]
-
-
-def test_load_net_truncated_raises(rng):
-    raw = _net_bytes(FeedForwardNet([3, 3], rng))
-    for end in range(len(raw)):
-        with pytest.raises(FormatError):
-            read_net(io.BytesIO(raw[:end]))
-
-
 _ARRAYS = {
     "c_order": np.arange(12.0).reshape(3, 4),
     "f_order": np.asfortranarray(np.arange(12.0).reshape(3, 4)),
@@ -416,22 +350,12 @@ def test_read_array_checks_the_size_before_allocating(monkeypatch):
         read_array(Shrinking(b"\0" * 24), "<f8", (3,), "X")
 
 
-@pytest.mark.parametrize("specs, message", [
-    ([], "at least one layer"),
-    ([(3, 2), (1, 2)], "layer chain broken"),
-])
-def test_net_chain_checked_on_build_and_read(specs, message, rng):
+@pytest.mark.parametrize("dims", [[], [3]])
+def test_net_needs_at_least_one_layer(dims, rng):
     # widths cannot break a chain, so FeedForwardNet's one shape error is
-    # fewer than two of them; read_net checks the (in, out) specs, with tag
-    # 1 on the hidden layer, and rejects an empty or broken chain with a
-    # FormatError that names the net's start offset
+    # fewer than two of them
     with pytest.raises(ShapeError, match="at least one layer"):
-        FeedForwardNet([din for din, _ in specs[:1]], rng)
-    raw = struct.pack("<I", len(specs)) + b"".join(
-        struct.pack("<IIB", din, dout, k < len(specs))
-        for k, (din, dout) in enumerate(specs, 1))
-    with pytest.raises(FormatError, match=f"net at offset 0: .*{message}"):
-        read_net(io.BytesIO(raw + bytes(64)))
+        FeedForwardNet(dims, rng)
 
 
 def test_read_end_rejects_trailing_bytes():
@@ -442,47 +366,6 @@ def test_read_end_rejects_trailing_bytes():
     f.read(3)
     with pytest.raises(FormatError, match="offset 3"):
         read_end(f)
-
-
-def test_read_net_bad_activation_tag_raises(rng):
-    net = FeedForwardNet([1, 1], rng)
-    buf = io.BytesIO()
-    write_net(buf, net)
-    raw = bytearray(buf.getvalue())
-    # the activation tag byte of the first layer spec; only 0 and 1 are tags
-    for tag in (2, 3, 200, 255):
-        raw[12] = tag
-        with pytest.raises(FormatError, match=f"bad activation tag {tag}"):
-            read_net(io.BytesIO(bytes(raw)))
-        # the offset named is the tag's own byte
-        with pytest.raises(FormatError,
-                           match=f"bad activation tag {tag} at offset 12$"):
-            read_net(io.BytesIO(bytes(raw)))
-
-
-def test_read_net_bad_layer_dims_names_spec_offset(rng):
-    net = FeedForwardNet([3, 5], rng)
-    raw = bytearray(_net_bytes(net))
-    raw[4:8] = (0).to_bytes(4, "little")   # the first layer's input dim
-    with pytest.raises(FormatError, match=r"bad layer dims 0x5 at offset 4$"):
-        read_net(io.BytesIO(bytes(raw)))
-
-
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-def test_read_net_rejects_non_finite_parameter_at_its_offset(rng, value):
-    # 4 bytes of layer count and 9 per layer spec, then W0 (1x2), b0 (1),
-    # W1 (1x1) and b1 (1)
-    net = FeedForwardNet([2, 1, 1], rng)
-    for param, at in ((net.weights[0], 22), (net.biases[0], 38),
-                      (net.weights[1], 46), (net.biases[1], 54)):
-        kept = param.flat[0]
-        param.flat[0] = value
-        with pytest.raises(FormatError,
-                           match=f"at offset {at} are not finite$"):
-            read_net(io.BytesIO(_net_bytes(net)))
-        param.flat[0] = kept
-    loaded = read_net(io.BytesIO(_net_bytes(net)))
-    assert [w.shape for w in loaded.weights] == [(1, 2), (1, 1)]
 
 
 # --- properties -----------------------------------------------------------------
