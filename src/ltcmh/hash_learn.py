@@ -378,10 +378,10 @@ def _layout(d_x, d_y, hidden, c, L, n_train, n_query, n_retrieval):
                     ("retrieval indices", "<i8", (n_retrieval,))]
 
 
-def save_model(path, model: HashModel):
-    """Write the settings and sizes once, then _layout's arrays, headerless.
-    The settings and classes are the image side's (train builds both sides
-    alike); a misshapen array raises ShapeError before the file opens."""
+def _sizes_and_arrays(model: HashModel):
+    """The eight sizes a model file states and the model's arrays in
+    _layout's order, as they are, without checking their shapes. The
+    classes are the image side's (train builds both sides alike)."""
     e, bank = model.side("image")
     splits = [model.train_indices, model.query_indices, model.retrieval_indices]
     sizes = (e.basic_net.input_dim, model.embedder_y.basic_net.input_dim,
@@ -392,7 +392,15 @@ def save_model(path, model: HashModel):
         for net in (embedder.basic_net, embedder.weight_net):
             arrays += [a for wb in zip(net.weights, net.biases) for a in wb]
         arrays.append(side_bank.centroids)
-    arrays += [model.B, *splits]
+    return sizes, arrays + [model.B, *splits]
+
+
+def save_model(path, model: HashModel):
+    """Write the settings and sizes once, then _layout's arrays, headerless.
+    The settings are the image side's; a misshapen array raises ShapeError
+    before the file opens."""
+    e, _ = model.side("image")
+    sizes, arrays = _sizes_and_arrays(model)
     layout = _layout(*sizes)
     if len(arrays) != len(layout):
         raise ShapeError(f"model has {len(arrays)} arrays, expected "
