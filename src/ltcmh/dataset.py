@@ -10,15 +10,14 @@ shared by construction.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, FormatError, ShapeError
-from .tensor import (read_array, read_bit_rows, read_end, read_exact,
-                     read_header, write_array, write_header)
+from .tensor import (read_array, read_bit_rows, read_end, read_header,
+                     write_array, write_header)
 
 DATASET_MAGIC = b"LCMD"
 DATASET_FORMAT_VERSION = 1
@@ -250,9 +249,8 @@ def split_query_retrieval(dataset: MultiModalDataset,
 
 def save_dataset(dataset: MultiModalDataset, path):
     with open(path, "wb") as f:
-        write_header(f, DATASET_MAGIC, DATASET_FORMAT_VERSION)
-        f.write(struct.pack("<QQQQ", *dataset.X.shape, dataset.Y.shape[1],
-                            dataset.labels.shape[1]))
+        write_header(f, DATASET_MAGIC, DATASET_FORMAT_VERSION, "4Q",
+                     *dataset.X.shape, dataset.Y.shape[1], dataset.num_classes)
         write_array(f, dataset.X, "<f8")
         write_array(f, dataset.Y, "<f8")
         labels = dataset.labels.astype(np.uint8, copy=False)
@@ -262,8 +260,8 @@ def save_dataset(dataset: MultiModalDataset, path):
 
 def load_dataset(path) -> MultiModalDataset:
     with open(path, "rb") as f:
-        read_header(f, DATASET_MAGIC, DATASET_FORMAT_VERSION, "dataset")
-        n, d_x, d_y, L = struct.unpack("<QQQQ", read_exact(f, 32, "header"))
+        n, d_x, d_y, L = read_header(f, DATASET_MAGIC, DATASET_FORMAT_VERSION,
+                                     "dataset", "4Q")
         if d_x == 0 or d_y == 0:
             raise FormatError(f"zero feature width d_x={d_x}, d_y={d_y} "
                               f"at offset {16 if d_x == 0 else 24}")

@@ -66,7 +66,7 @@ def load_config(path=None, overrides=()):
     items = []   # (where, "key = value"): where is path:lineno or "override"
     if path is not None:
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
         except UnicodeDecodeError as e:
             raise ConfigError(f"{path}: not UTF-8 at byte {e.start}") from None
         for lineno, line in enumerate(text.splitlines(), 1):

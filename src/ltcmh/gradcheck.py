@@ -58,8 +58,8 @@ def check_train_step(seed=0, eps=1e-5):
     """hash_learn._batch_grads, the batch step train runs, vs central
     differences of objective(...) / n in every net parameter, where
     embed_batch recomputes V[:, cols] at the eta of the step's own cache
-    (the bank held fixed too). Both sides, with the memory off and on; the
-    basic nets have a relu and a linear layer: both derivatives are checked."""
+    (the bank held fixed too). Both sides, memory off and then on through
+    _switch_on_memory, as in train; relu and linear derivatives are checked."""
     rng = np.random.default_rng(seed)
     c, L, n = 3, 4, 6
     config = TrainConfig(code_length=c, hidden_dim=4)
@@ -73,11 +73,12 @@ def check_train_step(seed=0, eps=1e-5):
         for side, d, grad, aff in (("x", 5, hash_learn.grad_Vx, A),
                                    ("y", 4, hash_learn.grad_Vy, A.T)):
             embedder = _build_embedder(d, L, config, rng)
-            embedder.use_memory = use_memory
             feats = rng.normal(size=(n, d))
             direct, _ = embedder.basic_net.forward(feats)
             bank = compute_prototypes(direct, labels,
                                       np.array([True, True, False, False]))
+            if use_memory:
+                hash_learn._switch_on_memory(embedder, bank)
             # stale columns, as if embedded before this step
             V = meta_embed.embed_chunked(embedder, rng.normal(size=(n, d)), bank)
             other = rng.normal(size=(c, n))

@@ -14,7 +14,6 @@ as sign(Vx + Vy), alternating with the continuous steps.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,9 +22,8 @@ from . import meta_embed
 from .dataset import MultiModalDataset, build_affinity, split_head_tail
 from .errors import ConfigError, FormatError, ShapeError, TrainingError
 from .meta_embed import MetaEmbedder, PrototypeBank, compute_prototypes
-from .tensor import (FeedForwardNet, read_array, read_end, read_exact,
-                     read_header, sgd_step, sigmoid, softplus, write_array,
-                     write_header)
+from .tensor import (FeedForwardNet, read_array, read_end, read_header,
+                     sgd_step, sigmoid, softplus, write_array, write_header)
 
 MODEL_MAGIC = b"LCMH"
 MODEL_FORMAT_VERSION = 4
@@ -397,23 +395,26 @@ def _sizes_and_arrays(model: HashModel):
 
 def save_model(path, model: HashModel):
     """Write the settings and sizes once, then _layout's arrays, headerless.
-    The settings are the image side's; a misshapen array raises ShapeError
-    before the file opens."""
+    The settings are the image side's; a net with other layer counts than
+    _build_embedder's, or a misshapen array, raises ShapeError before writing."""
+    for side, e in (("image", model.embedder_x), ("text", model.embedder_y)):
+        for name, net, k in (("basic", e.basic_net, 2),
+                             ("weight", e.weight_net, 1)):
+            if (got := (len(net.weights), len(net.biases))) != (k, k):
+                raise ShapeError(f"model {side} {name} net has {got} weight "
+                                 f"and bias layers, expected {(k, k)}")
     e, _ = model.side("image")
     sizes, arrays = _sizes_and_arrays(model)
     layout = _layout(*sizes)
-    if len(arrays) != len(layout):
-        raise ShapeError(f"model has {len(arrays)} arrays, expected "
-                         f"{len(layout)}: nets of [d, hidden, c] and [c, L]")
     for (what, _, shape), arr in zip(layout, arrays):
         if arr.shape != shape:
             raise ShapeError(f"model {what} of shape {arr.shape}, expected "
                              f"{shape}")
     with open(path, "wb") as f:
-        write_header(f, MODEL_MAGIC, MODEL_FORMAT_VERSION)
-        f.write(struct.pack("<ddBBd8Q", model.alpha, model.beta,
-                            meta_embed.ETA_MODES.index(e.eta_mode),
-                            e.use_memory, e.eta_max, *sizes))
+        write_header(f, MODEL_MAGIC, MODEL_FORMAT_VERSION, "ddBBd8Q",
+                     model.alpha, model.beta,
+                     meta_embed.ETA_MODES.index(e.eta_mode), e.use_memory,
+                     e.eta_max, *sizes)
         for (_, dtype, _), arr in zip(layout, arrays):
             write_array(f, arr, dtype)
 
@@ -422,9 +423,8 @@ def load_model(path) -> HashModel:
     """Read a model written by save_model, checking each part as it is
     read: every rejection is a FormatError that names a byte offset."""
     with open(path, "rb") as f:
-        read_header(f, MODEL_MAGIC, MODEL_FORMAT_VERSION, "model")
-        alpha, beta, mode, use_memory, eta_max, *sizes = struct.unpack(
-            "<ddBBd8Q", read_exact(f, 90, "model settings and sizes"))
+        alpha, beta, mode, use_memory, eta_max, *sizes = read_header(
+            f, MODEL_MAGIC, MODEL_FORMAT_VERSION, "model", "ddBBd8Q")
         if not np.isfinite([alpha, beta]).all():
             raise FormatError(f"inconsistent model: alpha {alpha} or beta "
                               f"{beta} at offset 8 is not finite")

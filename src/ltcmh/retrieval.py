@@ -8,7 +8,6 @@ Hamming distance is popcount of xor, which equals (c - <+-1, +-1>) / 2.
 from __future__ import annotations
 
 import csv
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -16,8 +15,8 @@ import numpy as np
 
 from .dataset import build_affinity
 from .errors import EvaluationError, ShapeError
-from .tensor import (read_bit_rows, read_end, read_exact, read_header,
-                     write_array, write_header)
+from .tensor import (read_bit_rows, read_end, read_header, write_array,
+                     write_header)
 
 CODES_MAGIC = b"LCMB"
 CODES_FORMAT_VERSION = 1
@@ -199,15 +198,14 @@ def write_result_csv(path, results):
 
 def save_codes(path, codes: BinaryCodeMatrix):
     with open(path, "wb") as f:
-        write_header(f, CODES_MAGIC, CODES_FORMAT_VERSION)
-        f.write(struct.pack("<QQ", codes.n, codes.c))
+        write_header(f, CODES_MAGIC, CODES_FORMAT_VERSION, "2Q", codes.n,
+                     codes.c)
         write_array(f, codes.words, "<u8")
 
 
 def load_codes(path) -> BinaryCodeMatrix:
     with open(path, "rb") as f:
-        read_header(f, CODES_MAGIC, CODES_FORMAT_VERSION, "codes")
-        n, c = struct.unpack("<QQ", read_exact(f, 16, "header"))
+        n, c = read_header(f, CODES_MAGIC, CODES_FORMAT_VERSION, "codes", "2Q")
         words = read_bit_rows(f, "<u8", n, c, "code")
         read_end(f)
     return BinaryCodeMatrix(c=int(c), words=words)

@@ -235,18 +235,22 @@ def read_bit_rows(f: BinaryIO, dtype, n: int, bits: int, what: str):
     return cells
 
 
-def write_header(f: BinaryIO, magic: bytes, version: int):
-    """The header every ltcmh file starts with: magic, then u32 version."""
+def write_header(f: BinaryIO, magic: bytes, version: int, fields, *values):
+    """The header every ltcmh file starts with: magic, u32 version, then
+    `values` packed little-endian by the format's struct string `fields`."""
     f.write(magic)
-    f.write(struct.pack("<I", version))
+    f.write(struct.pack("<I" + fields, version, *values))
 
 
-def read_header(f: BinaryIO, magic: bytes, version: int, what: str):
-    """Check the header written by write_header, or raise FormatError."""
-    got = read_exact(f, 4, "magic")
+def read_header(f: BinaryIO, magic: bytes, version: int, what: str, fields):
+    """Check the magic and version written by write_header and return the
+    `fields` values that follow, or raise FormatError."""
+    got = read_exact(f, len(magic), "magic")
     if got != magic:
         raise FormatError(f"bad magic {got!r} at offset 0")
     (got,) = struct.unpack("<I", read_exact(f, 4, "version"))
     if got != version:
         raise FormatError(f"unsupported {what} version {got} at offset 4")
+    n = struct.calcsize("<" + fields)
+    return struct.unpack("<" + fields, read_exact(f, n, f"{what} header"))
 

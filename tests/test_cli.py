@@ -154,6 +154,20 @@ def test_bad_config_file_usage_error(tmp_path, capsys, text, lineno, message):
     assert not (tmp_path / "out").exists()
 
 
+def test_config_file_byte_order_mark_accepted(tmp_path, capsys):
+    # editors that save "UTF-8 with BOM" start the file with EF BB BF
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_bytes(b"epochs = 2\nno_memory = yes\n")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert (experiment.load_config(marked) == experiment.load_config(plain)
+            != experiment.DEFAULTS)
+    # a bad byte after the mark is still named by its offset in the file
+    marked.write_bytes(b"\xef\xbb\xbfseed = 1  # r\xe9glage\n")
+    assert main(["synth", "--out", str(tmp_path / "bad"),
+                 "--config", str(marked)]) == 1
+    assert f"{marked}: not UTF-8 at byte 16" in capsys.readouterr().err
+
+
 def test_config_file_skips_blank_and_comment_lines(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("\n# seed = 5\n   \nseed = 2  # trailing\n"
@@ -905,6 +919,21 @@ def test_gradcheck_doubled_eta_fails(monkeypatch, capsys):
         return v, cache
 
     monkeypatch.setattr(meta_embed, "embed_batch", doubled_eta)
+    assert main(["gradcheck"]) == 3
+    assert "FAIL" in capsys.readouterr().err
+
+
+def test_gradcheck_scaled_weight_net_grads_fail(monkeypatch, capsys):
+    # the attention path's backward: weight-net gradients 5% too large
+    # (a relative error of ~2.4e-2) must fail the memory-on suite
+    embed_backward = meta_embed.embed_backward
+
+    def scaled(embedder, cache, meta_grad):
+        return [(net, [(1.05 * dw, 1.05 * db) for dw, db in grads]
+                 if net is embedder.weight_net else grads)
+                for net, grads in embed_backward(embedder, cache, meta_grad)]
+
+    monkeypatch.setattr(meta_embed, "embed_backward", scaled)
     assert main(["gradcheck"]) == 3
     assert "FAIL" in capsys.readouterr().err
 

@@ -790,7 +790,10 @@ def test_model_truncated(tmp_path):
     cut = tmp_path / "t.lcmh"
     for end in range(len(raw)):
         cut.write_bytes(raw[:end])
-        with pytest.raises(FormatError):
+        # a cut in the settings and sizes names the model's header
+        match = ("^truncated while reading model header at offset 8: "
+                 if 8 <= end < 98 else None)
+        with pytest.raises(FormatError, match=match):
             load_model(cut)
 
 
@@ -857,9 +860,12 @@ def _broken_chain(model):
     net.weights[1] = np.zeros((net.output_dim, 7))
 
 
-def _no_layers(model):
-    net = model.embedder_y.weight_net
-    net.weights, net.biases = [], []
+def _no_layers(embedder, net):
+    """A mutation emptying model.<embedder>.<net> of its layers."""
+    def mutate(model):
+        layers = getattr(getattr(model, embedder), net)
+        layers.weights, layers.biases = [], []
+    return mutate
 
 
 def _set_nan(arrays):
@@ -890,7 +896,13 @@ MISSHAPEN = {
     "text_code_length_differs": _narrow_text_embedder,
     "weight_net_input_not_code_length": _weight_net_wrong_input,
     "basic_net_chain_broken": _broken_chain,
-    "weight_net_without_layers": _no_layers,
+    "weight_net_without_layers": _no_layers("embedder_y", "weight_net"),
+}
+# basic nets without layers: save_model refuses them before it reads the
+# sizes, which _write_unchecked needs, so only the save-time test takes them
+LAYERLESS = {
+    "image_basic_net_without_layers": _no_layers("embedder_x", "basic_net"),
+    "text_basic_net_without_layers": _no_layers("embedder_y", "basic_net"),
 }
 
 
@@ -942,13 +954,13 @@ def _write_unchecked(path, model):
                      + data)
 
 
-@pytest.mark.parametrize("name", [*MISSHAPEN, *INCONSISTENT])
+@pytest.mark.parametrize("name", [*MISSHAPEN, *LAYERLESS, *INCONSISTENT])
 def test_model_inconsistent_parts_rejected(tmp_path, name):
     model = _trained_model()
     path = tmp_path / "m.lcmh"
-    if name in MISSHAPEN:
-        # a misshapen array is never written: save_model refuses it
-        MISSHAPEN[name](model)
+    if name not in VALUE:
+        # a misshapen array or net is never written: save_model refuses it
+        {**MISSHAPEN, **LAYERLESS}[name](model)
         with pytest.raises(ShapeError, match="^model "):
             save_model(path, model)
         assert not path.exists()
