@@ -197,8 +197,7 @@ def _build_embedder(input_dim: int, num_classes: int, config: TrainConfig,
     basic = FeedForwardNet([input_dim, config.hidden_dim, c], rng)
     weight = FeedForwardNet([c, num_classes], rng)
     return MetaEmbedder(basic_net=basic, weight_net=weight,
-                        eta_mode=config.eta_mode, use_memory=False,
-                        eta_max=config.eta_max)
+                        eta_mode=config.eta_mode, eta_max=config.eta_max)
 
 
 def _clip_grads(grads):

@@ -51,7 +51,7 @@ class MetaEmbedder:
     weight_net: FeedForwardNet
     eta_max: float
     eta_mode: str = "intent_ratio"
-    use_memory: bool = True
+    use_memory: bool = False
 
     def __post_init__(self):
         if self.eta_mode not in ETA_MODES:

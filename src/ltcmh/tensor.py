@@ -9,6 +9,7 @@ central-difference oracle for checking them.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import struct
 from typing import BinaryIO, Callable, Sequence
@@ -16,6 +17,17 @@ from typing import BinaryIO, Callable, Sequence
 import numpy as np
 
 from .errors import FormatError, ShapeError, TrainingError
+
+
+def _one_blas_thread():
+    """Run NumPy's bundled OpenBLAS on one thread, so no product's summation
+    order, and no result bit, depends on OPENBLAS_NUM_THREADS. A BLAS build
+    without this setter keeps its threads, and results on their count."""
+    lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    getattr(lib, "scipy_openblas_set_num_threads64_", lambda n: None)(1)
+
+
+_one_blas_thread()
 
 
 def sigmoid(x):

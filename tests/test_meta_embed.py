@@ -95,7 +95,7 @@ def _embed(v, bank, weight_net, eta_mode="intent_ratio", eta_max=10.0):
     needs a non-empty head and a non-empty tail class, which eta reads."""
     v = np.atleast_2d(np.asarray(v, dtype=np.float64))
     emb = MetaEmbedder(basic_net=_identity(v.shape[1]), weight_net=weight_net,
-                       eta_max=eta_max, eta_mode=eta_mode)
+                       eta_max=eta_max, eta_mode=eta_mode, use_memory=True)
     return embed_batch(emb, v, bank)
 
 
@@ -464,11 +464,11 @@ def test_meta_exactness_property(rng):
 # --- embed_batch ------------------------------------------------------------------
 
 def _batch_embedder(rng, c=3, L=4, d=5, eta_mode="intent_ratio",
-                    eta_max=10.0, **kw):
+                    eta_max=10.0, use_memory=True):
     basic = FeedForwardNet([d, 4, c], rng)
     weight = FeedForwardNet([c, L], rng)
     return MetaEmbedder(basic_net=basic, weight_net=weight, eta_max=eta_max,
-                        eta_mode=eta_mode, **kw)
+                        eta_mode=eta_mode, use_memory=use_memory)
 
 
 def test_embed_batch_matches_per_sample(rng):
@@ -657,6 +657,13 @@ def test_embedder_rejects_eta_max_outside_range(rng, eta_max):
     # a negative eta_max would flip the sign of every memory feature
     with pytest.raises(ConfigError, match="eta_max must be finite and >= 0"):
         _batch_embedder(rng, eta_max=eta_max)
+
+
+def test_embedder_memory_is_off_unless_switched_on(rng):
+    # only hash_learn._switch_on_memory and load_model turn the memory on
+    emb = MetaEmbedder(basic_net=FeedForwardNet([4, 3, 3], rng),
+                       weight_net=FeedForwardNet([3, 2], rng), eta_max=10.0)
+    assert not emb.use_memory
 
 
 def test_embedder_rejects_width_mismatch(rng):

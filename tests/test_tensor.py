@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -366,6 +370,52 @@ def test_read_end_rejects_trailing_bytes():
     f.read(3)
     with pytest.raises(FormatError, match="offset 3"):
         read_end(f)
+
+
+# --- BLAS threads ---------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# a 2-epoch default training run, its model saved to argv[1]; NumPy loads
+# its BLAS, at the thread count the environment sets, before ltcmh does
+TRAIN = """
+import sys
+import numpy
+from ltcmh import experiment, hash_learn
+from ltcmh.dataset import synthesize_long_tailed
+cfg = experiment.load_config(None, ["epochs=2"])
+data = synthesize_long_tailed(experiment.longtail_spec(cfg), seed=0)
+_, model, _ = experiment.run_train(data, cfg)
+hash_learn.save_model(sys.argv[1], model)
+"""
+
+
+def _train_in_subprocess(threads, path, prelude=""):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-W", "error", "-c",
+                           prelude + TRAIN, str(path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_model_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # a multi-threaded GEMM sums in another order, so on two or more cores
+    # the 2-thread model differs from the 1-thread one unless ltcmh runs
+    # BLAS on one thread
+    for threads in (1, 2):
+        proc = _train_in_subprocess(threads, tmp_path / f"{threads}.lcmh")
+        assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "1.lcmh").read_bytes() == (
+        tmp_path / "2.lcmh").read_bytes()
+
+
+def test_import_without_the_blas_setter_trains_without_a_warning(tmp_path):
+    # another BLAS build: the setter lookup finds nothing, and ltcmh keeps
+    # the library's threads without a warning (-W error would fail it)
+    prelude = "import ctypes\nctypes.CDLL = lambda path: object()\n"
+    proc = _train_in_subprocess(2, tmp_path / "model.lcmh", prelude)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 # --- properties -----------------------------------------------------------------
