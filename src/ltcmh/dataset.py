@@ -21,6 +21,7 @@ from .tensor import (read_array, read_bit_rows, read_end, read_header,
 
 DATASET_MAGIC = b"LCMD"
 DATASET_FORMAT_VERSION = 1
+DATASET_HEADER = "4Q"   # n, d_x, d_y, L
 AFFINITY_BLOCK = 1024   # rows of labels_a multiplied at a time by build_affinity
 
 
@@ -249,7 +250,7 @@ def split_query_retrieval(dataset: MultiModalDataset,
 
 def save_dataset(dataset: MultiModalDataset, path):
     with open(path, "wb") as f:
-        write_header(f, DATASET_MAGIC, DATASET_FORMAT_VERSION, "4Q",
+        write_header(f, DATASET_MAGIC, DATASET_FORMAT_VERSION, DATASET_HEADER,
                      *dataset.X.shape, dataset.Y.shape[1], dataset.num_classes)
         write_array(f, dataset.X, "<f8")
         write_array(f, dataset.Y, "<f8")
@@ -261,7 +262,7 @@ def save_dataset(dataset: MultiModalDataset, path):
 def load_dataset(path) -> MultiModalDataset:
     with open(path, "rb") as f:
         n, d_x, d_y, L = read_header(f, DATASET_MAGIC, DATASET_FORMAT_VERSION,
-                                     "dataset", "4Q")
+                                     "dataset", DATASET_HEADER)
         if d_x == 0 or d_y == 0:
             raise FormatError(f"zero feature width d_x={d_x}, d_y={d_y} "
                               f"at offset {16 if d_x == 0 else 24}")

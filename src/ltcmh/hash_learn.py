@@ -26,7 +26,8 @@ from .tensor import (FeedForwardNet, read_array, read_end, read_header,
                      sgd_step, sigmoid, softplus, write_array, write_header)
 
 MODEL_MAGIC = b"LCMH"
-MODEL_FORMAT_VERSION = 4
+MODEL_FORMAT_VERSION = 5
+MODEL_HEADER = "BBd8Q"   # eta-mode tag, use_memory, eta_max, _layout's sizes
 
 # Fixed training settings, not config keys.
 # Each network's update is clipped to this global gradient norm, so a step
@@ -84,9 +85,6 @@ class HashModel:
     embedder_y: MetaEmbedder
     bank_x: PrototypeBank
     bank_y: PrototypeBank
-    B: np.ndarray            # c x n_train, entries +-1
-    alpha: float
-    beta: float
     train_indices: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     query_indices: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     retrieval_indices: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
@@ -201,10 +199,16 @@ def _build_embedder(input_dim: int, num_classes: int, config: TrainConfig,
 
 
 def _clip_grads(grads):
-    """Scale a per-net gradient list so its global L2 norm is <= CLIP_NORM."""
-    total = np.sqrt(sum(float((dw * dw).sum() + (db * db).sum())
-                        for dw, db in grads))
-    if not total > CLIP_NORM:   # a NaN total is passed through unscaled
+    """Scale a per-net gradient list so its global L2 norm is <= CLIP_NORM,
+    dividing by the largest |entry| first where the squares overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.sqrt(sum(float((dw * dw).sum() + (db * db).sum())
+                            for dw, db in grads))
+        if total == np.inf:
+            flat = np.concatenate([a.ravel() for pair in grads for a in pair])
+            top = np.abs(flat).max()
+            total = top * np.linalg.norm(flat / top)
+    if not CLIP_NORM < total < np.inf:   # a NaN or inf norm passes unscaled
         return grads
     scale = CLIP_NORM / total
     return [(dw * scale, db * scale) for dw, db in grads]
@@ -247,17 +251,18 @@ def train(dataset: MultiModalDataset, train_indices: np.ndarray,
     warmup_epochs epochs train the direct features alone; the first banks
     and B come from one direct forward per side. At the switchover new
     banks are fitted and _switch_on_memory turns the memory on. With the
-    default warmup_epochs (= the default epochs) the switch comes after
-    the last epoch, so the basic nets, history and B steps equal those of
-    the no_memory ablation. Epochs past the switch train through the
+    default warmup_epochs (= the default epochs) the switch is all a pass
+    after the last epoch does, so the basic nets and history equal those
+    of the no_memory ablation. Epochs past the switch train through the
     memory, the banks tracking the moving direct features by an
     exponential average (BANK_EMA). Per epoch: SGD passes over column
     minibatches of each modality against the full cross-modal objective
     (gradients averaged over the training set), then B is recomputed in
     closed form. Returns (model, history), one history record per epoch
-    with the loss before and after the B step. Phi is computed once per
-    side per epoch; the record's NLL sums the y pass's Phi-block NLLs.
-    The affinity is build_affinity's uint8 array; 0/1 promote exactly.
+    with the loss before and after the B step; B and alpha/beta stay out
+    of the model. Phi is computed once per side per epoch; the record's
+    NLL sums the y pass's Phi-block NLLs. The affinity is build_affinity's
+    uint8 array; 0/1 promote exactly.
 
     With the memory on, eta needs a non-empty head and a non-empty tail
     class under head_threshold; a partition without both raises
@@ -294,12 +299,10 @@ def train(dataset: MultiModalDataset, train_indices: np.ndarray,
 
     history = []
     for epoch in range(config.epochs + 1):
-        # a pass after the last epoch only fits the memory and B
-        if epoch == config.epochs and epoch != switch_at:
-            break
         for side in sides:
             feats, embedder, bank = side
-            if 0 <= switch_at <= epoch:   # refit on the direct features
+            # refit; a pass after the last epoch only switches the memory on
+            if epoch == switch_at or 0 <= switch_at < epoch < config.epochs:
                 direct, _ = embedder.basic_net.forward(feats)
                 fresh = compute_prototypes(direct, labels, is_head)
                 if epoch == switch_at:
@@ -307,10 +310,9 @@ def train(dataset: MultiModalDataset, train_indices: np.ndarray,
                 else:
                     bank.centroids[:] = (BANK_EMA * bank.centroids
                                          + (1.0 - BANK_EMA) * fresh.centroids)
-        V = [meta_embed.embed_chunked(e, f, b) for f, e, b in sides]
         if epoch == config.epochs:
-            B = update_B(*V)
             break
+        V = [meta_embed.embed_chunked(e, f, b) for f, e, b in sides]
 
         order = rng.permutation(n)
         nll_blocks = []
@@ -343,8 +345,7 @@ def train(dataset: MultiModalDataset, train_indices: np.ndarray,
         history.append(rec)
 
     (_, ex, bank_x), (_, ey, bank_y) = sides
-    return HashModel(ex, ey, bank_x, bank_y, B, config.alpha, config.beta,
-                     train_indices), history
+    return HashModel(ex, ey, bank_x, bank_y, train_indices), history
 
 
 def encode_features(model: HashModel, features: np.ndarray, modality: str):
@@ -360,7 +361,7 @@ def _layout(d_x, d_y, hidden, c, L, n_train, n_query, n_retrieval):
     """The arrays of a model file in file order, as (what, dtype, shape):
     the classes' counts and head flags, each side's basic net [d, hidden, c]
     and weight net [c, L] (weights, then biases, per layer) and centroids,
-    then B and the training, query and retrieval indices."""
+    then the training, query and retrieval indices."""
     parts = [("class counts", "<i8", (L,)), ("head flags", "<u1", (L,))]
     for side, d in (("image", d_x), ("text", d_y)):
         for net, dims in (("basic", (d, hidden, c)), ("weight", (c, L))):
@@ -369,8 +370,7 @@ def _layout(d_x, d_y, hidden, c, L, n_train, n_query, n_retrieval):
                 parts += [(f"{layer} weights", "<f8", (dout, din)),
                           (f"{layer} biases", "<f8", (dout,))]
         parts.append((f"{side} centroids", "<f8", (L, c)))
-    return parts + [("B", "<f8", (c, n_train)),
-                    ("training indices", "<i8", (n_train,)),
+    return parts + [("training indices", "<i8", (n_train,)),
                     ("query indices", "<i8", (n_query,)),
                     ("retrieval indices", "<i8", (n_retrieval,))]
 
@@ -389,7 +389,7 @@ def _sizes_and_arrays(model: HashModel):
         for net in (embedder.basic_net, embedder.weight_net):
             arrays += [a for wb in zip(net.weights, net.biases) for a in wb]
         arrays.append(side_bank.centroids)
-    return sizes, arrays + [model.B, *splits]
+    return sizes, arrays + splits
 
 
 def save_model(path, model: HashModel):
@@ -410,8 +410,7 @@ def save_model(path, model: HashModel):
             raise ShapeError(f"model {what} of shape {arr.shape}, expected "
                              f"{shape}")
     with open(path, "wb") as f:
-        write_header(f, MODEL_MAGIC, MODEL_FORMAT_VERSION, "ddBBd8Q",
-                     model.alpha, model.beta,
+        write_header(f, MODEL_MAGIC, MODEL_FORMAT_VERSION, MODEL_HEADER,
                      meta_embed.ETA_MODES.index(e.eta_mode), e.use_memory,
                      e.eta_max, *sizes)
         for (_, dtype, _), arr in zip(layout, arrays):
@@ -422,31 +421,28 @@ def load_model(path) -> HashModel:
     """Read a model written by save_model, checking each part as it is
     read: every rejection is a FormatError that names a byte offset."""
     with open(path, "rb") as f:
-        alpha, beta, mode, use_memory, eta_max, *sizes = read_header(
-            f, MODEL_MAGIC, MODEL_FORMAT_VERSION, "model", "ddBBd8Q")
-        if not np.isfinite([alpha, beta]).all():
-            raise FormatError(f"inconsistent model: alpha {alpha} or beta "
-                              f"{beta} at offset 8 is not finite")
+        mode, use_memory, eta_max, *sizes = read_header(
+            f, MODEL_MAGIC, MODEL_FORMAT_VERSION, "model", MODEL_HEADER)
         if mode >= len(meta_embed.ETA_MODES):
-            raise FormatError(f"bad eta-mode tag {mode} at offset 24")
+            raise FormatError(f"bad eta-mode tag {mode} at offset 8")
         if use_memory > 1:
             raise FormatError(f"bad use_memory flag {use_memory} at offset "
-                              f"25, expected 0 or 1")
+                              f"9, expected 0 or 1")
         if not 0 <= eta_max < np.inf:   # eta's clamp
             raise FormatError(f"inconsistent model: eta_max {eta_max} at "
-                              f"offset 26 is not finite and >= 0")
+                              f"offset 10 is not finite and >= 0")
         for k, name in enumerate(("d_x", "d_y", "hidden", "c", "L")):
             if not sizes[k]:
-                raise FormatError(f"bad {name} 0 at offset {34 + 8 * k}, "
+                raise FormatError(f"bad {name} 0 at offset {18 + 8 * k}, "
                                   f"expected >= 1")
-        # the counts start at offset 98 and the head flags at `at`
-        layout, at = _layout(*sizes), 98 + 8 * sizes[4]
+        # the counts start at offset 82 and the head flags at `at`
+        layout, at = _layout(*sizes), 82 + 8 * sizes[4]
         counts, flags = arrays = [
             read_array(f, dtype, shape, what, finite=True)
             for what, dtype, shape in layout[:2]]
         if (bad := np.flatnonzero(counts < 0)).size:
             raise FormatError(f"negative class count {counts[bad[0]]} at "
-                              f"offset {98 + 8 * bad[0]}")
+                              f"offset {82 + 8 * bad[0]}")
         if (bad := np.flatnonzero(flags > 1)).size:
             raise FormatError(f"bad head flag {flags[bad[0]]} at offset "
                               f"{at + bad[0]}, expected 0 or 1")
@@ -466,4 +462,4 @@ def load_model(path) -> HashModel:
             weight_net=FeedForwardNet.from_params([w], [b]), eta_max=eta_max,
             eta_mode=meta_embed.ETA_MODES[mode], use_memory=bool(use_memory)))
         banks.append(PrototypeBank(centroids, counts, is_head))
-    return HashModel(*embedders, *banks, arrays[16], alpha, beta, *arrays[17:])
+    return HashModel(*embedders, *banks, *arrays[16:])

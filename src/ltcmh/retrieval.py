@@ -20,6 +20,7 @@ from .tensor import (read_bit_rows, read_end, read_header, write_array,
 
 CODES_MAGIC = b"LCMB"
 CODES_FORMAT_VERSION = 1
+CODES_HEADER = "2Q"   # n, c
 EVAL_PAIRS = 2**21   # (query, database item) pairs ranked at a time by evaluate
 
 
@@ -198,14 +199,15 @@ def write_result_csv(path, results):
 
 def save_codes(path, codes: BinaryCodeMatrix):
     with open(path, "wb") as f:
-        write_header(f, CODES_MAGIC, CODES_FORMAT_VERSION, "2Q", codes.n,
-                     codes.c)
+        write_header(f, CODES_MAGIC, CODES_FORMAT_VERSION, CODES_HEADER,
+                     codes.n, codes.c)
         write_array(f, codes.words, "<u8")
 
 
 def load_codes(path) -> BinaryCodeMatrix:
     with open(path, "rb") as f:
-        n, c = read_header(f, CODES_MAGIC, CODES_FORMAT_VERSION, "codes", "2Q")
+        n, c = read_header(f, CODES_MAGIC, CODES_FORMAT_VERSION, "codes",
+                           CODES_HEADER)
         words = read_bit_rows(f, "<u8", n, c, "code")
         read_end(f)
     return BinaryCodeMatrix(c=int(c), words=words)

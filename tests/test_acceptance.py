@@ -17,7 +17,7 @@ import pytest
 from ltcmh import experiment, gradcheck, hash_learn, retrieval
 from ltcmh.dataset import (build_affinity, primary_labels,
                            split_head_tail, synthesize_long_tailed)
-from ltcmh.hash_learn import TrainConfig, train, update_B
+from ltcmh.hash_learn import TrainConfig, encode_features, train, update_B
 from ltcmh.meta_embed import compute_prototypes, eta_ratio
 from ltcmh.retrieval import (average_precision, binarize, evaluate,
                              hamming_matrix)
@@ -145,9 +145,13 @@ def test_criterion_7_balance_effect():
     for beta in (1.0, 0.0):
         run_cfg = dict(cfg)
         run_cfg["beta"] = beta
-        _, model, _ = experiment.run_train(data, run_cfg)
-        n = model.B.shape[1]
-        imbalance[beta] = float(np.abs(model.B.sum(axis=1)).mean() / n)
+        trimmed, model, _ = experiment.run_train(data, run_cfg)
+        # the sign step on the trained model's features over the training
+        # split, which in the default schedule is train's own last B
+        idx = model.train_indices
+        B = update_B(encode_features(model, trimmed.X[idx], "image"),
+                     encode_features(model, trimmed.Y[idx], "text"))
+        imbalance[beta] = float(np.abs(B.sum(axis=1)).mean() / idx.size)
     assert imbalance[1.0] <= imbalance[0.0]
 
 

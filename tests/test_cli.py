@@ -303,7 +303,7 @@ def test_train_zero_epochs(pipeline, tmp_path):
                  "--out", str(out), *_sets(["epochs=0"])])
     assert code == 0
     model = hash_learn.load_model(out / "model.lcmh")
-    assert model.B.shape[0] == 8
+    assert model.code_length == 8
     assert (out / "loss.csv").read_text().strip().splitlines() == [
         "epoch,nll,quantization,balance,total"]
 
@@ -523,11 +523,11 @@ def test_encode_truncated_model_io_error(pipeline, tmp_path):
 def test_encode_inconsistent_model_io_error(pipeline, tmp_path, capsys):
     # every head flag of the memory-on model cleared in the file: eta then
     # has no head class, and the error names the flags, which follow the
-    # settings, the eight u64 sizes (L at offset 66) and the L class counts
+    # settings, the eight u64 sizes (L at offset 50) and the L class counts
     raw = bytearray((pipeline / "run" / "model.lcmh").read_bytes())
-    (L,) = struct.unpack_from("<Q", raw, 66)
-    at = 98 + 8 * L
-    assert raw[25] == 1 and set(raw[at:at + L]) == {0, 1}
+    (L,) = struct.unpack_from("<Q", raw, 50)
+    at = 82 + 8 * L
+    assert raw[9] == 1 and set(raw[at:at + L]) == {0, 1}
     raw[at:at + L] = bytes(L)
     bad = tmp_path / "no_head.lcmh"
     bad.write_bytes(bytes(raw))

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import itertools
+import math
 import re
 import struct
 import tracemalloc
@@ -20,7 +21,7 @@ from ltcmh.hash_learn import (HashModel, TrainConfig, balance_loss,
                               quantization_loss, save_model, total_loss, train,
                               update_B)
 from ltcmh.meta_embed import PrototypeBank, compute_prototypes
-from ltcmh.tensor import FeedForwardNet, softplus
+from ltcmh.tensor import FeedForwardNet, softplus, write_array, write_header
 
 
 def _separable_dataset():
@@ -364,9 +365,12 @@ def test_train_zero_epochs_initial_state():
     data = _separable_dataset()
     model, history = train(data, np.arange(data.n), _fast_config(epochs=0))
     assert history == []
-    assert model.B.shape == (8, data.n)
-    assert set(np.unique(model.B)) <= {-1.0, 1.0}
     assert model.embedder_x.use_memory and model.embedder_y.use_memory
+    # B and the loss weights are training-time variables: a model holds
+    # only what encoding needs, and the splits it was trained with
+    assert [f.name for f in dataclasses.fields(HashModel)] == [
+        "embedder_x", "embedder_y", "bank_x", "bank_y", "train_indices",
+        "query_indices", "retrieval_indices"]
 
 
 def test_train_separable_loss_decreases():
@@ -476,6 +480,35 @@ def test_train_divergence_raises():
     with np.errstate(all="ignore"):
         with pytest.raises(TrainingError):
             train(data, np.arange(data.n), cfg)
+
+
+def test_clip_grads_huge_finite_gradient_to_clip_norm():
+    # the sum of squares overflows float64; the norm is taken over the
+    # rescaled entries instead, with no RuntimeWarning (an error here)
+    ((dw, db),) = hash_learn._clip_grads([(np.full((2, 2), 1e155),
+                                            np.zeros(2))])
+    assert np.sqrt((dw * dw).sum() + (db * db).sum()) == pytest.approx(
+        hash_learn.CLIP_NORM, rel=1e-12)
+    # an infinite entry makes the norm NaN: the list passes unscaled, and
+    # sgd_step's finiteness check then stops the run
+    grads = [(np.full((2, 2), np.inf), np.zeros(2))]
+    assert hash_learn._clip_grads(grads) is grads
+
+
+def test_train_huge_finite_gradient_still_steps():
+    # at alpha = 1e200 each step's sum of squares overflows; the step is
+    # clipped to CLIP_NORM and still moves both basic nets
+    sets = ["groups=2x30,3x6,3x3", "head_threshold=10", "warmup_epochs=0",
+            "alpha=1e200"]
+    nets = {}
+    for epochs in (0, 1):
+        cfg = experiment.load_config(overrides=[*sets, f"epochs={epochs}"])
+        data = synthesize_long_tailed(experiment.longtail_spec(cfg), seed=0)
+        _, model, _ = experiment.run_train(data, cfg)
+        nets[epochs] = [model.embedder_x.basic_net, model.embedder_y.basic_net]
+    for before, after in zip(nets[0], nets[1]):
+        for w0, w1 in zip(before.weights, after.weights):
+            assert np.isfinite(w1).all() and not np.array_equal(w0, w1)
 
 
 def test_train_non_finite_gradient_names_its_batch(monkeypatch):
@@ -686,8 +719,8 @@ def _trained_model(with_splits=False, **kw):
 
 def _model_arrays(model):
     """Every array of a model by name: both sides' net parameters and
-    banks, B and the three index arrays."""
-    arrays = {"B": model.B, "train": model.train_indices,
+    banks and the three index arrays."""
+    arrays = {"train": model.train_indices,
               "query": model.query_indices,
               "retrieval": model.retrieval_indices}
     for side in ("image", "text"):
@@ -707,22 +740,21 @@ def test_model_roundtrip(tmp_path):
     path = tmp_path / "m.lcmh"
     save_model(path, model)
     loaded = load_model(path)
-    assert loaded.alpha == model.alpha and loaded.beta == model.beta
     for e1, e2 in ((loaded.embedder_x, model.embedder_x),
                    (loaded.embedder_y, model.embedder_y)):
         assert (e1.eta_mode, e1.eta_max, e1.use_memory) == (
             e2.eta_mode, e2.eta_max, e2.use_memory)
     # each array, with its dtype: per side the weights and biases of three
-    # layers and the bank's three arrays, then B and the 3 index arrays
+    # layers and the bank's three arrays, then the 3 index arrays
     want, got = _model_arrays(model), _model_arrays(loaded)
-    assert list(got) == list(want) and len(want) == 22
+    assert list(got) == list(want) and len(want) == 21
     for name, arr in want.items():
         assert got[name].dtype == arr.dtype, name
         assert np.array_equal(got[name], arr), name
-    # eta mode, use_memory and eta_max follow alpha and beta, once, and
-    # the sizes follow them: d_x, d_y, hidden, c, L and the split sizes
+    # eta mode, use_memory and eta_max follow the version, once, and the
+    # sizes follow them: d_x, d_y, hidden, c, L and the split sizes
     raw = path.read_bytes()
-    assert struct.unpack_from("<BBd8Q", raw, 24) == (
+    assert struct.unpack_from("<" + hash_learn.MODEL_HEADER, raw, 8) == (
         meta_embed.ETA_MODES.index(model.embedder_x.eta_mode), 1,
         model.embedder_x.eta_max, 6, 5, 16, 8, 2, model.train_indices.size,
         model.query_indices.size, model.retrieval_indices.size)
@@ -750,6 +782,18 @@ def test_model_save_byte_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_model_file_is_header_plus_layout(default_shape_model, tmp_path):
+    # magic, version and MODEL_HEADER's fields take 82 bytes; _layout's
+    # arrays follow with nothing between or after them
+    path = tmp_path / "m.lcmh"
+    save_model(path, default_shape_model)
+    sizes, _ = hash_learn._sizes_and_arrays(default_shape_model)
+    body = sum(math.prod(shape) * np.dtype(dtype).itemsize
+               for _, dtype, shape in hash_learn._layout(*sizes))
+    assert 8 + struct.calcsize("<" + hash_learn.MODEL_HEADER) == 82
+    assert path.stat().st_size == 82 + body == 73_466
+
+
 def test_model_bad_magic(tmp_path):
     path = tmp_path / "bad.lcmh"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
@@ -766,10 +810,11 @@ def test_model_bad_version(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(FormatError):
         load_model(path)
-    # version 2 wrote the settings and the classes once per side, and
-    # version 3 a rank and dims per array and layer specs per net; their
-    # files are rejected at the version field, with no second reader
-    for version in (2, 3):
+    # version 2 wrote the settings and the classes once per side, version
+    # 3 a rank and dims per array and layer specs per net, and version 4
+    # alpha, beta and B; their files are rejected at the version field,
+    # with no second reader
+    for version in (2, 3, 4):
         raw[4:8] = version.to_bytes(4, "little")
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match=(
@@ -792,7 +837,7 @@ def test_model_truncated(tmp_path):
         cut.write_bytes(raw[:end])
         # a cut in the settings and sizes names the model's header
         match = ("^truncated while reading model header at offset 8: "
-                 if 8 <= end < 98 else None)
+                 if 8 <= end < 82 else None)
         with pytest.raises(FormatError, match=match):
             load_model(cut)
 
@@ -807,20 +852,20 @@ def _corrupt_model(tmp_path, offset, value: bytes):
 
 
 def test_model_bad_eta_mode_tag(tmp_path):
-    # magic, version and alpha/beta take 24 bytes; the eta-mode tag
-    # follows, and 0 and 1 are the only modes
+    # magic and version take 8 bytes; the eta-mode tag follows, and 0 and
+    # 1 are the only modes
     for tag in (7, 2):
-        path = _corrupt_model(tmp_path, 24, bytes([tag]))
+        path = _corrupt_model(tmp_path, 8, bytes([tag]))
         with pytest.raises(FormatError,
-                           match=f"eta-mode tag {tag} at offset 24"):
+                           match=f"eta-mode tag {tag} at offset 8"):
             load_model(path)
 
 
 def test_model_bad_layer_dim(tmp_path):
-    # d_x, d_y, hidden, c and L follow the settings as u64s from offset 34;
+    # d_x, d_y, hidden, c and L follow the settings as u64s from offset 18;
     # none may be 0, and the offset named is the size's own
     for k, name in enumerate(("d_x", "d_y", "hidden", "c", "L")):
-        at = 34 + 8 * k
+        at = 18 + 8 * k
         path = _corrupt_model(tmp_path, at, (0).to_bytes(8, "little"))
         with pytest.raises(FormatError, match=(
                 rf"^bad {name} 0 at offset {at}, expected >= 1$")):
@@ -828,7 +873,7 @@ def test_model_bad_layer_dim(tmp_path):
     # a d_x larger than the file: the image basic net's first layer, right
     # after the head flags, is cut short
     at = _part_offsets(_trained_model())["image"]
-    path = _corrupt_model(tmp_path, 34, (2**31).to_bytes(8, "little"))
+    path = _corrupt_model(tmp_path, 18, (2**31).to_bytes(8, "little"))
     with pytest.raises(FormatError, match=(
             rf"^truncated while reading image basic net layer 1 weights at "
             rf"offset {at}: ")):
@@ -891,8 +936,6 @@ MISSHAPEN = {
         m, "bank_y", _shrink_bank(m.bank_y, rows=slice(0, -1))),
     "counts_one_short": lambda m: setattr(m.bank_x, "counts",
                                           m.bank_x.counts[:-1]),
-    "B_five_columns_short": lambda m: setattr(m, "B", m.B[:, :-5]),
-    "B_one_row_short": lambda m: setattr(m, "B", m.B[:-1]),
     "text_code_length_differs": _narrow_text_embedder,
     "weight_net_input_not_code_length": _weight_net_wrong_input,
     "basic_net_chain_broken": _broken_chain,
@@ -917,8 +960,8 @@ VALUE = {
                      "text centroids"),
     "inf_eta_max": (lambda m: setattr(m.embedder_x, "eta_max", np.inf),
                     "eta_max"),
-    "nan_alpha": (lambda m: setattr(m, "alpha", np.nan), "alpha"),
-    "inf_beta": (lambda m: setattr(m, "beta", -np.inf), "alpha"),
+    "nan_eta_max": (lambda m: setattr(m.embedder_x, "eta_max", np.nan),
+                    "eta_max"),
     # eta, which these memory-on models use, needs an eta_max >= 0 and a
     # non-empty head and a non-empty tail class, and the rule names the
     # head flags
@@ -944,14 +987,13 @@ def _write_unchecked(path, model):
     are, so a misshapen one leaves the data out of step with the sizes."""
     sizes, arrays = hash_learn._sizes_and_arrays(model)
     e = model.embedder_x
-    data = struct.pack("<ddBBd8Q", model.alpha, model.beta,
-                       meta_embed.ETA_MODES.index(e.eta_mode), e.use_memory,
-                       e.eta_max, *sizes)
-    for (_, dtype, _), arr in zip(hash_learn._layout(*sizes), arrays):
-        data += np.ascontiguousarray(arr, dtype).tobytes()
-    path.write_bytes(hash_learn.MODEL_MAGIC
-                     + struct.pack("<I", hash_learn.MODEL_FORMAT_VERSION)
-                     + data)
+    with open(path, "wb") as f:
+        write_header(f, hash_learn.MODEL_MAGIC,
+                     hash_learn.MODEL_FORMAT_VERSION, hash_learn.MODEL_HEADER,
+                     meta_embed.ETA_MODES.index(e.eta_mode), e.use_memory,
+                     e.eta_max, *sizes)
+        for (_, dtype, _), arr in zip(hash_learn._layout(*sizes), arrays):
+            write_array(f, arr, dtype)
 
 
 @pytest.mark.parametrize("name", [*MISSHAPEN, *LAYERLESS, *INCONSISTENT])
@@ -997,15 +1039,15 @@ def test_model_inconsistency_names_an_offset(tmp_path, name):
 
 
 def _part_offsets(model):
-    """Byte offsets of parts of a saved model: alpha at 8, eta_max at 26,
-    the eight u64 sizes from 34 and the class counts (8L bytes) from 98,
-    then the head flags (L bytes), then per side its basic net's weights
-    and biases (the side's offset), its weight net's and its centroids,
-    then B. No array has a header of its own."""
+    """Byte offsets of parts of a saved model: eta_max at 10, the eight u64
+    sizes from 18 and the class counts (8L bytes) from 82, then the head
+    flags (L bytes), then per side its basic net's weights and biases (the
+    side's offset), its weight net's and its centroids, then the training
+    indices. No array has a header of its own."""
     L, c = model.bank_x.centroids.shape
     hidden = model.embedder_x.basic_net.weights[0].shape[0]
-    at = {"alpha": 8, "eta_max": 26, "last count": 98 + 8 * (L - 1),
-          "flags": 98 + 8 * L}
+    at = {"eta_max": 10, "last count": 82 + 8 * (L - 1),
+          "flags": 82 + 8 * L}
     end = at["flags"] + L
     for side, (e, _) in (("image", model.side("image")),
                          ("text", model.side("text"))):
@@ -1015,7 +1057,7 @@ def _part_offsets(model):
         at[f"{side} weight-net biases"] = end
         at[f"{side} centroids"] = end + 8 * L
         end = at[f"{side} centroids"] + 8 * L * c
-    at["B"] = end
+    at["training indices"] = end
     return at
 
 
@@ -1040,20 +1082,22 @@ def test_model_centroids_one_column_short_names_their_offset(tmp_path):
     assert not (tmp_path / "short.lcmh").exists()
 
 
-def test_model_nan_in_B_rejected(tmp_path):
-    # no float in a model file may be NaN or infinite, B's included
-    for bad in (np.nan, np.inf):
+def test_model_non_finite_last_float_array_rejected(tmp_path):
+    # no float in a model file may be NaN or infinite, those of its last
+    # float array included
+    for bad in (np.nan, np.inf, -np.inf):
         model = _trained_model()
-        model.B[3, 2] = bad
+        model.bank_y.centroids[1, 2] = bad
         path = tmp_path / "m.lcmh"
         save_model(path, model)
-        # the offset named is that of B, right after the text centroids;
-        # B (c x n) and the n training indices end the file
-        at = _part_offsets(model)["B"]
-        c, n = model.B.shape
-        assert at == len(path.read_bytes()) - 8 * (c + 1) * n
+        # the offset named is that of the text centroids (L x c); they and
+        # the n training indices end the file
+        at = _part_offsets(model)["text centroids"]
+        (L, c), n = model.bank_y.centroids.shape, model.train_indices.size
+        assert at == len(path.read_bytes()) - 8 * (L * c + n)
         with pytest.raises(FormatError, match=(
-                rf"^inconsistent model: B at offset {at} are not finite$")):
+                rf"^inconsistent model: text centroids at offset {at} are "
+                rf"not finite$")):
             load_model(path)
 
 
@@ -1074,8 +1118,8 @@ def test_model_flag_byte_not_0_or_1_names_its_offset(tmp_path):
     model = _trained_model()
     flags_at = _part_offsets(model)["flags"]
     L = model.bank_x.num_classes
-    assert flags_at == 98 + 8 * L
-    for name, at in (("use_memory", 25), ("head", flags_at),
+    assert flags_at == 82 + 8 * L
+    for name, at in (("use_memory", 9), ("head", flags_at),
                      ("head", flags_at + L - 1)):
         for value in (7, 2, 255):
             path = _corrupt_model(tmp_path, at, bytes([value]))
@@ -1098,7 +1142,7 @@ def test_model_every_cut_and_bit_flip(tmp_path):
     path = tmp_path / "m.lcmh"
     save_model(path, model)
     raw = path.read_bytes()
-    assert len(raw) == 660 and model.embedder_x.use_memory
+    assert len(raw) == 516 and model.embedder_x.use_memory
     bad, back = tmp_path / "bad.lcmh", tmp_path / "back.lcmh"
     loaded = 0
     for case in cuts_and_flips(raw):

@@ -1,5 +1,6 @@
 """The demos run, and the README matches the code: the keys and eta modes
-of its configuration table and the values it gives the fixed constants."""
+of its configuration table, the values it gives the fixed constants and
+the struct strings it gives the file headers."""
 
 import os
 import re
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ltcmh import experiment, hash_learn, meta_embed, retrieval
+from ltcmh import dataset, experiment, hash_learn, meta_embed, retrieval
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -53,3 +54,14 @@ def test_readme_states_constants_at_code_values(module, name):
     assert stated, f"README does not state `{name}` = <value>"
     assert {float(v.replace(",", "")) for v in stated} == {
         float(getattr(module, name))}
+
+
+@pytest.mark.parametrize("module, name", [
+    (dataset, "DATASET_HEADER"), (hash_learn, "MODEL_HEADER"),
+    (retrieval, "CODES_HEADER")])
+def test_readme_states_header_struct_strings_at_code_values(module, name):
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## File formats\n", 1)[1].split("\n## ", 1)[0]
+    stated = re.findall(rf'`{name}` =\s+`"([^"`]*)"`', section)
+    assert stated, f"README's file formats do not state `{name}` = <value>"
+    assert set(stated) == {getattr(module, name)}
