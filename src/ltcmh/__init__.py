@@ -7,7 +7,7 @@ cross-modal retrieval with Hamming ranking and mean average precision.
 """
 
 from .dataset import (LongTailSpec, MultiModalDataset, build_affinity,
-                      load_dataset, save_dataset, split_head_tail,
+                      label_masks, load_dataset, save_dataset, split_head_tail,
                       split_query_retrieval, synthesize_long_tailed,
                       trim_labels)
 from .errors import (ConfigError, EvaluationError, FormatError, LtcmhError,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import hash_learn, meta_embed
-from .dataset import build_affinity
+from .dataset import build_affinity, label_masks
 from .hash_learn import TrainConfig, _build_embedder
 from .meta_embed import compute_prototypes
 from .tensor import central_diff, finite_diff_grad
@@ -66,7 +66,8 @@ def check_train_step(seed=0, eps=1e-5):
     # every class gets a sample, so eta has a head and a tail class
     labels = np.zeros((n, L), dtype=np.uint8)
     labels[np.arange(n), np.r_[np.arange(L), rng.integers(0, L, size=n - L)]] = 1
-    A = build_affinity(labels, labels)
+    masks = label_masks(labels)
+    A = build_affinity(masks, masks)
     B = np.where(rng.normal(size=(c, n)) >= 0, 1.0, -1.0)
     worst = 0.0
     for use_memory in (False, True):

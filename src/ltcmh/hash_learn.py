@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import meta_embed
-from .dataset import MultiModalDataset, build_affinity, split_head_tail
+from .dataset import (MultiModalDataset, build_affinity, label_masks,
+                      split_head_tail)
 from .errors import ConfigError, FormatError, ShapeError, TrainingError
 from .meta_embed import MetaEmbedder, PrototypeBank, compute_prototypes
 from .tensor import (FeedForwardNet, read_array, read_end, read_header,
@@ -234,10 +235,17 @@ def _switch_on_memory(embedder: MetaEmbedder, bank: PrototypeBank):
     Given a bank fitted on the current direct features, initializes the
     attention weights to scaled nearest-centroid matching (logits
     k·C·v − k‖C‖²/2 with k = ATTENTION_INIT_SCALE, the log-posterior of an
-    isotropic Gaussian mixture over the prototypes) and returns the bank."""
+    isotropic Gaussian mixture over the prototypes) and returns the bank.
+    A bias that overflows float64 raises TrainingError."""
     k, C = ATTENTION_INIT_SCALE, bank.centroids
+    with np.errstate(over="ignore"):
+        biases = -0.5 * k * (C ** 2).sum(axis=1)
+    if not np.isfinite(biases).all():
+        raise TrainingError(
+            f"non-finite attention init: the prototypes' squared norms "
+            f"overflow (largest |centroid entry| {np.abs(C).max():.3g})")
     embedder.weight_net.weights[0][:] = k * C
-    embedder.weight_net.biases[0][:] = -0.5 * k * (C ** 2).sum(axis=1)
+    embedder.weight_net.biases[0][:] = biases
     embedder.use_memory = True
     return bank
 
@@ -273,7 +281,8 @@ def train(dataset: MultiModalDataset, train_indices: np.ndarray,
         raise ConfigError("training split is empty")
     labels = dataset.labels[train_indices]
     n = train_indices.size
-    A = build_affinity(labels, labels)
+    masks = label_masks(labels)
+    A = build_affinity(masks, masks)
 
     rng = np.random.default_rng(config.seed)
     counts = labels.sum(axis=0).astype(np.int64)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import build_affinity
+from .dataset import build_affinity, label_masks
 from .errors import EvaluationError, ShapeError
 from .tensor import (read_bit_rows, read_end, read_header, write_array,
                      write_header)
@@ -126,12 +126,13 @@ def evaluate(query_codes: BinaryCodeMatrix, query_labels: np.ndarray,
     holds the largest key. Sorting a query's keys is then a stable sort by
     distance with ties in database order, and the low bit of the sorted
     keys is its ranked relevance. Queries are ranked max(1, EVAL_PAIRS //
-    n_db) rows at a time, so beside a float32 copy of the database labels
-    memory is O(EVAL_PAIRS) for any database. With more than one chunk,
-    one worker thread sorts a chunk's keys while this thread keys the next
-    chunk and scores the previous one; the affinity, distances and AP all
-    run on the calling thread. Empty inputs raise EvaluationError and
-    mismatched shapes ShapeError, before any ranking."""
+    n_db) rows at a time, so beside the label_masks of both sides (one
+    word a row for up to 32 labels) memory is O(EVAL_PAIRS) for any
+    database. With more than one chunk, one worker thread sorts a chunk's
+    keys while this thread keys the next chunk and scores the previous
+    one; the affinity, distances and AP all run on the calling thread.
+    Empty inputs raise EvaluationError and mismatched shapes ShapeError,
+    before any ranking."""
     if query_codes.n == 0:
         raise EvaluationError("empty query set")
     if db_codes.n == 0:
@@ -152,14 +153,14 @@ def evaluate(query_codes: BinaryCodeMatrix, query_labels: np.ndarray,
     key_dtype = np.min_scalar_type(
         query_codes.c << shift | (db_codes.n - 1) << 1 | 1)
     index_bits = np.arange(db_codes.n, dtype=key_dtype) << 1
-    db_labels_f32 = db_labels.astype(np.float32)
+    q_masks, db_masks = label_masks(query_labels), label_masks(db_labels)
     step = max(1, EVAL_PAIRS // db_codes.n)
     ap = np.empty(query_codes.n)
 
     def keyed(start):
         rows = slice(start, start + step)
         chunk = BinaryCodeMatrix(c=query_codes.c, words=query_codes.words[rows])
-        relevant = build_affinity(query_labels[rows], db_labels_f32)
+        relevant = build_affinity(q_masks[rows], db_masks)
         keys = np.left_shift(hamming_matrix(chunk, db_codes), shift,
                              dtype=key_dtype)
         keys |= index_bits

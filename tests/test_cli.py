@@ -2,6 +2,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -233,6 +234,30 @@ def test_memory_error_numerical_exit(pipeline, tmp_path, capsys, monkeypatch):
     assert main(["train", "--dataset", str(pipeline / "data" / "dataset.lcmd"),
                  "--out", str(tmp_path / "out"), *_sets()]) == 3
     assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_attention_init_overflow_numerical_exit(tmp_path, capsys):
+    # features x 1e300 make the prototypes' squared norms overflow when the
+    # memory switches on; under warnings-as-errors that was a RuntimeWarning
+    # traceback, and is now one error line and exit 3
+    sets = []
+    for kv in ("groups=2x30,3x6,3x3", "head_threshold=10", "epochs=3",
+               "warmup_epochs=0"):
+        sets += ["--set", kv]
+    assert main(["synth", "--out", str(tmp_path / "data"), *sets]) == 0
+    data = load_dataset(tmp_path / "data" / "dataset.lcmd")
+    data.X *= 1e300
+    data.Y *= 1e300
+    save_dataset(data, tmp_path / "huge.lcmd")
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["train", "--dataset", str(tmp_path / "huge.lcmd"),
+                     "--out", str(tmp_path / "run"), *sets])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite attention init")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command, settings", [

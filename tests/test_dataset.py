@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from ltcmh import dataset
 from ltcmh.dataset import (LongTailSpec, MultiModalDataset, build_affinity,
-                           load_dataset, primary_labels,
+                           label_masks, load_dataset, primary_labels,
                            save_dataset, split_head_tail,
                            split_query_retrieval, synthesize_long_tailed,
                            trim_labels)
@@ -29,7 +29,8 @@ def test_synthesize_single_class():
     assert data.n == 5
     assert data.num_classes == 1
     assert np.all(data.labels == 1)
-    assert np.all(build_affinity(data.labels, data.labels) == 1)
+    masks = label_masks(data.labels)
+    assert np.all(build_affinity(masks, masks) == 1)
 
 
 def test_synthesize_flickr_shape():
@@ -240,42 +241,67 @@ def test_trim_rejects_empty_row():
 # --- affinity --------------------------------------------------------------------
 
 def test_affinity_identical_single_label_rows():
-    labels = np.array([[0, 1], [0, 1]], dtype=np.uint8)
-    assert np.all(build_affinity(labels, labels) == 1)
+    masks = label_masks(np.array([[0, 1], [0, 1]], dtype=np.uint8))
+    assert np.all(build_affinity(masks, masks) == 1)
 
 
 def test_affinity_disjoint_rows_zero():
-    a = np.array([[1, 0, 0]], dtype=np.uint8)
-    b = np.array([[0, 1, 1]], dtype=np.uint8)
+    a = label_masks(np.array([[1, 0, 0]], dtype=np.uint8))
+    b = label_masks(np.array([[0, 1, 1]], dtype=np.uint8))
     assert build_affinity(a, b)[0, 0] == 0
 
 
 def test_affinity_matches_brute_force(rng, monkeypatch):
-    labels_a = (rng.random((10, 6)) < 0.4).astype(np.uint8)
-    labels_b = (rng.random((10, 6)) < 0.4).astype(np.uint8)
-    labels_a[labels_a.sum(1) == 0, 0] = 1
-    labels_b[labels_b.sum(1) == 0, 0] = 1
-    expected = np.array([[int(any(labels_a[i, k] and labels_b[j, k]
-                                  for k in range(6))) for j in range(10)]
-                         for i in range(10)], dtype=np.uint8)
-    # 3-row blocks and a remainder, then one block; uint8 and float32 labels
-    for block in (3, dataset.AFFINITY_BLOCK):
-        monkeypatch.setattr(dataset, "AFFINITY_BLOCK", block)
-        for dtype in (np.uint8, np.float32):
-            A = build_affinity(labels_a.astype(dtype), labels_b.astype(dtype))
+    # one uint32 word up to 32 labels, then 1, 2 and 3 uint64 words
+    blocks = (3, dataset.AFFINITY_BLOCK)
+    for L in (1, 31, 32, 33, 64, 65, 130):
+        labels_a = (rng.random((10, L)) < 2 / L).astype(np.uint8)
+        labels_b = (rng.random((10, L)) < 2 / L).astype(np.uint8)
+        labels_a[labels_a.sum(1) == 0, 0] = 1
+        labels_b[labels_b.sum(1) == 0, 0] = 1
+        labels_a[0, L - 1] = labels_b[1, L - 1] = 1   # the last label counts
+        expected = np.array([[int(any(labels_a[i, k] and labels_b[j, k]
+                                      for k in range(L))) for j in range(10)]
+                             for i in range(10)], dtype=np.uint8)
+        assert expected[0, 1] == 1 and (L == 1 or not expected.all())
+        masks_a, masks_b = label_masks(labels_a), label_masks(labels_b)
+        assert masks_a.dtype == (np.uint32 if L <= 32 else np.uint64)
+        # 3-row blocks and a remainder, then one block
+        for block in blocks:
+            monkeypatch.setattr(dataset, "AFFINITY_BLOCK", block)
+            A = build_affinity(masks_a, masks_b)
             assert A.dtype == np.uint8
             assert np.array_equal(A, expected)
 
 
 def test_affinity_width_mismatch_raises():
-    with pytest.raises(ShapeError):
-        build_affinity(np.ones((2, 3), np.uint8), np.ones((2, 4), np.uint8))
+    # one uint32 word against two uint64 words, one uint64 word against
+    # two, and a uint32 word against a uint64 word
+    for L_a, L_b in ((3, 70), (33, 70), (3, 33)):
+        with pytest.raises(ShapeError):
+            build_affinity(label_masks(np.ones((2, L_a), np.uint8)),
+                           label_masks(np.ones((2, L_b), np.uint8)))
+
+
+@pytest.mark.parametrize("bad", [
+    np.ones((2, 24), np.uint8),     # the 0/1 labels themselves
+    np.ones((2, 24), np.uint32),    # 24 one-bit "words"
+    np.ones((2, 1), np.float32),
+    np.ones(2, np.uint64),
+    [[1], [1]],
+])
+def test_affinity_rejects_what_label_masks_did_not_make(bad):
+    masks = label_masks(np.ones((2, 24), np.uint8))
+    for args in ((bad, masks), (masks, bad)):
+        with pytest.raises(TypeError, match="label_masks output"):
+            build_affinity(*args)
 
 
 @settings(max_examples=50, deadline=None)
 @given(label_matrices)
 def test_affinity_symmetric_unit_diagonal(labels):
-    A = build_affinity(labels, labels)
+    masks = label_masks(labels)
+    A = build_affinity(masks, masks)
     assert np.array_equal(A, A.T)
     assert np.all(np.diag(A) == 1)
 

@@ -12,7 +12,7 @@ import pytest
 from ltcmh import experiment, gradcheck, hash_learn, meta_embed, retrieval
 from ltcmh.cli import main
 from ltcmh.dataset import (LongTailSpec, MultiModalDataset, build_affinity,
-                           synthesize_long_tailed)
+                           label_masks, synthesize_long_tailed)
 from ltcmh.errors import (ConfigError, EvaluationError, FormatError,
                           ShapeError, TrainingError)
 from ltcmh.hash_learn import (HashModel, TrainConfig, balance_loss,
@@ -181,7 +181,8 @@ def test_batch_grads_returns_the_cache_its_backward_used(monkeypatch,
     bank = compute_prototypes(embedder.basic_net.forward(feats)[0], labels,
                               np.array([True, True, False, False]))
     Vx, Vy = rng.normal(size=(c, n)), rng.normal(size=(c, n))
-    A = build_affinity(labels, labels)
+    masks = label_masks(labels)
+    A = build_affinity(masks, masks)
     pairs, cache = hash_learn._batch_grads(
         embedder, bank, feats, np.array([4, 1, 2]), Vx, grad_Vx, Vx, Vy, A,
         update_B(Vx, Vy), config, "test")
@@ -266,7 +267,8 @@ def test_grad_vy_gradient_unchanged_by_nll(rng):
 def test_grad_vy_transposed_symmetric_affinity_bit_identical(rng):
     # train hands grad_Vy its symmetric affinity as A.T (a row gather)
     labels = rng.integers(0, 2, size=(30, 5))
-    A = build_affinity(labels, labels).astype(np.float64)
+    masks = label_masks(labels)
+    A = build_affinity(masks, masks).astype(np.float64)
     assert np.array_equal(A, A.T) and set(np.unique(A)) == {0.0, 1.0}
     Vx, Vy = rng.normal(size=(6, 30)), rng.normal(size=(6, 30))
     B = update_B(Vx, Vy)
@@ -278,7 +280,8 @@ def test_grad_vy_transposed_symmetric_affinity_bit_identical(rng):
 def test_uint8_affinity_bit_identical_to_float64(rng):
     # train keeps build_affinity's uint8 array; 0/1 entries promote exactly
     labels = rng.integers(0, 2, size=(30, 5))
-    A8 = build_affinity(labels, labels)
+    masks = label_masks(labels)
+    A8 = build_affinity(masks, masks)
     A64 = A8.astype(np.float64)
     assert A8.dtype == np.uint8 and np.array_equal(A8, A8.T)
     Vx, Vy = rng.normal(size=(6, 30)) * 2, rng.normal(size=(6, 30)) * 2
@@ -386,7 +389,8 @@ def test_train_similar_pair_pull():
     Vx = encode_features(model, data.X, "image")
     Vy = encode_features(model, data.Y, "text")
     phi = pairwise_phi(Vx, Vy)
-    A = build_affinity(data.labels, data.labels).astype(bool)
+    masks = label_masks(data.labels)
+    A = build_affinity(masks, masks).astype(bool)
     assert phi[A].mean() > phi[~A].mean()
 
 
@@ -426,7 +430,8 @@ def test_train_one_phi_pass_per_epoch_side(monkeypatch):
     assert objective_calls == []
     assert pairs[0] == 6 * 2 * n * n
     assert [p for *_, p in snaps] == [2 * n * n * (e + 1) for e in range(6)]
-    A = build_affinity(data.labels, data.labels).astype(np.float64)
+    masks = label_masks(data.labels)
+    A = build_affinity(masks, masks).astype(np.float64)
     for rec, (_, Vx, Vy, _) in zip(history, snaps, strict=True):
         assert rec["nll"] == pytest.approx(nll_loss(real_phi(Vx, Vy), A),
                                            rel=1e-12, abs=0)

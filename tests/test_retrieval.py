@@ -180,8 +180,8 @@ def test_rank_matches_sort_oracle(rng):
     assert np.array_equal(result.ap, _sort_oracle_aps(q, ql, db, dl))
 
 
-def _random_labels(rng, n, L):
-    labels = (rng.random((n, L)) < 0.3).astype(np.uint8)
+def _random_labels(rng, n, L, p=0.3):
+    labels = (rng.random((n, L)) < p).astype(np.uint8)
     labels[labels.sum(1) == 0, 0] = 1
     return labels
 
@@ -201,10 +201,10 @@ def _full_matrix_evaluate(q, ql, db, dl, is_head):
 
 
 def _assert_every_chunking_matches_full_matrix(monkeypatch, n_q, c, n_db,
-                                               rng):
+                                               rng, L=5, p=0.3):
     q, db = _random_codes(rng, n_q, c), _random_codes(rng, n_db, c)
-    ql, dl = _random_labels(rng, n_q, 5), _random_labels(rng, n_db, 5)
-    part = np.array([True, True, False, False, False])
+    ql, dl = _random_labels(rng, n_q, L, p), _random_labels(rng, n_db, L, p)
+    part = np.arange(L) < 2
     ap, *maps = _full_matrix_evaluate(q, ql, db, dl, part)
     # one-row chunks (fewer pairs than one row), 16-row chunks and a
     # remainder (on the worker thread), then one chunk ranked inline
@@ -232,6 +232,14 @@ def test_evaluate_bit_identical_to_full_matrix_wide_and_tied(c, n_db, rng,
     # n_db = 150); n_db = 5,000 puts up to hundreds of database items at
     # every distance, so the stable tie-break decides most of each ranking
     _assert_every_chunking_matches_full_matrix(monkeypatch, 69, c, n_db, rng)
+
+
+def test_evaluate_two_label_words_bit_identical_to_full_matrix(
+        rng, monkeypatch):
+    # 70 labels pack into two uint64 words; at ~1.4 labels a row about
+    # 12% of pairs share a label, some of them only in the second word
+    _assert_every_chunking_matches_full_matrix(monkeypatch, 69, 16, 150, rng,
+                                               L=70, p=0.02)
 
 
 @pytest.mark.parametrize("fail_at", [None, 40])
