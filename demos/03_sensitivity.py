@@ -26,9 +26,9 @@ print(f"{'alpha':>6}  {'map_i2t':>8}  {'map_t2i':>8}  {'tail_i2t':>8}")
 for alpha in (0.0, 0.1, 1.0, 10.0):
     cfg = dict(base)
     cfg["alpha"] = alpha
-    _, model, _ = experiment.run_train(data, cfg)
-    i2t = experiment.evaluate_direction(model, data, "i2t")
-    t2i = experiment.evaluate_direction(model, data, "t2i")
+    trimmed, model, _ = experiment.run_train(data, cfg)
+    i2t = experiment.evaluate_direction(model, trimmed, "i2t")
+    t2i = experiment.evaluate_direction(model, trimmed, "t2i")
     print(f"{alpha:>6g}  {i2t.map_all:>8.4f}  {t2i.map_all:>8.4f}  "
           f"{i2t.map_tail:>8.4f}")
 

@@ -62,8 +62,8 @@ def _outdir(args, cfg):
 
 def cmd_synth(args):
     cfg = _load_cfg(args)
-    data = ds.synthesize_long_tailed(experiment.longtail_spec(cfg),
-                                     seed=cfg["seed"])
+    data = experiment.trim_dataset(ds.synthesize_long_tailed(
+        experiment.longtail_spec(cfg), seed=cfg["seed"]), cfg)
     out = _outdir(args, cfg)
     path = out / "dataset.lcmd"
     ds.save_dataset(data, path)
@@ -89,9 +89,9 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def _check_inputs(model, data, codes=()):
-    """Raise FormatError unless the dataset, and each precomputed
-    (path, codes, split indices) triple, fits the model."""
+def _check_inputs(model, data, paths=(), codes=()):
+    """Raise FormatError unless the dataset, and each given code file (of
+    the query split, then of the retrieval split), fits the model."""
     have = (data.X.shape[1], data.Y.shape[1], data.num_classes)
     want = (model.embedder_x.basic_net.input_dim,
             model.embedder_y.basic_net.input_dim, model.bank_x.num_classes)
@@ -102,8 +102,9 @@ def _check_inputs(model, data, codes=()):
     if idx.size and not (idx[0] >= 0 and idx[-1] < data.n):
         raise FormatError(f"model split indices span {idx[0]}..{idx[-1]}, "
                           f"the dataset has {data.n} rows")
-    for path, c, split in codes:
-        if (c.n, c.c) != (split.size, model.code_length):
+    splits = (model.query_indices, model.retrieval_indices)
+    for path, c, split in zip(paths, codes, splits):
+        if path is not None and (c.n, c.c) != (split.size, model.code_length):
             raise FormatError(f"{path} holds {c.n} codes of {c.c} bits, the "
                               f"split needs {split.size} of "
                               f"{model.code_length}")
@@ -123,14 +124,10 @@ def cmd_encode(args):
 def cmd_eval(args):
     model = hash_learn.load_model(args.model)
     data = ds.load_dataset(args.dataset)
-    splits = (args.query_split, args.db_split)
     paths = (args.query_codes, args.db_codes)   # a side with no file is encoded
     codes = [None if p is None else retrieval.load_codes(p) for p in paths]
-    _check_inputs(model, data, [
-        (p, c, experiment.split_indices(model, s))
-        for p, c, s in zip(paths, codes, splits) if p is not None])
-    result = experiment.evaluate_direction(model, data, args.direction,
-                                           *splits, *codes)
+    _check_inputs(model, data, paths, codes)
+    result = experiment.evaluate_direction(model, data, args.direction, *codes)
     retrieval.write_result_csv(args.out, [result])
     for direction, group, bits, m, nq in result.rows():
         print(f"{direction} {group:>4} {bits}bit map={m:.4f} queries={nq}")
@@ -167,18 +164,17 @@ def cmd_sweep(args):
     data = ds.load_dataset(args.dataset)
     rows = []
     for v in values:
-        _, model, _ = experiment.run_train(data, {**cfg, args.param: v})
-        i2t = experiment.evaluate_direction(model, data, "i2t")
-        t2i = experiment.evaluate_direction(model, data, "t2i")
-        rows.append((v, i2t.map_all, t2i.map_all))
+        trimmed, model, _ = experiment.run_train(data, {**cfg, args.param: v})
+        i2t = experiment.evaluate_direction(model, trimmed, "i2t")
+        t2i = experiment.evaluate_direction(model, trimmed, "t2i")
+        rows.append((f"{v:g}", f"{i2t.map_all:.6f}", f"{t2i.map_all:.6f}"))
         print(f"{args.param}={v:g}: map_i2t={i2t.map_all:.4f} "
               f"map_t2i={t2i.map_all:.4f}")
     path = _outdir(args, cfg) / f"sweep_{args.param}.csv"
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow([args.param, "map_i2t", "map_t2i"])
-        for v, m1, m2 in rows:
-            w.writerow([f"{v:g}", f"{m1:.6f}", f"{m2:.6f}"])
+        w.writerows(rows)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -203,7 +199,7 @@ def build_parser():
     p = sub.add_parser("encode", help="encode a dataset split to binary codes")
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--modality", choices=("image", "text"), required=True)
+    p.add_argument("--modality", choices=hash_learn.MODALITIES, required=True)
     p.add_argument("--split", choices=experiment.SPLITS, default="all")
     p.add_argument("--out", required=True, help="output code file (.lcmb)")
     p.set_defaults(func=cmd_encode)
@@ -214,10 +210,6 @@ def build_parser():
     p.add_argument("--direction", choices=experiment.DIRECTIONS, required=True)
     p.add_argument("--query-codes", help="precomputed query code file")
     p.add_argument("--db-codes", help="precomputed database code file")
-    p.add_argument("--query-split", choices=experiment.SPLITS,
-                   default="query")
-    p.add_argument("--db-split", choices=experiment.SPLITS,
-                   default="retrieval")
     p.add_argument("--out", default="results.csv")
     p.set_defaults(func=cmd_eval)
 

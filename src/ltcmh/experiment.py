@@ -18,7 +18,7 @@ from . import hash_learn, meta_embed, retrieval
 from .dataset import (LongTailSpec, MultiModalDataset, check_split_keys,
                       split_query_retrieval, trim_labels)
 from .errors import ConfigError
-from .hash_learn import HashModel, TrainConfig
+from .hash_learn import MODALITIES, HashModel, TrainConfig
 from .retrieval import BinaryCodeMatrix
 
 DEFAULTS = {
@@ -37,7 +37,7 @@ DEFAULTS = {
 }
 
 # (query modality, database modality) of each retrieval direction
-DIRECTIONS = {"i2t": ("image", "text"), "t2i": ("text", "image")}
+DIRECTIONS = {"i2t": MODALITIES, "t2i": MODALITIES[::-1]}
 # the index sets a model file holds, and their union
 SPLITS = ("train", "query", "retrieval", "all")
 
@@ -121,11 +121,17 @@ def train_config(cfg) -> TrainConfig:
     return TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig)})
 
 
-def prepare_splits(dataset: MultiModalDataset, cfg):
-    """Trim labels globally, then carve train/query/retrieval index sets."""
+def trim_dataset(dataset: MultiModalDataset, cfg) -> MultiModalDataset:
+    """The dataset with the labels synth writes and training uses: trimmed
+    by the config's keys, which leave a trimmed row as it is."""
     labels = trim_labels(dataset.labels, cfg["min_keep"], cfg["max_keep"],
                          seed=cfg["seed"])
-    trimmed = MultiModalDataset(X=dataset.X, Y=dataset.Y, labels=labels)
+    return MultiModalDataset(X=dataset.X, Y=dataset.Y, labels=labels)
+
+
+def prepare_splits(dataset: MultiModalDataset, cfg):
+    """Trim labels globally, then carve train/query/retrieval index sets."""
+    trimmed = trim_dataset(dataset, cfg)
     spec = longtail_spec(cfg)
     if spec.num_classes != dataset.num_classes:
         raise ConfigError(
@@ -161,9 +167,8 @@ def split_indices(model: HashModel, name: str) -> np.ndarray:
     if name == "all":
         # train writes disjoint splits, but a hand-made model file may
         # hold overlapping ones, so take the union
-        return np.unique(np.concatenate([
-            model.train_indices, model.query_indices,
-            model.retrieval_indices]))
+        return np.unique(np.concatenate(
+            [getattr(model, f"{s}_indices") for s in SPLITS[:-1]]))
     return getattr(model, f"{name}_indices")
 
 
@@ -175,7 +180,7 @@ def encode_split(model: HashModel, dataset: MultiModalDataset,
     memory is one chunk's."""
     embedder, bank = model.side(modality)
     idx = split_indices(model, split)
-    feats = dataset.X if modality == "image" else dataset.Y
+    feats = (dataset.X, dataset.Y)[MODALITIES.index(modality)]
     words = np.empty((idx.size, (model.code_length + 63) // 64), np.uint64)
     for rows, V in meta_embed.embed_chunks(embedder, feats, bank, idx):
         words[rows] = retrieval.binarize(V).words
@@ -183,17 +188,17 @@ def encode_split(model: HashModel, dataset: MultiModalDataset,
 
 
 def evaluate_direction(model: HashModel, dataset: MultiModalDataset,
-                       direction: str, query_split="query",
-                       db_split="retrieval", query_codes=None, db_codes=None):
-    """Retrieval MAP in a direction; a side given no codes is encoded."""
+                       direction: str, query_codes=None, db_codes=None):
+    """MAP of the query split ranked against the retrieval split, by the
+    dataset's labels; a side given no codes is encoded."""
     if direction not in DIRECTIONS:
         raise ConfigError(f"unknown direction {direction!r}")
     q_mod, db_mod = DIRECTIONS[direction]
     if query_codes is None:
-        query_codes = encode_split(model, dataset, q_mod, query_split)
+        query_codes = encode_split(model, dataset, q_mod, "query")
     if db_codes is None:
-        db_codes = encode_split(model, dataset, db_mod, db_split)
+        db_codes = encode_split(model, dataset, db_mod, "retrieval")
     return retrieval.evaluate(
-        query_codes, dataset.labels[split_indices(model, query_split)],
-        db_codes, dataset.labels[split_indices(model, db_split)],
+        query_codes, dataset.labels[model.query_indices],
+        db_codes, dataset.labels[model.retrieval_indices],
         model.partition, direction)

@@ -41,6 +41,9 @@ BANK_EMA = 0.9
 # sample attends mostly to its nearest prototypes, small enough to stay soft.
 ATTENTION_INIT_SCALE = 3.0
 
+# the modalities, in the order of a model's sides (x, then y) and its file
+MODALITIES = ("image", "text")
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -101,11 +104,10 @@ class HashModel:
 
     def side(self, modality: str):
         """The (embedder, bank) pair that encodes a modality."""
-        if modality == "image":
-            return self.embedder_x, self.bank_x
-        if modality == "text":
-            return self.embedder_y, self.bank_y
-        raise ConfigError(f"unknown modality {modality!r}")
+        if modality not in MODALITIES:
+            raise ConfigError(f"unknown modality {modality!r}")
+        return ((self.embedder_x, self.bank_x),
+                (self.embedder_y, self.bank_y))[MODALITIES.index(modality)]
 
 
 def pairwise_phi(Vx: np.ndarray, Vy: np.ndarray) -> np.ndarray:
@@ -372,7 +374,7 @@ def _layout(d_x, d_y, hidden, c, L, n_train, n_query, n_retrieval):
     and weight net [c, L] (weights, then biases, per layer) and centroids,
     then the training, query and retrieval indices."""
     parts = [("class counts", "<i8", (L,)), ("head flags", "<u1", (L,))]
-    for side, d in (("image", d_x), ("text", d_y)):
+    for side, d in zip(MODALITIES, (d_x, d_y)):
         for net, dims in (("basic", (d, hidden, c)), ("weight", (c, L))):
             for k, (din, dout) in enumerate(zip(dims, dims[1:]), 1):
                 layer = f"{side} {net} net layer {k}"
@@ -388,13 +390,13 @@ def _sizes_and_arrays(model: HashModel):
     """The eight sizes a model file states and the model's arrays in
     _layout's order, as they are, without checking their shapes. The
     classes are the image side's (train builds both sides alike)."""
-    e, bank = model.side("image")
+    (e, bank), (e_y, _) = map(model.side, MODALITIES)
     splits = [model.train_indices, model.query_indices, model.retrieval_indices]
-    sizes = (e.basic_net.input_dim, model.embedder_y.basic_net.input_dim,
+    sizes = (e.basic_net.input_dim, e_y.basic_net.input_dim,
              e.basic_net.weights[0].shape[0], e.code_length, bank.num_classes,
              *(split.size for split in splits))
     arrays = [bank.counts, bank.is_head]
-    for embedder, side_bank in (model.side("image"), model.side("text")):
+    for embedder, side_bank in map(model.side, MODALITIES):
         for net in (embedder.basic_net, embedder.weight_net):
             arrays += [a for wb in zip(net.weights, net.biases) for a in wb]
         arrays.append(side_bank.centroids)
@@ -405,13 +407,13 @@ def save_model(path, model: HashModel):
     """Write the settings and sizes once, then _layout's arrays, headerless.
     The settings are the image side's; a net with other layer counts than
     _build_embedder's, or a misshapen array, raises ShapeError before writing."""
-    for side, e in (("image", model.embedder_x), ("text", model.embedder_y)):
+    for side, (e, _) in zip(MODALITIES, map(model.side, MODALITIES)):
         for name, net, k in (("basic", e.basic_net, 2),
                              ("weight", e.weight_net, 1)):
             if (got := (len(net.weights), len(net.biases))) != (k, k):
                 raise ShapeError(f"model {side} {name} net has {got} weight "
                                  f"and bias layers, expected {(k, k)}")
-    e, _ = model.side("image")
+    e = model.embedder_x
     sizes, arrays = _sizes_and_arrays(model)
     layout = _layout(*sizes)
     for (what, _, shape), arr in zip(layout, arrays):

@@ -1,3 +1,4 @@
+import csv
 import os
 import struct
 import subprocess
@@ -769,16 +770,6 @@ def test_eval_empty_database_numerical_error(pipeline, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_eval_unknown_split_usage_error(pipeline, tmp_path, capsys):
-    out = tmp_path / "r.csv"
-    assert main(["eval", "--model", str(pipeline / "run" / "model.lcmh"),
-                 "--dataset", str(pipeline / "data" / "dataset.lcmd"),
-                 "--direction", "t2i", "--query-split", "queries",
-                 "--out", str(out)]) == 1
-    assert "invalid choice: 'queries'" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_split_indices_unknown_split(pipeline):
     model = hash_learn.load_model(pipeline / "run" / "model.lcmh")
     with pytest.raises(ConfigError, match="unknown split 'queries'"):
@@ -804,6 +795,36 @@ def test_evaluate_direction_given_codes_match_encoded(pipeline, direction):
                   {"db_codes": db}):
         got = experiment.evaluate_direction(model, data, direction, **given)
         assert got.ap.tobytes() == ap.tobytes()
+
+
+def test_cli_map_is_the_library_map_on_trimmed_labels(tmp_path):
+    # max_keep=1 trims every two-label row: synth writes the trimmed
+    # labels, so eval and sweep rank by the labels run_train trains on
+    keys = ["min_keep=1", "max_keep=1", "extra_per_class=120", "epochs=3"]
+    cfg = experiment.load_config(None, keys)
+    raw = synthesize_long_tailed(experiment.longtail_spec(cfg), seed=0)
+    trimmed, model, _ = experiment.run_train(raw, cfg)
+    assert not np.array_equal(trimmed.labels, raw.labels)
+    want = f"{experiment.evaluate_direction(model, trimmed, 'i2t').map_all:.6f}"
+
+    sets = [arg for kv in keys for arg in ("--set", kv)]
+    data_path = tmp_path / "data" / "dataset.lcmd"
+    model_path = tmp_path / "run" / "model.lcmh"
+    assert main(["synth", "--out", str(data_path.parent), *sets]) == 0
+    assert np.array_equal(load_dataset(data_path).labels, trimmed.labels)
+    assert main(["train", "--dataset", str(data_path),
+                 "--out", str(model_path.parent), *sets]) == 0
+    assert main(["eval", "--model", str(model_path), "--dataset",
+                 str(data_path), "--direction", "i2t",
+                 "--out", str(tmp_path / "i2t.csv")]) == 0
+    assert main(["sweep", "--dataset", str(data_path), "--param", "alpha",
+                 "--values", "1", "--out", str(tmp_path / "sweep"),
+                 *sets]) == 0
+    with open(tmp_path / "i2t.csv", newline="") as f:
+        (got,) = [row[3] for row in csv.reader(f) if row[1] == "all"]
+    with open(tmp_path / "sweep" / "sweep_alpha.csv", newline="") as f:
+        swept = list(csv.reader(f))[1][1]
+    assert (got, swept) == (want, want)
 
 
 def test_eval_bad_direction_usage_error(pipeline, tmp_path):
@@ -1065,10 +1086,6 @@ def test_unknown_flag_usage_error(capsys):
 
 
 @pytest.mark.parametrize("argv, named", [
-    (["eval", "--direction", "i2t", "--query-split", "queries"],
-     "invalid choice: 'queries'"),
-    (["eval", "--direction", "i2t", "--db-split", "db"],
-     "invalid choice: 'db'"),
     (["encode", "--modality", "image", "--split", "bogus"],
      "invalid choice: 'bogus'"),
     (["sweep", "--param", "gamma", "--values", "1"],
@@ -1080,8 +1097,8 @@ def test_unknown_flag_usage_error(capsys):
      "override: expected boolean for 'no_memory', got 'perhaps'"),
     (["train", "--config", "{cfg}"],
      "{cfg}:2: expected boolean for 'no_memory', got 'perhaps'"),
-], ids=["eval-query-split", "eval-db-split", "encode-split", "sweep-param",
-        "sweep-values", "head-threshold", "override-value", "config-value"])
+], ids=["encode-split", "sweep-param", "sweep-values", "head-threshold",
+        "override-value", "config-value"])
 def test_bad_name_rejected_before_reading_files(tmp_path, capsys, argv,
                                                 named):
     # the model and dataset paths do not exist: each rule is checked

@@ -196,6 +196,17 @@ def test_trim_monotonicity_property(labels, seed):
     assert np.all(labels[out.astype(bool)] == 1)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(label_matrices,
+       st.integers(1, 6).flatmap(
+           lambda hi: st.tuples(st.integers(1, hi), st.just(hi))),
+       st.integers(0, 2**32), st.integers(0, 2**32))
+def test_trim_of_trimmed_labels_is_identity(labels, keep, seed, other_seed):
+    # synth writes trimmed labels and train trims them again with any seed
+    once = trim_labels(labels, *keep, seed)
+    assert np.array_equal(trim_labels(once, *keep, other_seed), once)
+
+
 def _trim_labels_row_loop(labels, min_keep, max_keep, seed):
     """trim_labels as a visit to every row, the form it replaced."""
     rng = np.random.default_rng(seed)

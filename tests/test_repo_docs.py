@@ -38,6 +38,18 @@ def test_readme_config_table_names_every_key_once():
     assert sorted(keys) == sorted(experiment.DEFAULTS)
 
 
+def test_readme_config_table_defaults_match_code():
+    for key_cell, default_cell, _ in _config_table():
+        keys = re.findall(r"`(\w+)`", key_cell)
+        # one default per key; the groups default holds commas of its own
+        raws = default_cell.split(",") if len(keys) > 1 else [default_cell]
+        assert len(raws) == len(keys), key_cell
+        for key, raw in zip(keys, raws):
+            value = experiment.parse_value("README", key, raw.strip(" `"),
+                                           experiment.DEFAULTS[key])
+            assert value == experiment.DEFAULTS[key], key
+
+
 def test_readme_eta_mode_row_names_every_mode_in_tag_order():
     (meaning,) = [m for key, _, m in _config_table()
                   if key.strip() == "`eta_mode`"]
