@@ -6,7 +6,7 @@ output directories persist the effective (defaults-merged) config next to
 their outputs.
 
 Exit codes: 0 success, 1 usage, 2 I/O or file format, 3 numerical or
-resource failure.
+resource failure (a NumPy RuntimeWarning raised as an error included).
 """
 
 from __future__ import annotations
@@ -245,8 +245,9 @@ def main(argv=None):
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
     except (TrainingError, EvaluationError, FloatingPointError,
-            MemoryError, ValueError) as e:
-        # NumPy's "array is too big" fails an allocation, as MemoryError does
+            RuntimeWarning, MemoryError, ValueError) as e:
+        # NumPy's "array is too big" fails an allocation, as MemoryError does;
+        # a RuntimeWarning arrives here only when warnings are raised as errors
         if isinstance(e, ValueError) and "array is too big" not in str(e):
             raise
         print(f"error: {e}", file=sys.stderr)

@@ -238,8 +238,12 @@ def _switch_on_memory(embedder: MetaEmbedder, bank: PrototypeBank):
     attention weights to scaled nearest-centroid matching (logits
     k·C·v − k‖C‖²/2 with k = ATTENTION_INIT_SCALE, the log-posterior of an
     isotropic Gaussian mixture over the prototypes) and returns the bank.
-    A bias that overflows float64 raises TrainingError."""
+    A non-finite prototype, or a bias that overflows float64, raises
+    TrainingError."""
     k, C = ATTENTION_INIT_SCALE, bank.centroids
+    if not np.isfinite(C).all():
+        raise TrainingError("non-finite attention init: the prototypes are "
+                            "not finite")
     with np.errstate(over="ignore"):
         biases = -0.5 * k * (C ** 2).sum(axis=1)
     if not np.isfinite(biases).all():
@@ -405,21 +409,32 @@ def _sizes_and_arrays(model: HashModel):
 
 def save_model(path, model: HashModel):
     """Write the settings and sizes once, then _layout's arrays, headerless.
-    The settings are the image side's; a net with other layer counts than
-    _build_embedder's, or a misshapen array, raises ShapeError before writing."""
+    Before writing, a net with other layer counts than _build_embedder's,
+    or a misshapen array, raises ShapeError, and a text side whose eta
+    mode, eta_max, use_memory, class counts or head flags are not the
+    image side's, which the file states for both, raises ConfigError."""
     for side, (e, _) in zip(MODALITIES, map(model.side, MODALITIES)):
         for name, net, k in (("basic", e.basic_net, 2),
                              ("weight", e.weight_net, 1)):
             if (got := (len(net.weights), len(net.biases))) != (k, k):
                 raise ShapeError(f"model {side} {name} net has {got} weight "
                                  f"and bias layers, expected {(k, k)}")
-    e = model.embedder_x
     sizes, arrays = _sizes_and_arrays(model)
     layout = _layout(*sizes)
     for (what, _, shape), arr in zip(layout, arrays):
         if arr.shape != shape:
             raise ShapeError(f"model {what} of shape {arr.shape}, expected "
                              f"{shape}")
+    (e, bank), (e_y, bank_y) = map(model.side, MODALITIES)
+    for name, x, y in (("eta modes", e.eta_mode, e_y.eta_mode),
+                       ("eta_max values", e.eta_max, e_y.eta_max),
+                       ("use_memory flags", e.use_memory, e_y.use_memory),
+                       ("class counts", bank.counts, bank_y.counts),
+                       ("head flags", bank.is_head, bank_y.is_head)):
+        # compared as stored, so that a NaN eta_max equals itself
+        if np.asarray(x).tobytes() != np.asarray(y).tobytes():
+            raise ConfigError(f"model image and text {name} differ, and a "
+                              f"model file states one for both")
     with open(path, "wb") as f:
         write_header(f, MODEL_MAGIC, MODEL_FORMAT_VERSION, MODEL_HEADER,
                      meta_embed.ETA_MODES.index(e.eta_mode), e.use_memory,
@@ -446,14 +461,14 @@ def load_model(path) -> HashModel:
             if not sizes[k]:
                 raise FormatError(f"bad {name} 0 at offset {18 + 8 * k}, "
                                   f"expected >= 1")
-        # the counts start at offset 82 and the head flags at `at`
-        layout, at = _layout(*sizes), 82 + 8 * sizes[4]
-        counts, flags = arrays = [
-            read_array(f, dtype, shape, what, finite=True)
-            for what, dtype, shape in layout[:2]]
+        # the counts start where the header ends, the head flags at `at`
+        layout, counts_at = _layout(*sizes), f.tell()
+        counts, flags = arrays = [read_array(f, dtype, shape, what)
+                                  for what, dtype, shape in layout[:2]]
+        at = counts_at + counts.nbytes
         if (bad := np.flatnonzero(counts < 0)).size:
             raise FormatError(f"negative class count {counts[bad[0]]} at "
-                              f"offset {82 + 8 * bad[0]}")
+                              f"offset {counts_at + counts.itemsize * bad[0]}")
         if (bad := np.flatnonzero(flags > 1)).size:
             raise FormatError(f"bad head flag {flags[bad[0]]} at offset "
                               f"{at + bad[0]}, expected 0 or 1")
@@ -462,7 +477,7 @@ def load_model(path) -> HashModel:
             raise FormatError(f"inconsistent model: the memory is on, and eta "
                               f"needs a non-empty head and a non-empty tail "
                               f"class (head flags at offset {at})")
-        arrays += [read_array(f, dtype, shape, what, finite=True)
+        arrays += [read_array(f, dtype, shape, what)
                    for what, dtype, shape in layout[2:]]
         read_end(f)
     embedders, banks = [], []

@@ -195,23 +195,18 @@ def write_array(f: BinaryIO, arr, dtype):
     f.write(np.ascontiguousarray(arr, dtype=dtype).data)
 
 
-def read_exact(f: BinaryIO, n: int, what: str) -> bytes:
-    """Read exactly n bytes of `what` through read_array's bound check."""
-    return read_array(f, np.uint8, (n,), what).tobytes()
-
-
 def read_end(f: BinaryIO):
     """Raise FormatError if any byte follows the declared content."""
     if f.read(1):
         raise FormatError(f"trailing bytes at offset {f.tell() - 1}")
 
 
-def read_array(f: BinaryIO, dtype, shape, what: str,
-               finite=False) -> np.ndarray:
+def read_array(f: BinaryIO, dtype, shape, what: str) -> np.ndarray:
     """Read a C-order array of `shape` straight into a new array, or raise
-    FormatError; with `finite`, also if an entry is NaN or infinite. The
-    size is checked against the bytes left before anything is allocated,
-    so a corrupt size field cannot ask for more memory than the file has."""
+    FormatError; a floating-point one also if an entry is NaN or infinite.
+    The size is checked against the bytes left before anything is
+    allocated, so a corrupt size field cannot ask for more memory than the
+    file has."""
     dtype = np.dtype(dtype)
     pos = f.tell()
     n = math.prod(shape) * dtype.itemsize
@@ -227,9 +222,8 @@ def read_array(f: BinaryIO, dtype, shape, what: str,
     if n > left:
         raise FormatError(f"truncated while reading {what} at offset {pos}: "
                           f"{n} bytes needed, {left} left")
-    if finite and not np.isfinite(arr).all():
-        raise FormatError(f"inconsistent model: {what} at offset {pos} "
-                          f"are not finite")
+    if dtype.kind == "f" and not np.isfinite(arr).all():
+        raise FormatError(f"non-finite {what} at offset {pos}")
     return arr
 
 
@@ -257,12 +251,11 @@ def write_header(f: BinaryIO, magic: bytes, version: int, fields, *values):
 def read_header(f: BinaryIO, magic: bytes, version: int, what: str, fields):
     """Check the magic and version written by write_header and return the
     `fields` values that follow, or raise FormatError."""
-    got = read_exact(f, len(magic), "magic")
+    got = read_array(f, np.uint8, (len(magic),), "magic").tobytes()
     if got != magic:
         raise FormatError(f"bad magic {got!r} at offset 0")
-    (got,) = struct.unpack("<I", read_exact(f, 4, "version"))
-    if got != version:
+    if (got := read_array(f, "<u4", (), "version")) != version:
         raise FormatError(f"unsupported {what} version {got} at offset 4")
     n = struct.calcsize("<" + fields)
-    return struct.unpack("<" + fields, read_exact(f, n, f"{what} header"))
-
+    return struct.unpack("<" + fields,
+                         read_array(f, np.uint8, (n,), f"{what} header"))

@@ -261,6 +261,63 @@ def test_attention_init_overflow_numerical_exit(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+# overflows NumPy warns of: in synth's features, in the net's forward
+# matmul and in pairwise_phi's product
+OVERFLOWS = [("synth", "noise_std=1e308"), ("train", "learning_rate=1e308"),
+             ("train", "noise_std=1e160")]
+
+
+@pytest.mark.parametrize("command, setting", OVERFLOWS)
+def test_overflow_warning_as_error_numerical_exit(tmp_path, capsys, command,
+                                                  setting):
+    # with RuntimeWarnings raised as errors, as in CI, the overflow is one
+    # error line and exit 3, not a traceback, and nothing is written
+    sets = []
+    for kv in ("groups=2x30,3x6,3x3", "head_threshold=10", "epochs=3",
+               "warmup_epochs=1", setting):
+        sets += ["--set", kv]
+    data, run = tmp_path / "data", tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["synth", "--out", str(data), *sets])
+        if command == "train":
+            assert code == 0
+            capsys.readouterr()
+            code = main(["train", "--dataset", str(data / "dataset.lcmd"),
+                         "--out", str(run), *sets])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: overflow encountered")
+    assert err.count("\n") == 1
+    assert not (data if command == "synth" else run).exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("array", ["X", "Y"])
+def test_non_finite_feature_io_error(pipeline, tmp_path, capsys, array, value):
+    # every f64 array of every format must be finite: a dataset with one NaN
+    # or infinite feature is a format error in each command that reads it,
+    # one line naming the array and its offset
+    data = load_dataset(pipeline / "data" / "dataset.lcmd")
+    getattr(data, array)[-1, -1] = value
+    bad = tmp_path / "bad.lcmd"
+    save_dataset(data, bad)
+    # X follows the 40-byte header (magic, version, four u64 sizes), and
+    # Y follows X
+    at = 40 if array == "X" else 40 + data.X.nbytes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        codes = (main(["train", "--dataset", str(bad), "--out",
+                       str(tmp_path / "run"), *_sets()]),
+                 *_encode_and_eval(pipeline / "run" / "model.lcmh", bad,
+                                   tmp_path))
+    assert codes == (2, 2, 2)
+    assert capsys.readouterr().err == (
+        f"error: non-finite {array} at offset {at}\n" * 3)
+    assert not any((tmp_path / name).exists()
+                   for name in ("run", "c.lcmb", "r.csv"))
+
+
 @pytest.mark.parametrize("command, settings", [
     ("synth", ["d_x=4611686018427387904"]),
     ("synth", ["groups=1x1", "d_x=9223372036854775807"]),
@@ -594,7 +651,10 @@ def test_broken_model_io_error(pipeline, tmp_path, capsys, mutate):
     hash_learn.save_model(bad, model)
     assert _encode_and_eval(bad, pipeline / "data" / "dataset.lcmd",
                             tmp_path) == (2, 2)
-    assert capsys.readouterr().err.count("error: inconsistent") == 2
+    # a NaN weight is a non-finite float, which no file may hold
+    prefix = ("error: non-finite" if mutate is _nan_weight
+              else "error: inconsistent")
+    assert capsys.readouterr().err.count(prefix) == 2
 
 
 def test_encode_overflowing_model_numerical_error(pipeline, tmp_path, capsys):
@@ -613,23 +673,27 @@ def test_encode_overflowing_model_numerical_error(pipeline, tmp_path, capsys):
 def test_encode_non_finite_feature_in_last_chunk_numerical_error(
         pipeline, tmp_path, capsys):
     # a retrieval split of several chunks, not a multiple of ENCODE_CHUNK,
-    # whose last row has a NaN image feature: encoding fails only at its
-    # last chunk, and still exits 3 with no output
+    # whose last row is finite but so large that its image features
+    # overflow: encoding fails only at its last chunk, and still exits 3
+    # with no output
     model = hash_learn.load_model(pipeline / "run" / "model.lcmh")
     spec = experiment.longtail_spec(experiment.load_config(
         overrides=[*FAST, "extra_per_class=700"]))
     data = synthesize_long_tailed(spec, seed=0)
     n = 2 * meta_embed.ENCODE_CHUNK + 517
     model.retrieval_indices = np.arange(data.n - n, data.n)
-    data.X[-1, 0] = np.nan
+    data.X[-1] = 1e308
     save_dataset(data, tmp_path / "d.lcmd")
     hash_learn.save_model(tmp_path / "m.lcmh", model)
     common = ["--model", str(tmp_path / "m.lcmh"),
               "--dataset", str(tmp_path / "d.lcmd")]
-    assert main(["encode", *common, "--modality", "image", "--split",
-                 "retrieval", "--out", str(tmp_path / "c.lcmb")]) == 3
-    assert main(["eval", *common, "--direction", "t2i",
-                 "--out", str(tmp_path / "r.csv")]) == 3
+    with np.errstate(over="ignore", invalid="ignore"):
+        last = hash_learn.encode_features(model, data.X[-1:], "image")
+        assert not np.isfinite(last).all()
+        assert main(["encode", *common, "--modality", "image", "--split",
+                     "retrieval", "--out", str(tmp_path / "c.lcmb")]) == 3
+        assert main(["eval", *common, "--direction", "t2i",
+                     "--out", str(tmp_path / "r.csv")]) == 3
     err = capsys.readouterr().err
     assert err.count("features must be finite") == 2
     assert not (tmp_path / "c.lcmb").exists()

@@ -557,6 +557,18 @@ def test_train_default_schedule_fits_memory_on_final_direct_features():
         assert np.array_equal(bank.counts, expected.counts)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_switch_on_memory_names_non_finite_prototypes(bad):
+    # a prototype that is itself NaN or infinite is not an overflow of its
+    # squares, and the error says which; the memory stays off
+    model = _trained_model(no_memory=True)
+    model.bank_x.centroids[0, 0] = bad
+    with pytest.raises(TrainingError, match=(
+            r"^non-finite attention init: the prototypes are not finite$")):
+        hash_learn._switch_on_memory(model.embedder_x, model.bank_x)
+    assert not model.embedder_x.use_memory
+
+
 @pytest.mark.parametrize("threshold", [1000, 1])
 def test_train_head_tail_checked_before_first_epoch(monkeypatch, threshold):
     # 1000 leaves no head class and 1 no non-empty tail class; eta needs
@@ -963,9 +975,10 @@ VALUE = {
                  "text weight-net biases"),
     "nan_centroid": (lambda m: _set_nan([m.bank_y.centroids]),
                      "text centroids"),
-    "inf_eta_max": (lambda m: setattr(m.embedder_x, "eta_max", np.inf),
+    # save_model refuses sides that differ in what the file states once
+    "inf_eta_max": (_on_both_sides("embedder", "eta_max", lambda e: np.inf),
                     "eta_max"),
-    "nan_eta_max": (lambda m: setattr(m.embedder_x, "eta_max", np.nan),
+    "nan_eta_max": (_on_both_sides("embedder", "eta_max", lambda e: np.nan),
                     "eta_max"),
     # eta, which these memory-on models use, needs an eta_max >= 0 and a
     # non-empty head and a non-empty tail class, and the rule names the
@@ -980,10 +993,13 @@ VALUE = {
     "negative_eta_max": (_on_both_sides(
         "embedder", "eta_max", lambda e: -2.0), "eta_max"),
     # a bad value rather than an inconsistency: no "inconsistent" prefix
-    "negative_class_count": (lambda m: m.bank_x.counts.__setitem__(-1, -3),
-                             "last count"),
+    "negative_class_count": (_on_both_sides(
+        "bank", "counts", lambda b: np.append(b.counts[:-1], -3)),
+        "last count"),
 }
 INCONSISTENT = [name for name in VALUE if name != "negative_class_count"]
+# a NaN in a float array: the reader rejects it in any file, naming the array
+NON_FINITE = ["nan_weight", "nan_bias", "nan_centroid"]
 
 
 def _write_unchecked(path, model):
@@ -1014,7 +1030,8 @@ def test_model_inconsistent_parts_rejected(tmp_path, name):
         return
     VALUE[name][0](model)
     save_model(path, model)
-    with pytest.raises(FormatError, match="inconsistent"):
+    with pytest.raises(FormatError, match="^non-finite " if name in NON_FINITE
+                       else "inconsistent"):
         load_model(path)
 
 
@@ -1101,8 +1118,7 @@ def test_model_non_finite_last_float_array_rejected(tmp_path):
         (L, c), n = model.bank_y.centroids.shape, model.train_indices.size
         assert at == len(path.read_bytes()) - 8 * (L * c + n)
         with pytest.raises(FormatError, match=(
-                rf"^inconsistent model: text centroids at offset {at} are "
-                rf"not finite$")):
+                rf"^non-finite text centroids at offset {at}$")):
             load_model(path)
 
 
@@ -1113,6 +1129,30 @@ def test_model_text_code_length_differs_names_text_embedder(tmp_path):
     with pytest.raises(ShapeError, match=(
             r"^model text basic net layer 2 weights of shape \(4, 16\), "
             r"expected \(8, 16\)$")):
+        save_model(path, model)
+    assert not path.exists()
+
+
+# a change to one side of what a model file states once for both sides
+ONE_SIDED = {
+    "eta modes": lambda e, b: setattr(e, "eta_mode", "as_printed"),
+    "eta_max values": lambda e, b: setattr(e, "eta_max", 0.5),
+    "use_memory flags": lambda e, b: setattr(e, "use_memory", False),
+    "class counts": lambda e, b: setattr(b, "counts", b.counts + 1),
+    "head flags": lambda e, b: setattr(b, "is_head", ~b.is_head),
+}
+
+
+@pytest.mark.parametrize("name", ONE_SIDED)
+def test_save_model_refuses_sides_the_file_cannot_state(tmp_path, name):
+    # a text side that differs would load with the image side's values, so
+    # nothing is written
+    model = _trained_model()
+    ONE_SIDED[name](*model.side("text"))
+    path = tmp_path / "m.lcmh"
+    with pytest.raises(ConfigError, match=(
+            rf"^model image and text {name} differ, and a model file "
+            rf"states one for both$")):
         save_model(path, model)
     assert not path.exists()
 
