@@ -6,22 +6,5 @@ codes by alternating continuous/discrete optimization, and evaluates
 cross-modal retrieval with Hamming ranking and mean average precision.
 """
 
-from .dataset import (LongTailSpec, MultiModalDataset, build_affinity,
-                      label_masks, load_dataset, save_dataset, split_head_tail,
-                      split_query_retrieval, synthesize_long_tailed,
-                      trim_labels)
-from .errors import (ConfigError, EvaluationError, FormatError, LtcmhError,
-                     ShapeError, TrainingError)
-from .hash_learn import (HashModel, TrainConfig, balance_loss, grad_Vx, grad_Vy,
-                         load_model, nll_loss, objective, pairwise_phi,
-                         quantization_loss, save_model, total_loss, train,
-                         update_B)
-from .meta_embed import (MetaEmbedder, PrototypeBank, compute_prototypes,
-                         embed_backward, embed_batch, eta_ratio)
-from .retrieval import (BinaryCodeMatrix, RetrievalResult, average_precision,
-                        binarize, evaluate, hamming_matrix, load_codes,
-                        save_codes)
-from .tensor import (FeedForwardNet, finite_diff_grad, sgd_step, sigmoid,
-                     softplus)
-
-__version__ = "0.1.0"
+from . import (dataset, errors, experiment, gradcheck, hash_learn, meta_embed,
+               retrieval, tensor)

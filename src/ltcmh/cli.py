@@ -102,6 +102,14 @@ def _check_inputs(model, data, paths=(), codes=()):
     if idx.size and not (idx[0] >= 0 and idx[-1] < data.n):
         raise FormatError(f"model split indices span {idx[0]}..{idx[-1]}, "
                           f"the dataset has {data.n} rows")
+    # the model counts its training rows' labels as train trimmed them
+    counts = data.labels[model.train_indices].sum(axis=0)
+    if (differ := counts != model.bank_x.counts).any():
+        k = differ.argmax()
+        raise FormatError(f"class {k} has {counts[k]} training rows in the "
+                          f"dataset, the model trained on "
+                          f"{model.bank_x.counts[k]}: trim its labels as "
+                          f"train trims them")
     splits = (model.query_indices, model.retrieval_indices)
     for path, c, split in zip(paths, codes, splits):
         if path is not None and (c.n, c.c) != (split.size, model.code_length):

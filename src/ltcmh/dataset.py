@@ -96,13 +96,15 @@ class LongTailSpec:
         return np.asarray(out, dtype=np.int64)
 
 
+@np.errstate(over="raise", invalid="raise")
 def synthesize_long_tailed(spec: LongTailSpec, seed: int) -> MultiModalDataset:
     """Generate a paired dataset whose per-class counts match the spec.
 
     Each class k gets a latent center z_k; a sample of class k is
     A_x z + noise on the image side and A_y z + noise on the text side for
     shared fixed maps A_x, A_y. A ``mixed_fraction`` of each class's samples
-    mixes in a second class's latent and carries both labels.
+    mixes in a second class's latent and carries both labels. An
+    overflow raises FloatingPointError whatever the warnings filter.
     """
     rng = np.random.default_rng(seed)
     L = spec.num_classes

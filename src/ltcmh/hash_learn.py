@@ -294,8 +294,8 @@ def train(dataset: MultiModalDataset, train_indices: np.ndarray,
     counts = labels.sum(axis=0).astype(np.int64)
     is_head = split_head_tail(counts, config.head_threshold)
     memory_on = not config.no_memory
-    # head classes are never empty (threshold >= 1); eta needs a tail one too
-    if memory_on and not (is_head.any() and counts[~is_head].any()):
+    head, tail = meta_embed.eta_classes(counts, is_head)
+    if memory_on and not (head.any() and tail.any()):
         raise ConfigError(
             f"head_threshold={config.head_threshold} leaves no head class or "
             f"no non-empty tail class, and eta needs both")
@@ -473,7 +473,8 @@ def load_model(path) -> HashModel:
             raise FormatError(f"bad head flag {flags[bad[0]]} at offset "
                               f"{at + bad[0]}, expected 0 or 1")
         is_head = flags.astype(bool)
-        if use_memory and np.unique(is_head[counts > 0]).size < 2:
+        head, tail = meta_embed.eta_classes(counts, is_head)
+        if use_memory and not (head.any() and tail.any()):
             raise FormatError(f"inconsistent model: the memory is on, and eta "
                               f"needs a non-empty head and a non-empty tail "
                               f"class (head flags at offset {at})")

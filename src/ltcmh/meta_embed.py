@@ -149,6 +149,12 @@ def _nearest(v: np.ndarray, C: np.ndarray, groups) -> list:
     return out
 
 
+def eta_classes(counts: np.ndarray, is_head: np.ndarray):
+    """Masks of the non-empty head and tail classes; eta needs both."""
+    nonempty = counts > 0
+    return nonempty & is_head, nonempty & ~is_head
+
+
 def eta_ratio(v_direct: np.ndarray, bank: PrototypeBank, mode: str,
               eta_max: float) -> np.ndarray:
     """eta for each row of a samples x c matrix of direct features, from
@@ -156,8 +162,7 @@ def eta_ratio(v_direct: np.ndarray, bank: PrototypeBank, mode: str,
     clipped to [0, eta_max]; each distance is summed over a C-ordered row."""
     if mode not in ETA_MODES:
         raise ConfigError(f"{mode!r} is not an eta mode")
-    head = bank.nonempty & bank.is_head
-    tail = bank.nonempty & ~bank.is_head
+    head, tail = eta_classes(bank.counts, bank.is_head)
     if not head.any() or not tail.any():
         raise ConfigError("eta needs a non-empty head and a non-empty tail "
                           "class")

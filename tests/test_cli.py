@@ -292,6 +292,22 @@ def test_overflow_warning_as_error_numerical_exit(tmp_path, capsys, command,
     assert not (data if command == "synth" else run).exists()
 
 
+@pytest.mark.filterwarnings("default::RuntimeWarning")
+def test_synth_overflow_numerical_exit_under_default_warnings(tmp_path,
+                                                              capsys):
+    # synth raises on an overflow whatever the warnings filter, so under
+    # Python's default one it exits 3 too, and writes no file of inf
+    # features for train to reject
+    out = tmp_path / "data"
+    assert main(["synth", "--out", str(out), "--set", "groups=2x30,3x6,3x3",
+                 "--set", "head_threshold=10",
+                 "--set", "noise_std=1e308"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: overflow encountered")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("array", ["X", "Y"])
 def test_non_finite_feature_io_error(pipeline, tmp_path, capsys, array, value):
@@ -679,7 +695,11 @@ def test_encode_non_finite_feature_in_last_chunk_numerical_error(
     model = hash_learn.load_model(pipeline / "run" / "model.lcmh")
     spec = experiment.longtail_spec(experiment.load_config(
         overrides=[*FAST, "extra_per_class=700"]))
-    data = synthesize_long_tailed(spec, seed=0)
+    more = synthesize_long_tailed(spec, seed=0)
+    # after the pipeline's own rows, so the model's training rows fit it
+    own = load_dataset(pipeline / "data" / "dataset.lcmd")
+    parts = [(d.X, d.Y, d.labels) for d in (own, more)]
+    data = MultiModalDataset(*map(np.concatenate, zip(*parts)))
     n = 2 * meta_embed.ENCODE_CHUNK + 517
     model.retrieval_indices = np.arange(data.n - n, data.n)
     data.X[-1] = 1e308
@@ -889,6 +909,29 @@ def test_cli_map_is_the_library_map_on_trimmed_labels(tmp_path):
     with open(tmp_path / "sweep" / "sweep_alpha.csv", newline="") as f:
         swept = list(csv.reader(f))[1][1]
     assert (got, swept) == (want, want)
+
+
+def test_untrimmed_dataset_io_error(tmp_path, capsys):
+    # train trims the dataset's two-label rows, so the training rows'
+    # class counts in the file are not the model's: encode and eval name
+    # the first class that differs, before any code or result is written
+    keys = ["min_keep=1", "max_keep=1", "extra_per_class=120", "epochs=3"]
+    cfg = experiment.load_config(None, keys)
+    data_path, run = tmp_path / "raw.lcmd", tmp_path / "run"
+    save_dataset(synthesize_long_tailed(experiment.longtail_spec(cfg), seed=0),
+                 data_path)
+    assert main(["train", "--dataset", str(data_path), "--out", str(run),
+                 *[arg for kv in keys for arg in ("--set", kv)]]) == 0
+    capsys.readouterr()
+    inputs = ["--model", str(run / "model.lcmh"), "--dataset", str(data_path)]
+    codes, result = tmp_path / "codes.lcmb", tmp_path / "i2t.csv"
+    for command in (["encode", *inputs, "--modality", "image", "--out", codes],
+                    ["eval", *inputs, "--direction", "i2t", "--out", result]):
+        assert main([str(arg) for arg in command]) == 2
+        assert capsys.readouterr().err == (
+            "error: class 0 has 208 training rows in the dataset, the model "
+            "trained on 200: trim its labels as train trims them\n")
+    assert not codes.exists() and not result.exists()
 
 
 def test_eval_bad_direction_usage_error(pipeline, tmp_path):

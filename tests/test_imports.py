@@ -1,10 +1,14 @@
-"""Every name that a module of the package imports is used in that module
-(the package's __init__.py imports names to re-export them), every private
+"""The package root names only its library modules, every name that a
+module of the package imports is used in that module (the package's
+__init__.py imports the modules to make them its attributes), every private
 top-level helper is used somewhere in the package, and every public
 top-level function, class and method is used in the package, the
 benchmarks or the demos: none is kept for the tests alone."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +18,18 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 PACKAGE = sorted(SRC.glob("*.py"))
 USERS = sorted(p for d in ("benchmarks", "demos")
                for p in (SRC.parent.parent / d).glob("*.py"))
+
+
+def test_package_root_names_only_its_modules():
+    # in a fresh interpreter, as importing ltcmh.cli here would add `cli`;
+    # the command-line entry point is not a library module
+    code = ("import ltcmh; print(*sorted(name for name in vars(ltcmh) "
+            "if not name.startswith('_')))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    names = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                           capture_output=True, text=True,
+                           timeout=60).stdout.split()
+    assert names == [p.stem for p in MODULES if p.stem != "cli"]
 
 
 def unused_imports(source):

@@ -1,6 +1,7 @@
-"""The demos run, and the README matches the code: the keys and eta modes
-of its configuration table, the values it gives the fixed constants and
-the struct strings it gives the file headers."""
+"""The demos and the README's library example run, and the README
+matches the code: the keys and eta modes of its configuration table, the
+values it gives the fixed constants and the struct strings it gives the
+file headers."""
 
 import os
 import re
@@ -16,12 +17,25 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(demo):
+def _python(*args):
+    """Run python on args from the repo root, with src importable."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
         str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo):
+    proc = _python(str(demo))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_readme_library_example_runs():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = _python("-W", "error::RuntimeWarning", "-c", code)
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
